@@ -24,12 +24,14 @@ class Splitting:
 
     `strong` is the boolean strong-coupling matrix used to build the
     splitting (row i marks the nodes i is strongly coupled to, negative
-    couplings from the first pass plus strong positive ones).
+    couplings from the first pass plus strong positive ones), and
+    `eps_amg` the strength threshold it was built with.
     """
 
     coarse: np.ndarray
     fine: np.ndarray
     strong: np.ndarray
+    eps_amg: float
 
 
 @dataclass
@@ -42,6 +44,7 @@ class TransferOperators:
     exactly the unscaled restriction.  The recorded scales let the
     original pair, and the proportionality factor between the scaled
     restriction and the transposed scaled prolongation, be recovered.
+    `eps_amg` is the strength threshold of the splitting, for rebuilds.
     """
 
     prolong: np.ndarray
@@ -50,6 +53,7 @@ class TransferOperators:
     prolong_scale: float
     restrict_scale: float
     prolong_raw: np.ndarray
+    eps_amg: float
 
     @property
     def r(self):
@@ -153,6 +157,7 @@ def ruge_stuben_split(A, eps_amg=0.9):
         coarse=np.flatnonzero(state == _COARSE),
         fine=np.flatnonzero(state == _FINE),
         strong=strong,
+        eps_amg=eps_amg,
     )
 
 
@@ -212,6 +217,7 @@ def build_interpolation(A, split):
         prolong_scale=p_scale,
         restrict_scale=r_scale,
         prolong_raw=P,
+        eps_amg=split.eps_amg,
     )
 
 

@@ -54,7 +54,6 @@ _OVERRIDE_TYPES = {
         else float
     )
     for name, spec in MlmConfig.__dataclass_fields__.items()
-    if name != "cycle"
 }
 
 

@@ -3,12 +3,13 @@
 The fine-level systems (J^T J + lam I) s = -(J^T F + corr) are solved by a
 truncated conjugate-gradient iteration that applies the operator through
 two products with J per step and stops once the model gradient is small
-against the squared step norm.  Coarse-level systems are small and dense
-and go through a Cholesky factorization.
+against the squared step norm.  Coarse-level systems are solved exactly
+by a Cholesky factorization of the smaller Gram matrix of J: the m-by-m
+J J^T + lam I (kernel form) when J has fewer rows than columns.
 
 Only genuine matrix-vector products are charged to the flop counter, at
-2*rows*cols apiece; factorizations and matrix-matrix products are not
-matrix-vector work and are left out of the tally.
+2*rows*cols apiece; the direct solve, J products of its kernel form
+included, is not matrix-vector work and is left out of the tally.
 """
 
 from dataclasses import dataclass, field
@@ -135,25 +136,39 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
     return InnerSolveResult(s, true_norm, max_iter, satisfied, true_residual)
 
 
-def direct_solve(B_reg, rhs, counter=None):
-    """Solve an SPD system by Cholesky factorization.
+def _shifted_gram_norm(G, lam, n):
+    """||J^T J + lam I||_F (order n) from G = J J^T or J^T J, which share norm and trace."""
+    return float(np.sqrt(np.linalg.norm(G) ** 2 + 2.0 * lam * np.trace(G) + n * lam**2))
 
-    The computed solution is verified against a backward-error style bound
-    ||B s - rhs|| <= 1e-10 * (||B||_F * ||s|| + ||rhs||); a factorization
-    failure or a violated bound raises NumericalError so the caller can
-    grow the regularization weight and retry.  The verification product is
-    a safety check, not solver work, and is not charged to the counter
-    (the factorization itself performs no matrix-vector products).
+
+def direct_solve(J, lam, rhs, counter=None):
+    """Solve (J^T J + lam I) s = rhs for J of shape (m, n) by Cholesky factorization.
+
+    With m < n the Woodbury identity reduces it to the m-by-m kernel system
+    (J J^T + lam I) y = J rhs, s = (rhs - J^T y) / lam; otherwise the n-by-n
+    matrix is factored.  The solution is verified against the backward-error
+    bound ||B s - rhs|| <= 1e-10 * (||B||_F * ||s|| + ||rhs||), B = J^T J + lam I,
+    evaluated without forming B; a non-positive lam, a factorization failure
+    or a violated bound raises NumericalError so the caller can grow the
+    regularization weight and retry.  Products with J inside the solve are
+    direct-solve work, like the factorization, and are not charged.
     """
-    B_reg = np.asarray(B_reg, dtype=float)
+    if not lam > 0:
+        raise NumericalError(f"regularization weight lam must be positive, got {lam!r}")
+    J = np.asarray(J, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
+    m, n = J.shape
+    G = J @ J.T if m < n else J.T @ J
     try:
-        factor = scipy.linalg.cho_factor(B_reg, check_finite=True)
-        s = scipy.linalg.cho_solve(factor, rhs)
+        factor = scipy.linalg.cho_factor(G + lam * np.eye(len(G)), check_finite=True)
+        if m < n:
+            s = (rhs - J.T @ scipy.linalg.cho_solve(factor, J @ rhs)) / lam
+        else:
+            s = scipy.linalg.cho_solve(factor, rhs)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"dense Cholesky solve failed: {exc}") from exc
-    residual = B_reg @ s - rhs
-    scale = float(np.linalg.norm(B_reg)) * float(np.linalg.norm(s)) + float(np.linalg.norm(rhs))
+    residual = J.T @ (J @ s) + lam * s - rhs
+    scale = _shifted_gram_norm(G, lam, n) * float(np.linalg.norm(s)) + float(np.linalg.norm(rhs))
     if not np.all(np.isfinite(s)) or float(np.linalg.norm(residual)) > 1e-10 * scale:
         raise NumericalError("dense solve residual exceeds the backward-error bound")
     return s

@@ -4,16 +4,17 @@ Alternates plain fine-level iterations with coarse corrections.  The
 coarse objective is the same loss over the sub-network spanned by the
 coarse hidden nodes, shifted by a linear term so its gradient at the
 restricted iterate equals the restricted fine gradient; a bounded run of
-damped Gauss-Newton iterations (dense direct solves) minimizes it, and
-the resulting coarse step is prolongated back and judged by the usual
-actual-over-predicted ratio on the fine loss.
+damped Gauss-Newton iterations minimizes it, each step an exact direct
+solve, in the m-dimensional kernel space of the coarse Jacobian when that
+has fewer rows than columns.  The resulting coarse step is prolongated
+back and judged by the usual actual-over-predicted ratio on the fine loss.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amg import apply_blockwise
+from .amg import apply_blockwise, build_transfer_operators
 from .linsolve import FlopCounter, NumericalError, cgls_truncated, direct_solve, predicted_reduction
 from .lm import LmConfig, SolveReport, TraceWriter, update_lambda, _MAX_INNER_FAILURES
 from .network import NetworkArch
@@ -32,8 +33,7 @@ class MlmConfig(LmConfig):
     kappa_h: float = 0.1
     epsilon_h: float = None  # default: the fine gradient tolerance
     max_coarse_iter: int = 10
-    cycle: str = "alternate_v"
-    rebuild_operators: bool = False  # rebuild transfer operators every iteration
+    rebuild_operators: bool = False  # rebuild transfer operators (same eps_amg) every iteration
 
     def __post_init__(self):
         super().__post_init__()
@@ -45,8 +45,6 @@ class MlmConfig(LmConfig):
             raise ValueError("epsilon_h must be positive")
         if self.max_coarse_iter < 1:
             raise ValueError("max_coarse_iter must be at least 1")
-        if self.cycle != "alternate_v":
-            raise ValueError(f"unsupported cycle {self.cycle!r}")
 
 
 @dataclass
@@ -85,11 +83,17 @@ def coarsen_system(system, ops):
     raise TypeError(f"cannot coarsen system of type {type(system).__name__}")
 
 
-def go_down(grad_fine, ops, kappa_h, epsilon_h):
-    """Is the restricted gradient large enough to justify a coarse step?"""
-    restricted = apply_blockwise(ops, grad_fine, "restrict")
+def go_down(grad_fine, ops, kappa, epsilon_h, counter=None):
+    """Descent test: the restricted gradient if it justifies a coarse step, else None.
+
+    `kappa` is the relative threshold, `effective_kappa(cfg, ops)` in the
+    solver; the restriction is charged to `counter`.
+    """
+    restricted = apply_blockwise(ops, grad_fine, "restrict", counter)
     rnorm = float(np.linalg.norm(restricted))
-    return rnorm >= kappa_h * float(np.linalg.norm(grad_fine)) and rnorm > epsilon_h
+    if rnorm >= kappa * float(np.linalg.norm(grad_fine)) and rnorm > epsilon_h:
+        return restricted
+    return None
 
 
 def effective_kappa(cfg, ops):
@@ -164,10 +168,8 @@ def coarse_cycle(model, lam, cfg, counter=None):
         grad_model = g + corr
         if np.linalg.norm(grad_model) <= cfg.epsilon:
             break
-        B = J.T @ J
-        B[np.diag_indices_from(B)] += lam
         try:
-            s = direct_solve(B, -grad_model, counter)
+            s = direct_solve(J, lam, -grad_model, counter)
         except NumericalError:
             lam = cfg.gamma3 * lam
             continue
@@ -233,24 +235,17 @@ def mlm_solve(system, x0, cfg=None, ops=None, counter=None, trace=None, seed=Non
             grad_norm = float(np.linalg.norm(g))
             stale = False
             if cfg.rebuild_operators and accepted:
-                from .amg import build_transfer_operators
-
                 if not hasattr(system, "arch"):
                     raise ValueError("operator rebuild needs a network residual system")
-                ops = build_transfer_operators(J, system.arch)
+                ops = build_transfer_operators(J, system.arch, eps_amg=ops.eps_amg)
                 kappa = effective_kappa(cfg, ops)
         if grad_norm <= cfg.epsilon:
             converged = True
             break
 
         iteration += 1
-        use_coarse = False
-        if prev_step_fine:
-            restricted = apply_blockwise(ops, g, "restrict", counter)
-            rnorm = float(np.linalg.norm(restricted))
-            use_coarse = rnorm >= kappa * grad_norm and rnorm > cfg.epsilon_h
-
-        if use_coarse:
+        restricted = go_down(g, ops, kappa, cfg.epsilon_h, counter) if prev_step_fine else None
+        if restricted is not None:
             prev_step_fine = False
             coarse_attempts += 1
             model = build_coarse_model(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mlmnet.linsolve import (
     FlopCounter,
     NumericalError,
+    _shifted_gram_norm,
     cgls_truncated,
     direct_solve,
     predicted_reduction,
@@ -117,26 +119,67 @@ def test_predicted_reduction_positive(rng):
 
 
 def test_direct_solve_identity():
-    assert np.allclose(direct_solve(np.eye(3), np.eye(3)[:, 0]), np.eye(3)[:, 0])
+    # (I^T I + 1 I) s = e1  =>  s = e1/2
+    assert np.allclose(direct_solve(np.eye(3), 1.0, np.eye(3)[:, 0]), 0.5 * np.eye(3)[:, 0])
 
 
 def test_direct_solve_diagonal():
-    s = direct_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+    # J^T J + I = diag(2, 4)
+    s = direct_solve(np.diag([1.0, np.sqrt(3.0)]), 1.0, np.array([2.0, 4.0]))
     assert np.allclose(s, [1.0, 1.0])
 
 
 def test_direct_solve_agrees_with_cgls(rng):
-    X = rng.normal(size=(8, 8))
-    B = X @ X.T + 0.5 * np.eye(8)
+    J = rng.normal(size=(5, 8))
     rhs = rng.normal(size=8)
-    s_direct = direct_solve(B, rhs)
-    # same system through the iterative path: B = J^T J with J = chol(B)^T
-    L = np.linalg.cholesky(B)
-    res = cgls_truncated(L.T, -np.linalg.solve(L, rhs), lam=1e-300, theta=1e-14, max_iter=400)
+    s_direct = direct_solve(J, 0.5, rhs)
+    # same system through the iterative path, rhs entering as the correction
+    res = cgls_truncated(J, np.zeros(5), 0.5, corr=-rhs, theta=1e-14, max_iter=400)
+    B = J.T @ J + 0.5 * np.eye(8)
     assert np.linalg.norm(B @ s_direct - rhs) <= 1e-10 * (np.linalg.norm(B) * np.linalg.norm(s_direct) + np.linalg.norm(rhs))
     assert np.allclose(s_direct, res.step, atol=1e-8)
 
 
-def test_direct_solve_rejects_indefinite():
+@pytest.mark.parametrize("lam", [1e-6, 0.05, 10.0])
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
+def test_direct_solve_agrees_with_dense_solve(rng, shape, lam):
+    J = rng.normal(size=shape)
+    n = shape[1]
+    rhs = rng.normal(size=n)
+    s = direct_solve(J, lam, rhs)
+    # spectral solution, accurate to a few ulps whatever the conditioning
+    _, sv, Vt = np.linalg.svd(J)
+    d = np.zeros(n)
+    d[: sv.size] = sv**2
+    exact = Vt.T @ ((Vt @ rhs) / (d + lam))
+    assert np.linalg.norm(s - exact) <= 1e-10 * np.linalg.norm(exact)
+    # the dense n-by-n solve is itself only accurate to about cond(B) * eps,
+    # 2e-8 for the kernel shape at lam = 1e-6
+    B = J.T @ J + lam * np.eye(n)
+    tol = max(1e-10, 10 * np.linalg.cond(B) * np.finfo(float).eps)
+    assert np.linalg.norm(s - scipy.linalg.solve(B, rhs)) <= tol * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
+def test_shifted_gram_norm_is_the_frobenius_norm(rng, shape):
+    J = rng.normal(size=shape)
+    n = shape[1]
+    for lam in (1e-6, 0.05, 10.0):
+        dense = np.linalg.norm(J.T @ J + lam * np.eye(n))
+        for G in (J @ J.T, J.T @ J):
+            assert _shifted_gram_norm(G, lam, n) == pytest.approx(dense, rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3)], ids=["kernel", "primal"])
+def test_direct_solve_rejects_non_finite_jacobian(shape, bad):
+    J = np.ones(shape)
+    J[1, 2] = bad
     with pytest.raises(NumericalError):
-        direct_solve(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
+        direct_solve(J, 0.1, np.ones(shape[1]))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_direct_solve_rejects_non_positive_lambda(lam):
+    with pytest.raises(NumericalError):
+        direct_solve(np.eye(2, 3), lam, np.ones(3))

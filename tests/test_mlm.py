@@ -2,15 +2,18 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mlmnet.activations import Activation
 from mlmnet.amg import TransferOperators, apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
 from mlmnet.linsolve import FlopCounter, direct_solve
 from mlmnet.lm import update_lambda
+from mlmnet import mlm
 from mlmnet.mlm import (
     MlmConfig,
     build_coarse_model,
     coarse_cycle,
+    effective_kappa,
     go_down,
     mlm_solve,
 )
@@ -40,8 +43,6 @@ def test_config_validation():
         MlmConfig(kappa_h=1.5)
     with pytest.raises(ValueError):
         MlmConfig(max_coarse_iter=0)
-    with pytest.raises(ValueError):
-        MlmConfig(cycle="w")
     cfg = MlmConfig(epsilon=1e-3)
     assert cfg.epsilon_h == 1e-3  # defaults to the fine tolerance
 
@@ -52,14 +53,17 @@ def test_config_validation():
 def test_go_down_zero_gradient_false(rng):
     ops = random_ops(rng, 6)
     grad = np.zeros(3 * 6 + 1)
-    assert not go_down(grad, ops, kappa_h=0.1, epsilon_h=1e-4)
+    assert go_down(grad, ops, effective_kappa(MlmConfig(), ops), epsilon_h=1e-4) is None
 
 
 def test_go_down_identity_true():
     ops = identity_ops(5)
     grad = np.zeros(16)
     grad[0] = 1.0
-    assert go_down(grad, ops, kappa_h=0.1, epsilon_h=1e-4)
+    counter = FlopCounter()
+    restricted = go_down(grad, ops, effective_kappa(MlmConfig(), ops), 1e-4, counter)
+    assert np.array_equal(restricted, grad)
+    assert counter.matvec_flops == 3 * 2 * 5 * 5  # three blockwise restrictions
 
 
 def test_go_down_null_space_false(rng):
@@ -70,7 +74,7 @@ def test_go_down_null_space_false(rng):
     assert np.linalg.norm(R @ null_vec) < 1e-12
     grad = np.zeros(3 * 8 + 1)
     grad[:8] = null_vec  # output-weight block only, output-bias zero
-    assert not go_down(grad, ops, kappa_h=0.1, epsilon_h=1e-4)
+    assert go_down(grad, ops, effective_kappa(MlmConfig(), ops), epsilon_h=1e-4) is None
 
 
 # -- coarse model -------------------------------------------------------------------
@@ -143,6 +147,35 @@ def test_critical_start_returns_zero_step(rng):
     assert accepted == 0
 
 
+def replay_coarse_cycle(model, lam, cfg, solve):
+    """Independent loop of damped Gauss-Newton steps on the corrected coarse
+    objective, each from `solve(J, lam, rhs)`; returns what coarse_cycle does."""
+    system, corr = model.system, model.correction
+    y = model.x0.copy()
+    F = system.residual(y)
+    J = system.jacobian(y)
+    value0 = value = 0.5 * float(F @ F)
+    n_acc = 0
+    for _ in range(cfg.max_coarse_iter):
+        g = J.T @ F + corr
+        if np.linalg.norm(g) <= cfg.epsilon:
+            break
+        s = solve(J, lam, -g)
+        Js = J @ s
+        pred = -(float(g @ s) + 0.5 * float(Js @ Js))
+        rho = None
+        if pred > 0 and s.any():
+            F_t = system.residual(y + s)
+            value_t = 0.5 * float(F_t @ F_t) + float(corr @ (y + s - model.x0))
+            rho = (value - value_t) / pred
+        if rho is not None and rho >= cfg.eta1:
+            y, F, value = y + s, F_t, value_t
+            J = system.jacobian(y)
+            n_acc += 1
+        lam = update_lambda(lam, rho, cfg)
+    return y - model.x0, value0 - value, n_acc
+
+
 def test_coarse_cycle_matches_reference_loop(rng):
     # identity transfers on a quadratic: the cycle must replay a plain
     # damped Gauss-Newton iteration with direct solves, bit for bit
@@ -154,37 +187,31 @@ def test_coarse_cycle_matches_reference_loop(rng):
     cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=10)
     model = build_coarse_model(system, x0, ops)
     step, pred, accepted = coarse_cycle(model, cfg.lambda0, cfg)
-
-    # reference: same arithmetic, independent loop
-    y = x0.copy()
-    lam = cfg.lambda0
-    F = system.residual(y)
-    J = system.jacobian(y)
-    g = J.T @ F
-    f_val = 0.5 * float(F @ F)
-    n_acc = 0
-    for _ in range(cfg.max_coarse_iter):
-        if np.linalg.norm(g) <= cfg.epsilon:
-            break
-        B = J.T @ J
-        B[np.diag_indices_from(B)] += lam
-        s = direct_solve(B, -g)
-        Js = J @ s
-        pred_t = -(float(g @ s) + 0.5 * float(Js @ Js))
-        rho = None
-        if pred_t > 0 and s.any():
-            F_t = system.residual(y + s)
-            f_t = 0.5 * float(F_t @ F_t)
-            rho = (f_val - f_t) / pred_t
-        if rho is not None and rho >= cfg.eta1:
-            y, F, f_val = y + s, F_t, f_t
-            J = system.jacobian(y)
-            g = J.T @ F
-            n_acc += 1
-        lam = update_lambda(lam, rho, cfg)
+    ref_step, ref_pred, n_acc = replay_coarse_cycle(model, cfg.lambda0, cfg, direct_solve)
     assert accepted == n_acc
-    assert np.allclose(step, y - x0, rtol=0, atol=1e-14)
-    assert pred == pytest.approx(0.5 * float(system.residual(x0) @ system.residual(x0)) - f_val, rel=1e-12)
+    assert np.allclose(step, ref_step, rtol=0, atol=1e-14)
+    assert pred == pytest.approx(ref_pred, rel=1e-12)
+
+
+def test_coarse_cycle_kernel_solve_matches_dense_reference(rng):
+    # a network system with fewer residuals than coarse unknowns takes the
+    # kernel-space solve; replay the cycle with dense n_c-by-n_c solves
+    system = network_system(nu=3, r=12)
+    x = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x), system.arch)
+    model = build_coarse_model(system, x, ops)
+    assert len(model._residual0) < model.x0.size
+    cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=10)
+    step, pred, accepted = coarse_cycle(model, 0.05, cfg)
+
+    def dense_solve(J, lam, rhs):
+        return scipy.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), rhs, assume_a="pos")
+
+    ref_step, ref_pred, n_acc = replay_coarse_cycle(model, 0.05, cfg, dense_solve)
+    assert n_acc > 0
+    assert accepted == n_acc
+    assert np.allclose(step, ref_step, rtol=1e-10, atol=0)
+    assert pred == pytest.approx(ref_pred, rel=1e-10)
 
 
 def test_pred_positive_when_step_accepted(rng):
@@ -280,3 +307,20 @@ def test_operator_rebuild_flag(rng):
     surrogate = LinearLeastSquares(rng.normal(size=(20, 13)), rng.normal(size=20))
     with pytest.raises(ValueError):
         mlm_solve(surrogate, np.ones(13), cfg, identity_ops(4))
+
+
+def test_operator_rebuild_keeps_the_coarsening_threshold(rng, monkeypatch):
+    system = network_system(nu=3, r=12)
+    x0 = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x0), system.arch, eps_amg=0.5)
+    assert ops.eps_amg == 0.5
+    used = []
+
+    def recording_build(J, arch, eps_amg=0.9):
+        used.append(eps_amg)
+        return build_transfer_operators(J, arch, eps_amg=eps_amg)
+
+    monkeypatch.setattr(mlm, "build_transfer_operators", recording_build)
+    cfg = MlmConfig(epsilon=1e-4, max_outer_iter=20, rebuild_operators=True)
+    mlm_solve(system, x0, cfg, ops)
+    assert used and set(used) == {0.5}
