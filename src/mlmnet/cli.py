@@ -7,7 +7,9 @@ Subcommands:
   split-inspect  dump the coupling matrix, C/F split and prolongation
 
 Exit status is 0 when every solver run completed (converged or stopped at
-its configured iteration cap) and 1 when any run failed outright.
+its configured iteration cap) and 1 when any run failed outright.  On
+standard error, `run` names every failed run with its error, and every
+run that stopped at its iteration cap without converging.
 """
 
 import argparse
@@ -39,6 +41,18 @@ def _cmd_run(args):
         )
         failed += sum(len(r.errors) for r in seed_results)
         all_rows.extend((campaign.name, row) for row in rows)
+        for res in seed_results:
+            for solver, message in res.errors.items():
+                print(f"{campaign.name} {solver} seed {res.seed}: failed: {message}",
+                      file=sys.stderr)
+            for solver, report in res.reports.items():
+                if not report.converged:
+                    print(
+                        f"{campaign.name} {solver} seed {res.seed}: stopped at the iteration "
+                        f"cap after {report.iterations} iterations without converging "
+                        f"(gradient norm {report.final_gradient_norm:.3e})",
+                        file=sys.stderr,
+                    )
         for row in rows:
             save = "" if row.save_mean is None else (
                 f"  save {row.save_min:.3g}-{row.save_mean:.3g}-{row.save_max:.3g}"

@@ -20,6 +20,11 @@ import numpy as np
 
 from .activations import Activation
 
+# Hidden activations eval_batch holds at once: 32768 doubles, 256 KiB, so
+# a block's pre-activations and activations stay in a 4 MiB L2 cache
+# (block-size sweep in CHANGES.md).
+BLOCK_ELEMENTS = 32768
+
 
 @dataclass(frozen=True)
 class NetworkArch:
@@ -113,14 +118,39 @@ def _as_points(arch, z):
     return pts
 
 
+def row_blocks(n_rows, width):
+    """Row slices covering range(n_rows), about BLOCK_ELEMENTS // width rows each.
+
+    Blocks start at multiples of 8 rows, and a lone trailing row joins the
+    block before it.  BLAS matrix-vector kernels sum rows in groups (of 4
+    in OpenBLAS, 8 covers wider kernels) and numpy evaluates a one-row
+    product as a dot product; with both rules each row of a blocked
+    product is summed in the same order as in one product over all rows
+    on a single BLAS thread.
+    """
+    step = max(8, BLOCK_ELEMENTS // width // 8 * 8)
+    bounds = list(range(0, n_rows, step)) + [n_rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 # Batch evaluation over a (t, dim) block of points.  These carry the actual
 # arithmetic; the pointwise operations below are thin wrappers.
 
 def eval_batch(arch, params, points):
-    """Network output at each row of `points`, shape (t,)."""
+    """Network output at each row of `points`, shape (t,).
+
+    Evaluated in row blocks of at most BLOCK_ELEMENTS hidden activations,
+    so a large point set (the RMSE test grid) never builds whole
+    (t, n_hidden) temporaries; a training set fits in one block.
+    """
     _check_match(arch, params)
-    pre = points @ params.in_weights + params.hidden_bias
-    return arch.activation(pre, 0) @ params.out_weights + params.out_bias
+    out = np.empty(points.shape[0])
+    for rows in row_blocks(points.shape[0], arch.n_hidden):
+        pre = points[rows] @ params.in_weights + params.hidden_bias
+        out[rows] = arch.activation(pre, 0) @ params.out_weights + params.out_bias
+    return out
 
 
 def grad_z_batch(arch, params, points):

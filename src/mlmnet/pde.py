@@ -212,9 +212,13 @@ class ResidualSystem:
             xs, ys = np.meshgrid(axis, axis, indexing="ij")
             pts = np.column_stack([xs.ravel(), ys.ravel()])
         train = np.vstack([self.training.interior, self.training.boundary])
-        coincide = np.zeros(pts.shape[0], dtype=bool)
-        for row in train:
-            coincide |= np.all(np.abs(pts - row) < 1e-12, axis=1)
+        coincide = np.empty(pts.shape[0], dtype=bool)
+        for rows in network.row_blocks(pts.shape[0], train.shape[0]):
+            # close[k, i]: test point i is within 1e-12 of training row k on every axis
+            close = np.abs(train[:, 0, None] - pts[rows, 0]) < 1e-12
+            for j in range(1, pts.shape[1]):
+                close &= np.abs(train[:, j, None] - pts[rows, j]) < 1e-12
+            coincide[rows] = close.any(axis=0)
         return pts[~coincide]
 
     def rmse(self, p, points_per_axis=100, reference=None):

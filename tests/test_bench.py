@@ -211,7 +211,35 @@ def test_cli_run_and_determinism(tmp_path, capsys):
     assert cli.main(["run", str(cfg), "--out", str(out1)]) == 0
     assert cli.main(["run", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert "report written" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "report written" in captured.out
+    assert captured.err == ""  # every run converged: nothing to list
+
+
+def test_cli_run_prints_each_seed_failure(tmp_path, capsys, monkeypatch):
+    def failing_solver(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(bench, "lm_solve", failing_solver)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG_TEXT)
+    with pytest.warns(UserWarning, match="2 seed"):
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    for seed in (0, 1):
+        assert f"quick lm seed {seed}: failed: RuntimeError: injected failure" in err
+
+
+def test_cli_run_lists_runs_stopped_at_the_cap(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("max_outer_iter = 300", "max_outer_iter = 3"))
+    out = tmp_path / "r.csv"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    for seed in (0, 1):
+        assert f"quick lm seed {seed}: stopped at the iteration cap after 3 iterations" in err
+    assert bench.parse_report_csv(out)[0]["failures"] == "0"
 
 
 def test_cli_run_seed_solver_overrides(tmp_path):

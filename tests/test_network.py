@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mlmnet
+from mlmnet import network
 from mlmnet.activations import Activation
 from mlmnet.network import (
     NetworkArch,
@@ -134,3 +141,57 @@ def test_dimension_mismatch_rejected(rng):
         net_eval(arch, bad, [0.1, 0.2])
     with pytest.raises(ValueError):
         NetworkParams.from_vector(np.zeros(10), 3, 2)
+
+
+# -- blocked evaluation ---------------------------------------------------------------
+
+
+def one_shot_eval_batch(arch, params, points):
+    """eval_batch's formula over all rows at once: the reference for the blocked form."""
+    pre = points @ params.in_weights + params.hidden_bias
+    return arch.activation(pre, 0) @ params.out_weights + params.out_bias
+
+
+def blocked_eval_mismatches():
+    """(n_hidden, dim, rows) cases where eval_batch is not bit-identical to the one-shot formula."""
+    rng = np.random.default_rng(2024)
+    mismatches = []
+    for n_hidden in (3, 100, 512):
+        block = network.row_blocks(10**6, n_hidden)[0].stop
+        for dim in (1, 2):
+            arch, params = random_instance(rng, r=n_hidden, dim=dim)
+            # none, fewer than one block, one block, an exact multiple, remainders
+            for rows in (0, block // 2 + 3, block, 3 * block, 3 * block + 1, 3 * block + 5):
+                pts = rng.uniform(-1, 1, (rows, dim))
+                blocked = network.eval_batch(arch, params, pts)
+                if not np.array_equal(blocked, one_shot_eval_batch(arch, params, pts)):
+                    mismatches.append((n_hidden, dim, rows))
+    return mismatches
+
+
+def test_blocked_eval_batch_is_bit_identical_to_one_shot():
+    # With more than one BLAS thread the one-shot product itself depends on
+    # the thread count, since threads split it at row offsets set by its
+    # size; the comparison therefore runs in a child on one BLAS thread.
+    tests_dir = Path(__file__).parent
+    src_dir = Path(mlmnet.__file__).parents[1]
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join([str(src_dir), str(tests_dir)]),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_network; print(test_network.blocked_eval_mismatches())"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 63, 64, 65, 66, 129, 1000])
+def test_row_blocks_cover_rows_in_aligned_blocks(n_rows):
+    blocks = network.row_blocks(n_rows, 512)  # 64 rows per block
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_rows))
+    assert all(b.start % 8 == 0 for b in blocks)
+    assert all(2 <= b.stop - b.start <= 65 for b in blocks) or n_rows == 1
+    assert len(network.row_blocks(n_rows, 3)) == min(n_rows, 1)

@@ -209,6 +209,41 @@ def test_rmse_grid_excludes_training_points():
     assert pts99.shape[0] <= 99
 
 
+def loop_exclusion_grid(system, points_per_axis):
+    """test_grid by one pass per training row: the reference for the vectorised exclusion."""
+    axis = np.linspace(0.0, 1.0, points_per_axis + 2)[1:-1]
+    if system.problem.dim == 1:
+        pts = axis.reshape(-1, 1)
+    else:
+        xs, ys = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+    coincide = np.zeros(pts.shape[0], dtype=bool)
+    for row in np.vstack([system.training.interior, system.training.boundary]):
+        coincide |= np.all(np.abs(pts - row) < 1e-12, axis=1)
+    return pts[~coincide]
+
+
+def test_rmse_grid_excludes_coinciding_2d_training_points():
+    # training axis 0, 1/4, ..., 1 and test axis 1/8, ..., 7/8 share 1/4, 1/2, 3/4
+    system = small_system(helmholtz_2d(nu=2), r=2)
+    pts = system.test_grid(7)
+    assert pts.shape == (40, 2)
+    train = np.vstack([system.training.interior, system.training.boundary])
+    gaps = np.abs(pts[:, None, :] - train[None, :, :]).max(axis=2)
+    assert gaps.min() >= 1e-12
+
+
+@pytest.mark.parametrize(
+    "problem, points_per_axis",
+    [(helmholtz_2d(nu=2), 7), (helmholtz_2d(nu=2), 100), (poisson_2d(nu=5), 99),
+     (poisson_1d(nu=20), 7), (poisson_1d(nu=20), 100)],
+)
+def test_test_grid_matches_loop_exclusion(problem, points_per_axis):
+    system = small_system(problem, r=2)
+    assert np.array_equal(system.test_grid(points_per_axis),
+                          loop_exclusion_grid(system, points_per_axis))
+
+
 def test_rmse_requires_reference_for_helmholtz2d(rng):
     system = small_system(helmholtz_2d(nu=2), r=4)
     x = rng.uniform(-1, 1, system.n)
