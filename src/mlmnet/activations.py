@@ -31,53 +31,78 @@ def _softplus(x):
     return out
 
 
-def _eval_sigmoid(x, order):
+# Each kind computes its base value once and derives the requested orders
+# 0..3 from it, returning them in the order asked for.
+
+
+def _ladder_sigmoid(x, orders):
     # (e^x - 1)/(e^x + 1), i.e. tanh(x/2)
     s = np.tanh(0.5 * x)
-    if order == 0:
-        return s
-    if order == 1:
-        return 0.5 * (1.0 - s * s)
-    if order == 2:
-        return -0.5 * s * (1.0 - s * s)
-    return 0.25 * (1.0 - s * s) * (3.0 * s * s - 1.0)
+    q = 1.0 - s * s if any(orders) else None
+    ladder = (
+        lambda: s,
+        lambda: 0.5 * q,
+        lambda: -0.5 * s * q,
+        lambda: 0.25 * q * (3.0 * s * s - 1.0),
+    )
+    return [ladder[k]() for k in orders]
 
 
-def _eval_tanh(x, order):
+def _ladder_tanh(x, orders):
     s = np.tanh(x)
-    if order == 0:
-        return s
-    if order == 1:
-        return 1.0 - s * s
-    if order == 2:
-        return -2.0 * s * (1.0 - s * s)
-    return -2.0 * (1.0 - s * s) * (1.0 - 3.0 * s * s)
+    q = 1.0 - s * s if any(orders) else None
+    ladder = (
+        lambda: s,
+        lambda: q,
+        lambda: -2.0 * s * q,
+        lambda: -2.0 * q * (1.0 - 3.0 * s * s),
+    )
+    return [ladder[k]() for k in orders]
 
 
-def _eval_logistic(x, order):
+def _ladder_logistic(x, orders):
     s = _logistic(x)
-    if order == 0:
-        return s
-    ds = s * (1.0 - s)
-    if order == 1:
-        return ds
-    if order == 2:
-        return ds * (1.0 - 2.0 * s)
-    return ds * (1.0 - 6.0 * s + 6.0 * s * s)
+    ds = s * (1.0 - s) if any(orders) else None
+    ladder = (
+        lambda: s,
+        lambda: ds,
+        lambda: ds * (1.0 - 2.0 * s),
+        lambda: ds * (1.0 - 6.0 * s + 6.0 * s * s),
+    )
+    return [ladder[k]() for k in orders]
 
 
-def _eval_softplus(x, order):
-    if order == 0:
-        return _softplus(x)
-    return _eval_logistic(x, order - 1)
+def _ladder_softplus(x, orders):
+    # derivatives of orders 1..3 are the logistic's of orders 0..2
+    higher = iter(_ladder_logistic(x, [k - 1 for k in orders if k]) if any(orders) else ())
+    return [_softplus(x) if k == 0 else next(higher) for k in orders]
 
 
-_EVAL = {
-    "sigmoid": _eval_sigmoid,
-    "tanh": _eval_tanh,
-    "logistic": _eval_logistic,
-    "softplus": _eval_softplus,
+_LADDERS = {
+    "sigmoid": _ladder_sigmoid,
+    "tanh": _ladder_tanh,
+    "logistic": _ladder_logistic,
+    "softplus": _ladder_softplus,
 }
+
+
+def activation_derivatives(kind, orders, x):
+    """The activation `kind`'s derivatives of the given orders at x, as a list.
+
+    Every order must be in 0..3 (0 is the value).  The base value is
+    evaluated once for all of them.  `x` may be a scalar or an ndarray;
+    each result has its shape.
+    """
+    if kind not in _LADDERS:
+        raise ValueError(f"unknown activation kind {kind!r}, expected one of {KINDS}")
+    for order in orders:
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"derivative order must be in 0..3, got {order}")
+    arr = np.asarray(x, dtype=float)
+    outs = _LADDERS[kind](np.atleast_1d(arr), orders)
+    if arr.ndim == 0:
+        return [float(out[0]) for out in outs]
+    return [out.reshape(arr.shape) for out in outs]
 
 
 def activation_eval(kind, order, x):
@@ -86,15 +111,7 @@ def activation_eval(kind, order, x):
     `order` must be in 0..3.  `x` may be a scalar or an ndarray; the
     result has the same shape.
     """
-    if kind not in _EVAL:
-        raise ValueError(f"unknown activation kind {kind!r}, expected one of {KINDS}")
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"derivative order must be in 0..3, got {order}")
-    arr = np.asarray(x, dtype=float)
-    out = _EVAL[kind](np.atleast_1d(arr), order)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return activation_derivatives(kind, (order,), x)[0]
 
 
 class Activation:
@@ -107,6 +124,10 @@ class Activation:
 
     def __call__(self, x, order=0):
         return activation_eval(self.kind, order, x)
+
+    def derivatives(self, x, orders):
+        """Derivatives of the given orders at x, from one evaluation of the base value."""
+        return activation_derivatives(self.kind, orders, x)
 
     def __repr__(self):
         return f"Activation({self.kind!r})"

@@ -4,7 +4,10 @@ A campaign runs the requested solvers from identical random starting
 points over a list of seeds and aggregates iteration counts, solution
 errors and the flop ratio (`save`) of the one-level versus the two-level
 solver.  All randomness comes from numpy's default PCG64 generator
-seeded per run, so campaigns are reproducible bit for bit.
+seeded per run, so campaigns are reproducible bit for bit at a fixed BLAS
+thread count: a multi-threaded BLAS splits a product over threads at
+offsets set by its size and thread count, which changes the order in
+which it sums.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ import numpy as np
 from . import pde
 from .activations import Activation
 from .amg import build_transfer_operators
-from .linsolve import FlopCounter
+from .linsolve import FlopCounter, NumericalError
 from .lm import LmConfig, lm_solve
 from .mlm import MlmConfig, mlm_solve
 from .network import NetworkArch
@@ -203,7 +206,10 @@ def run_seed(campaign, system, seed, lm_cfg, mlm_cfg, reference, trace_dir=None)
             rmse[solver] = system.rmse(
                 report.final_params, campaign.test_points_per_axis, reference
             )
-        except Exception as exc:  # solver failure: recorded, excluded from aggregates
+        except (NumericalError, ValueError) as exc:
+            # a declared solver failure (a numerical breakdown, a non-finite
+            # start, a failed operator build) is recorded and excluded from
+            # the aggregates; any other exception is a bug and propagates
             errors[solver] = f"{type(exc).__name__}: {exc}"
         finally:
             if trace is not None:

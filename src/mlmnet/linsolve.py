@@ -12,6 +12,7 @@ Only genuine matrix-vector products are charged to the flop counter, at
 included, is not matrix-vector work and is left out of the tally.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +92,11 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
     if max_iter is None:
         max_iter = n
 
+    JT = J.T
+
     def apply_operator(x):
-        y = J.T @ (J @ x) + lam * x
+        y = JT @ (J @ x)
+        y += lam * x
         counter.add_matvec(m, n)
         counter.add_matvec(n, m)
         return y
@@ -104,31 +108,33 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
     r = rhs.copy()
     p = r.copy()
     rs = float(r @ r)
-    rhs_norm = np.sqrt(rs)
+    rhs_norm = math.sqrt(rs)
     model_value = 0.0  # 0.5 s^T (B+lam I) s - rhs^T s, decreases monotonically
     for iteration in range(1, max_iter + 1):
         mp = apply_operator(p)
         curvature = float(p @ mp)
-        if not np.isfinite(curvature) or curvature <= 0:
+        if not math.isfinite(curvature) or curvature <= 0:
             raise NumericalError("conjugate gradient lost positive definiteness")
         alpha = rs / curvature
         s += alpha * p
         r -= alpha * mp
         ss = float(s @ s)
-        new_model_value = 0.5 * float(s @ (rhs - r)) - float(rhs @ s)
+        # 0.5 s^T (B+lam I) s - rhs^T s with (B+lam I) s = rhs - r
+        new_model_value = -0.5 * (float(s @ rhs) + float(s @ r))
         # monotone up to rounding of magnitude ~eps * ||s|| * ||rhs||
-        assert new_model_value <= model_value + 1e-9 * (1.0 + rhs_norm * np.sqrt(ss))
+        assert new_model_value <= model_value + 1e-9 * (1.0 + rhs_norm * math.sqrt(ss))
         model_value = new_model_value
         rs_new = float(r @ r)
         bound = theta * ss
-        if rs_new == 0.0 or np.sqrt(rs_new) <= bound:
+        if rs_new == 0.0 or math.sqrt(rs_new) <= bound:
             true_residual = rhs - apply_operator(s)
             true_norm = float(np.linalg.norm(true_residual))
             if true_norm <= bound:
                 return InnerSolveResult(s, true_norm, iteration, True, true_residual)
             if rs_new == 0.0:  # recurrence exhausted, nothing more to gain
                 return InnerSolveResult(s, true_norm, iteration, False, true_residual)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     true_residual = rhs - apply_operator(s)
     true_norm = float(np.linalg.norm(true_residual))

@@ -135,77 +135,95 @@ def row_blocks(n_rows, width):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-# Batch evaluation over a (t, dim) block of points.  These carry the actual
-# arithmetic; the pointwise operations below are thin wrappers.
+# Evaluation over a (t, dim) block of points.  `hidden_activations` forms
+# the pre-activations and the activation derivatives of a point set once;
+# the formulas below take them as arguments, so a caller that needs several
+# quantities at the same points (the residual and its Jacobian) pays for
+# one pass.  The *_batch functions compose the two for a single quantity.
+
+def hidden_activations(arch, params, points, orders):
+    """Activation derivatives of the given orders at the hidden nodes, each (t, n_hidden)."""
+    _check_match(arch, params)
+    pre = points @ params.in_weights + params.hidden_bias
+    return arch.activation.derivatives(pre, orders)
+
+
+def output(params, s0):
+    """Network output from the hidden activations s0, shape (t,)."""
+    return s0 @ params.out_weights + params.out_bias
+
+
+def laplacian(params, s2):
+    """Spatial Laplacian from the second activation derivatives s2, shape (t,)."""
+    return s2 @ (params.out_weights * np.sum(params.in_weights**2, axis=0))
+
+
+def fill_value_param_jacobian(params, points, s0, s1, out):
+    """Write d(output)/d(params) at each row of `points` into `out`, (t, n_params)."""
+    r, dim = params.n_hidden, params.dim
+    out[:, :r] = s0
+    vs1 = np.multiply(s1, params.out_weights, out=out[:, (dim + 1) * r : (dim + 2) * r])
+    for j in range(dim):
+        np.multiply(vs1, points[:, j : j + 1], out=out[:, (1 + j) * r : (2 + j) * r])
+    out[:, -1] = 1.0
+    return out
+
+
+def fill_laplacian_param_jacobian(params, points, s2, s3, out):
+    """Write d(Laplacian)/d(params) at each row of `points` into `out`, (t, n_params)."""
+    r, dim = params.n_hidden, params.dim
+    wsq = np.sum(params.in_weights**2, axis=0)
+    np.multiply(s2, wsq, out=out[:, :r])
+    vs2 = s2 * params.out_weights
+    vs3w = np.multiply(
+        s3, params.out_weights * wsq, out=out[:, (dim + 1) * r : (dim + 2) * r]
+    )
+    for j in range(dim):
+        wj = params.in_weights[j]
+        np.add(2.0 * wj * vs2, vs3w * points[:, j : j + 1], out=out[:, (1 + j) * r : (2 + j) * r])
+    out[:, -1] = 0.0
+    return out
+
 
 def eval_batch(arch, params, points):
     """Network output at each row of `points`, shape (t,).
 
     Evaluated in row blocks of at most BLOCK_ELEMENTS hidden activations,
     so a large point set (the RMSE test grid) never builds whole
-    (t, n_hidden) temporaries; a training set fits in one block.
+    (t, n_hidden) temporaries.
     """
     _check_match(arch, params)
     out = np.empty(points.shape[0])
     for rows in row_blocks(points.shape[0], arch.n_hidden):
         pre = points[rows] @ params.in_weights + params.hidden_bias
-        out[rows] = arch.activation(pre, 0) @ params.out_weights + params.out_bias
+        out[rows] = output(params, arch.activation(pre, 0))
     return out
 
 
 def grad_z_batch(arch, params, points):
     """Spatial gradient at each row of `points`, shape (t, dim)."""
-    _check_match(arch, params)
-    pre = points @ params.in_weights + params.hidden_bias
-    vs1 = arch.activation(pre, 1) * params.out_weights
-    return vs1 @ params.in_weights.T
+    (s1,) = hidden_activations(arch, params, points, (1,))
+    return (s1 * params.out_weights) @ params.in_weights.T
 
 
 def laplacian_batch(arch, params, points):
     """Spatial Laplacian at each row of `points`, shape (t,)."""
-    _check_match(arch, params)
-    pre = points @ params.in_weights + params.hidden_bias
-    wsq = np.sum(params.in_weights**2, axis=0)
-    return arch.activation(pre, 2) @ (params.out_weights * wsq)
+    (s2,) = hidden_activations(arch, params, points, (2,))
+    return laplacian(params, s2)
 
 
 def value_param_jacobian_batch(arch, params, points):
     """d(output)/d(params) at each row of `points`, shape (t, n_params)."""
-    _check_match(arch, params)
-    t = points.shape[0]
-    pre = points @ params.in_weights + params.hidden_bias
-    s0 = arch.activation(pre, 0)
-    s1 = arch.activation(pre, 1)
-    jac = np.empty((t, arch.n_params))
-    r = arch.n_hidden
-    jac[:, :r] = s0
-    vs1 = s1 * params.out_weights
-    for j in range(arch.dim):
-        jac[:, (1 + j) * r : (2 + j) * r] = vs1 * points[:, j : j + 1]
-    jac[:, (arch.dim + 1) * r : (arch.dim + 2) * r] = vs1
-    jac[:, -1] = 1.0
-    return jac
+    s0, s1 = hidden_activations(arch, params, points, (0, 1))
+    return fill_value_param_jacobian(params, points, s0, s1, np.empty((len(points), arch.n_params)))
 
 
 def laplacian_param_jacobian_batch(arch, params, points):
     """d(Laplacian)/d(params) at each row of `points`, shape (t, n_params)."""
-    _check_match(arch, params)
-    t = points.shape[0]
-    pre = points @ params.in_weights + params.hidden_bias
-    s2 = arch.activation(pre, 2)
-    s3 = arch.activation(pre, 3)
-    wsq = np.sum(params.in_weights**2, axis=0)
-    jac = np.empty((t, arch.n_params))
-    r = arch.n_hidden
-    jac[:, :r] = s2 * wsq
-    vs2 = s2 * params.out_weights
-    vs3w = s3 * (params.out_weights * wsq)
-    for j in range(arch.dim):
-        wj = params.in_weights[j]
-        jac[:, (1 + j) * r : (2 + j) * r] = 2.0 * wj * vs2 + vs3w * points[:, j : j + 1]
-    jac[:, (arch.dim + 1) * r : (arch.dim + 2) * r] = vs3w
-    jac[:, -1] = 0.0
-    return jac
+    s2, s3 = hidden_activations(arch, params, points, (2, 3))
+    return fill_laplacian_param_jacobian(
+        params, points, s2, s3, np.empty((len(points), arch.n_params))
+    )
 
 
 # Pointwise interface.

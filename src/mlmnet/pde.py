@@ -22,6 +22,9 @@ from .network import NetworkArch, NetworkParams
 
 OPERATORS = ("poisson", "helmholtz1d", "helmholtz2d_velocity", "sine_nonlinear", "exp_nonlinear")
 
+# operators whose linearization depends on u itself
+_NONLINEAR = ("sine_nonlinear", "exp_nonlinear")
+
 # operator -> admissible spatial dimensions
 _OPERATOR_DIMS = {
     "poisson": (1, 2),
@@ -154,52 +157,74 @@ class ResidualSystem:
         return laplacians + np.exp(values)
 
     def _operator_linearization(self, values):
-        """(a, b) with dD = a*d(Lap u) + b*d(u); b may be None when zero."""
+        """(a, b) with dD = a*d(Lap u) + b*d(u).
+
+        a is +-1; b is a scalar, a column over the interior points, or None
+        when zero.
+        """
         op = self.problem.operator
         if op == "poisson":
             return -1.0, None
         if op == "helmholtz1d":
-            return -1.0, np.full_like(values, -self.problem.nu**2)
+            return -1.0, -self.problem.nu**2
         if op == "helmholtz2d_velocity":
-            return -1.0, -self._wavenumber_sq
+            return -1.0, -self._wavenumber_sq[:, None]
         if op == "sine_nonlinear":
-            return 1.0, np.cos(values)
-        return 1.0, np.exp(values)
+            return 1.0, np.cos(values)[:, None]
+        return 1.0, np.exp(values)[:, None]
 
     # -- residual / Jacobian / loss -------------------------------------------
+    #
+    # Each evaluates the pre-activations and the activation base of a point
+    # set once, and only the derivative orders its operator uses.
 
     def residual(self, p):
         """Stacked residual vector F(p), interior entries first."""
         params = self.params_from(p)
         zi, zb = self.training.interior, self.training.boundary
-        values = network.eval_batch(self.arch, params, zi)
-        laplacians = network.laplacian_batch(self.arch, params, zi)
+        with_values = self.problem.operator != "poisson"
+        acts = network.hidden_activations(self.arch, params, zi, (2, 0) if with_values else (2,))
+        laplacians = network.laplacian(params, acts[0])
+        values = network.output(params, acts[1]) if with_values else None
         r_int = self._int_scale * (self._operator_terms(values, laplacians) - self._g1)
-        r_bnd = self._bnd_scale * (network.eval_batch(self.arch, params, zb) - self._g2)
+        (s0,) = network.hidden_activations(self.arch, params, zb, (0,))
+        r_bnd = self._bnd_scale * (network.output(params, s0) - self._g2)
         return np.concatenate([r_int, r_bnd])
 
     def jacobian(self, p):
-        """J(p), one row per residual entry, columns in parameter layout."""
+        """J(p), one row per residual entry, columns in parameter layout.
+
+        Interior rows are (a * d(Lap u) + b * d(u)) * interior scale, element
+        by element, written into one preallocated array.
+        """
         params = self.params_from(p)
         zi, zb = self.training.interior, self.training.boundary
-        jac_lap = network.laplacian_param_jacobian_batch(self.arch, params, zi)
-        a, b = self._operator_linearization(network.eval_batch(self.arch, params, zi))
-        j_int = a * jac_lap
-        if b is not None:
-            j_int += b[:, None] * network.value_param_jacobian_batch(self.arch, params, zi)
-        j_int *= self._int_scale
-        j_bnd = self._bnd_scale * network.value_param_jacobian_batch(self.arch, params, zb)
-        return np.vstack([j_int, j_bnd])
+        op = self.problem.operator
+        jac = np.empty((self.m, self.n))
+        j_int, j_bnd = jac[: len(zi)], jac[len(zi) :]
+        acts = network.hidden_activations(
+            self.arch, params, zi, (2, 3) if op == "poisson" else (2, 3, 0, 1)
+        )
+        network.fill_laplacian_param_jacobian(params, zi, acts[0], acts[1], j_int)
+        values = network.output(params, acts[2]) if op in _NONLINEAR else None
+        a, b = self._operator_linearization(values)
+        if b is None:
+            j_int *= a * self._int_scale  # a is +-1: exactly (a * d(Lap u)) * scale
+        else:
+            j_int *= a
+            j_val = np.empty_like(j_int)
+            network.fill_value_param_jacobian(params, zi, acts[2], acts[3], j_val)
+            j_val *= b
+            j_int += j_val
+            j_int *= self._int_scale
+        s0, s1 = network.hidden_activations(self.arch, params, zb, (0, 1))
+        network.fill_value_param_jacobian(params, zb, s0, s1, j_bnd)
+        j_bnd *= self._bnd_scale
+        return jac
 
     def loss(self, p):
         r = self.residual(p)
         return 0.5 * float(r @ r)
-
-    def loss_and_gradient(self, p):
-        """(0.5*||F||^2, J^T F) at p."""
-        r = self.residual(p)
-        jac = self.jacobian(p)
-        return 0.5 * float(r @ r), jac.T @ r
 
     # -- error metric ----------------------------------------------------------
 
@@ -238,6 +263,11 @@ class ResidualSystem:
         sample = reference.sample if hasattr(reference, "sample") else reference
         params = self.params_from(p)
         pts = self.test_grid(points_per_axis)
+        if not len(pts):
+            raise ValueError(
+                f"the test grid of points_per_axis={points_per_axis} lies entirely on "
+                "training points; choose another points_per_axis"
+            )
         err = network.eval_batch(self.arch, params, pts) - np.asarray(sample(pts), dtype=float)
         return float(np.sqrt(np.mean(err**2)))
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mlmnet
 
 
 @pytest.fixture
@@ -39,3 +46,26 @@ def rel_err(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
     return float(np.max(np.abs(approx - exact)) / max(1.0, np.max(np.abs(exact))))
+
+
+def call_on_one_blas_thread(module, function):
+    """Standard output of `print(module.function())` in a child on one BLAS thread.
+
+    With more than one BLAS thread a product depends on the thread count,
+    since threads split it at offsets set by its size; bit-identity
+    comparisons therefore run in a child process held to one thread.
+    `module` is a test module name, importable from this directory.
+    """
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(mlmnet.__file__).parents[1]), str(Path(__file__).parent)]
+        ),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", f"import {module}; print({module}.{function}())"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlmnet.activations import KINDS, Activation, activation_eval
+from mlmnet.activations import KINDS, Activation, activation_derivatives, activation_eval
 
 from conftest import central_difference
 
@@ -62,3 +62,47 @@ def test_activation_object_evaluates():
     act = Activation("softplus")
     assert act(0.0) == pytest.approx(np.log(2.0))
     assert act(1.5, order=1) == pytest.approx(activation_eval("logistic", 0, 1.5))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_derivatives_equal_single_order_evaluations(kind):
+    x = np.linspace(-40.0, 40.0, 801).reshape(3, 267)
+    for orders in [(0,), (3, 1), (2, 3, 0, 1), (1, 1)]:
+        outs = Activation(kind).derivatives(x, orders)
+        assert len(outs) == len(orders)
+        for order, out in zip(orders, outs):
+            assert np.array_equal(out, activation_eval(kind, order, x))
+    assert activation_derivatives(kind, (0, 2), 0.5) == [
+        activation_eval(kind, 0, 0.5), activation_eval(kind, 2, 0.5)
+    ]
+    with pytest.raises(ValueError):
+        activation_derivatives(kind, (0, 4), x)
+
+
+def reference_activation(kind, order, x):
+    """One derivative order of one kind, its formula written out in full: the reference."""
+    if kind == "softplus":
+        if order == 0:
+            return np.where(x > 0, x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        kind, order = "logistic", order - 1
+    if kind == "logistic":
+        e = np.exp(-np.abs(x))
+        s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        ds = s * (1.0 - s)
+        return (s, ds, ds * (1.0 - 2.0 * s), ds * (1.0 - 6.0 * s + 6.0 * s * s))[order]
+    if kind == "sigmoid":
+        s = np.tanh(0.5 * x)
+        return (s, 0.5 * (1.0 - s * s), -0.5 * s * (1.0 - s * s),
+                0.25 * (1.0 - s * s) * (3.0 * s * s - 1.0))[order]
+    s = np.tanh(x)
+    return (s, 1.0 - s * s, -2.0 * s * (1.0 - s * s),
+            -2.0 * (1.0 - s * s) * (1.0 - 3.0 * s * s))[order]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_formulas_are_bit_identical_to_the_reference(kind):
+    x = np.concatenate([
+        np.random.default_rng(3).uniform(-40.0, 40.0, 4000), [-700.0, 700.0, 0.0, -0.0]
+    ])
+    for order in range(4):
+        assert np.array_equal(activation_eval(kind, order, x), reference_activation(kind, order, x))

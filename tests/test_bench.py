@@ -7,6 +7,7 @@ import pytest
 
 from mlmnet import bench, cli, config
 from mlmnet.bench import Campaign, ComparisonRow, emit_report, initial_guess, run_campaign
+from mlmnet.linsolve import NumericalError
 
 DATA = Path(__file__).parent / "data"
 
@@ -218,7 +219,7 @@ def test_cli_run_and_determinism(tmp_path, capsys):
 
 def test_cli_run_prints_each_seed_failure(tmp_path, capsys, monkeypatch):
     def failing_solver(*args, **kwargs):
-        raise RuntimeError("injected failure")
+        raise NumericalError("injected failure")
 
     monkeypatch.setattr(bench, "lm_solve", failing_solver)
     cfg = tmp_path / "c.cfg"
@@ -228,7 +229,16 @@ def test_cli_run_prints_each_seed_failure(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err
     for seed in (0, 1):
-        assert f"quick lm seed {seed}: failed: RuntimeError: injected failure" in err
+        assert f"quick lm seed {seed}: failed: NumericalError: injected failure" in err
+
+
+def test_a_programming_error_in_a_solver_propagates(monkeypatch):
+    def buggy_solver(*args, **kwargs):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(bench, "lm_solve", buggy_solver)
+    with pytest.raises(TypeError, match="injected bug"):
+        run_campaign(tiny_campaign(seeds=(0, 1)))
 
 
 def test_cli_run_lists_runs_stopped_at_the_cap(tmp_path, capsys):

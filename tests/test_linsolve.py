@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mlmnet.activations import Activation
 from mlmnet.linsolve import (
     FlopCounter,
+    InnerSolveResult,
     NumericalError,
     _shifted_gram_norm,
     cgls_truncated,
     direct_solve,
     predicted_reduction,
 )
+from mlmnet.network import NetworkArch
+from mlmnet.pde import ResidualSystem, poisson_1d
+
+from conftest import call_on_one_blas_thread
 
 
 def verify_stopping(J, F, lam, result, theta, corr=None):
@@ -116,6 +122,86 @@ def test_predicted_reduction_positive(rng):
             s = res.step
             explicit = -(g @ s + 0.5 * s @ (J.T @ (J @ s)))
             assert pred == pytest.approx(explicit, rel=1e-8, abs=1e-12)
+
+
+def reference_cgls(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None, grad=None):
+    """The conjugate-gradient loop before its per-iteration calls were trimmed: the reference."""
+    m, n = J.shape
+    if grad is None:
+        grad = J.T @ F
+        counter.add_matvec(m, n)
+    rhs = -grad if corr is None else -(grad + corr)
+    max_iter = n if max_iter is None else max_iter
+
+    def apply_operator(x):
+        y = J.T @ (J @ x) + lam * x
+        counter.add_matvec(m, n)
+        counter.add_matvec(n, m)
+        return y
+
+    s = np.zeros(n)
+    r = rhs.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    for iteration in range(1, max_iter + 1):
+        mp = apply_operator(p)
+        alpha = rs / float(p @ mp)
+        s += alpha * p
+        r -= alpha * mp
+        ss = float(s @ s)
+        rs_new = float(r @ r)
+        bound = theta * ss
+        if rs_new == 0.0 or np.sqrt(rs_new) <= bound:
+            true_residual = rhs - apply_operator(s)
+            true_norm = float(np.linalg.norm(true_residual))
+            if true_norm <= bound:
+                return InnerSolveResult(s, true_norm, iteration, True, true_residual)
+            if rs_new == 0.0:
+                return InnerSolveResult(s, true_norm, iteration, False, true_residual)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    true_residual = rhs - apply_operator(s)
+    true_norm = float(np.linalg.norm(true_residual))
+    satisfied = true_norm <= theta * float(s @ s)
+    return InnerSolveResult(s, true_norm, max_iter, satisfied, true_residual)
+
+
+def cgls_mismatches():
+    """Cases where cgls_truncated's result or flops differ from the reference loop."""
+    rng = np.random.default_rng(11)
+    system = ResidualSystem(poisson_1d(nu=10), NetworkArch(256, 1, Activation("sigmoid")))
+    x = rng.uniform(-1, 1, system.n)
+    systems = [
+        ("network", system.jacobian(x), system.residual(x)),
+        # graded columns: at theta = 1e-12 the iteration runs past m + 1 = 42 steps
+        ("wide", rng.normal(size=(41, 300)) * np.logspace(0, -6, 300), rng.normal(size=41)),
+        ("tall", rng.normal(size=(30, 12)), rng.normal(size=30)),
+    ]
+    mismatches = []
+    for name, J, F in systems:
+        n = J.shape[1]
+        for lam in (1e-6, 0.1):
+            for theta in (0.1, 1e-12):
+                for corr in (None, rng.normal(size=n) * 1e-3):
+                    for max_iter, with_grad in ((None, False), (5, True)):
+                        grad = J.T @ F if with_grad else None
+                        counters = FlopCounter(), FlopCounter()
+                        got = cgls_truncated(J, F, lam, corr, theta, max_iter, counters[0], grad)
+                        ref = reference_cgls(J, F, lam, corr, theta, max_iter, counters[1], grad)
+                        same = (
+                            np.array_equal(got.step, ref.step)
+                            and np.array_equal(got.linear_residual, ref.linear_residual)
+                            and (got.iterations, got.satisfied, got.model_gradient_norm)
+                            == (ref.iterations, ref.satisfied, ref.model_gradient_norm)
+                            and counters[0].matvec_flops == counters[1].matvec_flops
+                        )
+                        if not same:
+                            mismatches.append((name, lam, theta, corr is None, max_iter))
+    return mismatches
+
+
+def test_cgls_is_bit_identical_to_the_reference_loop():
+    assert call_on_one_blas_thread("test_linsolve", "cgls_mismatches") == "[]"
 
 
 def test_direct_solve_identity():

@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import mlmnet
 from mlmnet import network
-from mlmnet.activations import Activation
+from mlmnet.activations import KINDS, Activation
 from mlmnet.network import (
     NetworkArch,
     NetworkParams,
@@ -18,7 +12,7 @@ from mlmnet.network import (
     net_param_jacobian,
 )
 
-from conftest import fd_gradient, rel_err
+from conftest import call_on_one_blas_thread, fd_gradient, rel_err
 
 
 def random_instance(rng, r=4, dim=2, kind="sigmoid"):
@@ -143,6 +137,55 @@ def test_dimension_mismatch_rejected(rng):
         NetworkParams.from_vector(np.zeros(10), 3, 2)
 
 
+# -- shared activation pass -------------------------------------------------------------
+
+
+def reference_batch(arch, params, points, quantity):
+    """One quantity from its own pre-activation and single-order activation calls: the reference."""
+    pre = points @ params.in_weights + params.hidden_bias
+    v, w = params.out_weights, params.in_weights
+    r, dim = arch.n_hidden, arch.dim
+    wsq = np.sum(w**2, axis=0)
+    if quantity == "grad_z":
+        return (arch.activation(pre, 1) * v) @ w.T
+    if quantity == "laplacian":
+        return arch.activation(pre, 2) @ (v * wsq)
+    jac = np.empty((points.shape[0], arch.n_params))
+    if quantity == "value_jacobian":
+        jac[:, :r] = arch.activation(pre, 0)
+        vs1 = arch.activation(pre, 1) * v
+        for j in range(dim):
+            jac[:, (1 + j) * r : (2 + j) * r] = vs1 * points[:, j : j + 1]
+        jac[:, (dim + 1) * r : (dim + 2) * r] = vs1
+        jac[:, -1] = 1.0
+        return jac
+    s2, s3 = arch.activation(pre, 2), arch.activation(pre, 3)
+    jac[:, :r] = s2 * wsq
+    vs2 = s2 * v
+    vs3w = s3 * (v * wsq)
+    for j in range(dim):
+        jac[:, (1 + j) * r : (2 + j) * r] = 2.0 * w[j] * vs2 + vs3w * points[:, j : j + 1]
+    jac[:, (dim + 1) * r : (dim + 2) * r] = vs3w
+    jac[:, -1] = 0.0
+    return jac
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batch_formulas_are_bit_identical_to_the_reference(rng, kind, dim):
+    batch = {
+        "grad_z": network.grad_z_batch,
+        "laplacian": network.laplacian_batch,
+        "value_jacobian": network.value_param_jacobian_batch,
+        "laplacian_jacobian": network.laplacian_param_jacobian_batch,
+    }
+    for r, rows in ((3, 1), (64, 41), (300, 121)):
+        arch, params = random_instance(rng, r=r, dim=dim, kind=kind)
+        pts = rng.uniform(0, 1, (rows, dim))
+        for quantity, fn in batch.items():
+            assert np.array_equal(fn(arch, params, pts), reference_batch(arch, params, pts, quantity))
+
+
 # -- blocked evaluation ---------------------------------------------------------------
 
 
@@ -170,22 +213,7 @@ def blocked_eval_mismatches():
 
 
 def test_blocked_eval_batch_is_bit_identical_to_one_shot():
-    # With more than one BLAS thread the one-shot product itself depends on
-    # the thread count, since threads split it at row offsets set by its
-    # size; the comparison therefore runs in a child on one BLAS thread.
-    tests_dir = Path(__file__).parent
-    src_dir = Path(mlmnet.__file__).parents[1]
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join([str(src_dir), str(tests_dir)]),
-    }
-    child = subprocess.run(
-        [sys.executable, "-c", "import test_network; print(test_network.blocked_eval_mismatches())"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    assert call_on_one_blas_thread("test_network", "blocked_eval_mismatches") == "[]"
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 63, 64, 65, 66, 129, 1000])

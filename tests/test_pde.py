@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mlmnet.activations import Activation
+from mlmnet import network
+from mlmnet.activations import KINDS, Activation
 from mlmnet.network import NetworkArch, NetworkParams
 from mlmnet.pde import (
     PdeProblem,
@@ -15,7 +16,7 @@ from mlmnet.pde import (
     sine_nonlinear_1d,
 )
 
-from conftest import fd_gradient, fd_jacobian, rel_err
+from conftest import call_on_one_blas_thread, fd_gradient, fd_jacobian, rel_err
 
 ALL_PROBLEMS = [
     poisson_1d(nu=3),
@@ -91,6 +92,11 @@ def test_default_penalty_is_tenth_of_grid_size():
 # -- residual vector ------------------------------------------------------------
 
 
+def loss_and_gradient(system, p):
+    """(0.5*||F||^2, J^T F) at p."""
+    return system.loss(p), system.jacobian(p).T @ system.residual(p)
+
+
 @pytest.mark.parametrize(
     "operator,dim,value",
     [("poisson", 1, 0.8), ("poisson", 2, -0.4), ("sine_nonlinear", 1, 0.3), ("exp_nonlinear", 2, 0.6)],
@@ -99,7 +105,7 @@ def test_exact_constant_solution_has_zero_residual(operator, dim, value):
     system = small_system(constant_solution_problem(operator, dim, value))
     params = constant_network(system, value)
     assert np.allclose(system.residual(params), 0.0, atol=1e-14)
-    loss, grad = system.loss_and_gradient(params)
+    loss, grad = loss_and_gradient(system, params)
     assert loss == pytest.approx(0.0, abs=1e-25)
     assert np.allclose(grad, 0.0, atol=1e-13)
 
@@ -167,10 +173,71 @@ def test_output_bias_column_structure(rng):
 def test_gradient_matches_finite_differences(rng):
     system = small_system(sine_nonlinear_1d(nu=3), r=5)
     x = rng.uniform(-1, 1, system.n)
-    loss, grad = system.loss_and_gradient(x)
+    loss, grad = loss_and_gradient(system, x)
     assert loss >= 0.0
     fd = fd_gradient(lambda y: system.loss(y), x, h=1e-6)
     assert rel_err(grad, fd) < 1e-6
+
+
+# -- bit identity with the per-quantity network evaluations ------------------------
+
+
+def reference_residual(system, p):
+    """F(p) composed of one network.*_batch call per quantity: the reference."""
+    arch, params = system.arch, system.params_from(p)
+    zi, zb = system.training.interior, system.training.boundary
+    values = network.eval_batch(arch, params, zi)
+    laplacians = network.laplacian_batch(arch, params, zi)
+    r_int = system._int_scale * (system._operator_terms(values, laplacians) - system._g1)
+    r_bnd = system._bnd_scale * (network.eval_batch(arch, params, zb) - system._g2)
+    return np.concatenate([r_int, r_bnd])
+
+
+def reference_jacobian(system, p):
+    """J(p) composed of one network.*_batch call per quantity: the reference."""
+    arch, params = system.arch, system.params_from(p)
+    zi, zb = system.training.interior, system.training.boundary
+    values = network.eval_batch(arch, params, zi)
+    op, nu = system.problem.operator, system.problem.nu
+    a, b = {
+        "poisson": lambda: (-1.0, None),
+        "helmholtz1d": lambda: (-1.0, np.full_like(values, -nu**2)),
+        "helmholtz2d_velocity": lambda: (-1.0, -system._wavenumber_sq),
+        "sine_nonlinear": lambda: (1.0, np.cos(values)),
+        "exp_nonlinear": lambda: (1.0, np.exp(values)),
+    }[op]()
+    j_int = a * network.laplacian_param_jacobian_batch(arch, params, zi)
+    if b is not None:
+        j_int += b[:, None] * network.value_param_jacobian_batch(arch, params, zi)
+    j_int *= system._int_scale
+    j_bnd = system._bnd_scale * network.value_param_jacobian_batch(arch, params, zb)
+    return np.vstack([j_int, j_bnd])
+
+
+def fused_evaluation_mismatches():
+    """(problem, kind, seed, quantity) cases where residual or jacobian differ from the reference."""
+    rng = np.random.default_rng(7)
+    # poisson2d at r=1024 spans several eval_batch row blocks per point set
+    problems = [
+        (poisson_1d(nu=10), 64), (poisson_2d(nu=5), 1024), (helmholtz_1d(nu=3), 32),
+        (helmholtz_2d(nu=2, velocity="two-layers"), 100), (sine_nonlinear_1d(nu=5), 48),
+        (exp_nonlinear_2d(nu=1), 40),
+    ]
+    mismatches = []
+    for problem, r in problems:
+        for kind in KINDS:
+            system = small_system(problem, r=r, kind=kind)
+            for seed in range(2):
+                x = rng.uniform(-1, 1, system.n)
+                if not np.array_equal(system.residual(x), reference_residual(system, x)):
+                    mismatches.append((problem.name, kind, seed, "residual"))
+                if not np.array_equal(system.jacobian(x), reference_jacobian(system, x)):
+                    mismatches.append((problem.name, kind, seed, "jacobian"))
+    return mismatches
+
+
+def test_residual_and_jacobian_are_bit_identical_to_per_quantity_evaluation():
+    assert call_on_one_blas_thread("test_pde", "fused_evaluation_mismatches") == "[]"
 
 
 # -- error metric ---------------------------------------------------------------
@@ -242,6 +309,14 @@ def test_test_grid_matches_loop_exclusion(problem, points_per_axis):
     system = small_system(problem, r=2)
     assert np.array_equal(system.test_grid(points_per_axis),
                           loop_exclusion_grid(system, points_per_axis))
+
+
+def test_rmse_rejects_an_empty_test_grid():
+    # training spacing 1/40 contains every k/8, the whole 7-point test axis
+    system = small_system(poisson_1d(nu=20), r=2)
+    assert system.test_grid(7).shape == (0, 1)
+    with pytest.raises(ValueError, match="points_per_axis=7"):
+        system.rmse(np.zeros(system.n), points_per_axis=7)
 
 
 def test_rmse_requires_reference_for_helmholtz2d(rng):
