@@ -18,18 +18,11 @@ from .amg import (
     ruge_stuben_split,
 )
 from .bench import Campaign, ComparisonRow, emit_report, list_problems, run_campaign
-from .fdref import FdGrid, sample_reference, solve_helmholtz_fd
+from .fdref import FdGrid, solve_helmholtz_fd
 from .linsolve import FlopCounter, InnerSolveResult, NumericalError, cgls_truncated, direct_solve
 from .lm import LmConfig, SolveReport, lm_solve
 from .mlm import CoarseModel, MlmConfig, build_coarse_model, coarse_cycle, go_down, mlm_solve
-from .network import (
-    NetworkArch,
-    NetworkParams,
-    net_eval,
-    net_grad_z,
-    net_laplacian_z,
-    net_param_jacobian,
-)
+from .network import NetworkArch, NetworkParams
 from .pde import (
     PdeProblem,
     ResidualSystem,

@@ -24,14 +24,12 @@ class Splitting:
 
     `strong` is the boolean strong-coupling matrix used to build the
     splitting (row i marks the nodes i is strongly coupled to, negative
-    couplings from the first pass plus strong positive ones), and
-    `eps_amg` the strength threshold it was built with.
+    couplings from the first pass plus strong positive ones).
     """
 
     coarse: np.ndarray
     fine: np.ndarray
     strong: np.ndarray
-    eps_amg: float
 
 
 @dataclass
@@ -44,7 +42,6 @@ class TransferOperators:
     exactly the unscaled restriction.  The recorded scales let the
     original pair, and the proportionality factor between the scaled
     restriction and the transposed scaled prolongation, be recovered.
-    `eps_amg` is the strength threshold of the splitting, for rebuilds.
     """
 
     prolong: np.ndarray
@@ -53,7 +50,6 @@ class TransferOperators:
     prolong_scale: float
     restrict_scale: float
     prolong_raw: np.ndarray
-    eps_amg: float
 
     @property
     def r(self):
@@ -64,15 +60,13 @@ class TransferOperators:
         return self.prolong.shape[1]
 
 
-def build_coupling_matrix(J, arch, norm_on="gram"):
+def build_coupling_matrix(J, arch):
     """Node-coupling matrix from the per-kind Jacobian column blocks.
 
     Sums the Gram matrices of the output-weight block, each input-weight
-    group and the bias block, each normalized so the summands have
-    comparable size.  `norm_on` picks the normalization: the infinity
-    norm of the Gram block itself ("gram", default) or of the raw
-    Jacobian block ("block").  Blocks with zero norm are skipped.  The
-    output-bias column takes no part.
+    group and the bias block, each divided by its own infinity norm so the
+    summands have comparable size.  Blocks with zero norm are skipped.
+    The output-bias column takes no part.
     """
     J = np.asarray(J, dtype=float)
     r = arch.n_hidden
@@ -82,7 +76,7 @@ def build_coupling_matrix(J, arch, norm_on="gram"):
     for block in range(arch.dim + 2):
         X = J[:, block * r : (block + 1) * r]
         G = X.T @ X
-        scale = np.abs(G).sum(axis=1).max() if norm_on == "gram" else np.abs(X).sum(axis=1).max()
+        scale = np.abs(G).sum(axis=1).max()
         if scale > 0:
             A += G / scale
     return A
@@ -157,7 +151,6 @@ def ruge_stuben_split(A, eps_amg=0.9):
         coarse=np.flatnonzero(state == _COARSE),
         fine=np.flatnonzero(state == _FINE),
         strong=strong,
-        eps_amg=eps_amg,
     )
 
 
@@ -217,13 +210,12 @@ def build_interpolation(A, split):
         prolong_scale=p_scale,
         restrict_scale=r_scale,
         prolong_raw=P,
-        eps_amg=split.eps_amg,
     )
 
 
-def build_transfer_operators(J, arch, eps_amg=0.9, norm_on="gram"):
+def build_transfer_operators(J, arch, eps_amg=0.9):
     """Coupling matrix -> splitting -> scaled transfer operators."""
-    A = build_coupling_matrix(J, arch, norm_on=norm_on)
+    A = build_coupling_matrix(J, arch)
     split = ruge_stuben_split(A, eps_amg=eps_amg)
     return build_interpolation(A, split)
 

@@ -340,14 +340,6 @@ def _json_num(value):
     return value
 
 
-def parse_report_csv(path):
-    """Read back an emitted CSV report as a list of dicts (strings kept)."""
-    import csv
-
-    with open(path, newline="") as stream:
-        return list(csv.DictReader(stream))
-
-
 def list_problems():
     """(id, description, default nu, default r) rows of the registry."""
     return [

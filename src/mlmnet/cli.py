@@ -91,7 +91,6 @@ def _cmd_fd_ref(args):
 
 
 def _cmd_split_inspect(args):
-    entry = PROBLEMS[args.problem]
     campaign = bench.Campaign(
         name="inspect", problem=args.problem,
         nu=args.nu, r=args.r, activation=args.activation, seeds=(args.seed,),

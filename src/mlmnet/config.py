@@ -36,23 +36,8 @@ _CAMPAIGN_KEYS = {
     "fd_resolution": int,
 }
 
-def _parse_bool(raw):
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 _OVERRIDE_TYPES = {
-    name: (
-        _parse_bool
-        if spec.type is bool
-        else int
-        if spec.type is int
-        else float
-    )
+    name: int if spec.type is int else float
     for name, spec in MlmConfig.__dataclass_fields__.items()
 }
 

@@ -113,11 +113,6 @@ def solve_helmholtz_fd(nu, velocity, rhs, points_per_axis=201):
     return FdGrid(axis=axis, values=field)
 
 
-def sample_reference(grid, points):
-    """Field values at the given points (bilinear interpolation)."""
-    return grid.sample(points)
-
-
 def cache_path(cache_dir, nu, velocity_name, points_per_axis):
     """File path holding the cached reference keyed by its parameters."""
     return Path(cache_dir) / f"helmholtz2d_nu{nu:g}_c-{velocity_name}_n{points_per_axis}.npz"

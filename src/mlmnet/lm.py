@@ -1,10 +1,12 @@
-"""One-level Levenberg-Marquardt driver.
+"""One-level Levenberg-Marquardt driver and the loop both solvers run.
 
 Works on any least-squares system exposing residual(x) and jacobian(x);
 the loss is 0.5*||residual||^2.  Each iteration builds the regularized
 Gauss-Newton model, obtains a step from the truncated CG solver, accepts
 or rejects it on the actual-over-predicted reduction ratio and updates
-the regularization weight on the usual three-branch schedule.
+the regularization weight on the usual three-branch schedule.  The
+two-level driver (`mlm`) runs the same loop with a coarse step offered
+after every fine iteration.
 """
 
 import csv
@@ -45,6 +47,8 @@ class LmConfig:
             raise ValueError("epsilon and theta must be positive")
         if self.max_outer_iter < 0:
             raise ValueError("max_outer_iter must be nonnegative")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be at least 1")
 
 
 @dataclass
@@ -107,7 +111,20 @@ def lm_solve(system, x0, cfg=None, counter=None, trace=None, seed=None):
     """
     cfg = cfg if cfg is not None else LmConfig()
     counter = counter if counter is not None else FlopCounter()
-    writer = TraceWriter(trace) if trace is not None else None
+    return minimize(system, x0, cfg, counter, trace, seed)
+
+
+def minimize(system, x0, cfg, counter, trace, seed, coarse_step=None):
+    """The LM iteration loop of both solvers.
+
+    `coarse_step(x, g, grad_norm, lam)`, when given, is offered every
+    iteration that follows a fine one.  It returns None to take a fine
+    step instead, or `(step, predicted_reduction)`: a fine-space step, or
+    None for a failed attempt.  Fine steps, coarse steps and inner-solver
+    breakdowns share one acceptance test and lambda update; the trace gets
+    a `level` column when a coarse step is supplied.
+    """
+    writer = TraceWriter(trace, with_level=coarse_step is not None) if trace is not None else None
 
     x = np.array(x0, dtype=float)
     F = system.residual(x)
@@ -123,6 +140,7 @@ def lm_solve(system, x0, cfg=None, counter=None, trace=None, seed=None):
     inner_failures = 0
     converged = False
     grad_norm = np.inf
+    prev_step_fine = False
     stale = True  # J and g need a refresh (start, or after an accepted step)
 
     iteration = 0
@@ -138,26 +156,27 @@ def lm_solve(system, x0, cfg=None, counter=None, trace=None, seed=None):
             break
 
         iteration += 1
-        try:
-            inner = cgls_truncated(
-                J, F, lam, theta=cfg.theta, max_iter=cg_cap, counter=counter, grad=g
-            )
-        except NumericalError:
-            inner_failures += 1
-            if inner_failures >= _MAX_INNER_FAILURES:
-                raise
-            lam = cfg.gamma3 * lam
-            rejected += 1
-            history.append(f)
-            if writer:
-                writer.row(iteration, f, grad_norm, lam, None, False, counter.matvec_flops)
-            continue
-        inner_failures = 0
+        offer = coarse_step(x, g, grad_norm, lam) if coarse_step and prev_step_fine else None
+        prev_step_fine = offer is None
+        if offer is not None:
+            s, pred = offer
+        else:
+            try:
+                inner = cgls_truncated(
+                    J, F, lam, theta=cfg.theta, max_iter=cg_cap, counter=counter, grad=g
+                )
+            except NumericalError:
+                inner_failures += 1
+                if inner_failures >= _MAX_INNER_FAILURES:
+                    raise
+                s = None  # rejected like a failed step: lam grows by gamma3
+            else:
+                inner_failures = 0
+                s = inner.step
+                pred = predicted_reduction(s, -g, inner.linear_residual, lam)
 
-        s = inner.step
-        pred = predicted_reduction(s, -g, inner.linear_residual, lam)
         rho = None
-        if pred > 0 and s.any():
+        if s is not None and pred > 0 and s.any():
             F_trial = system.residual(x + s)
             f_trial = 0.5 * float(F_trial @ F_trial)
             if np.isfinite(f_trial):
@@ -173,7 +192,8 @@ def lm_solve(system, x0, cfg=None, counter=None, trace=None, seed=None):
         lam = update_lambda(lam, rho, cfg)
         history.append(f)
         if writer:
-            writer.row(iteration, f, grad_norm, lam, rho, took_step, counter.matvec_flops)
+            writer.row(iteration, f, grad_norm, lam, rho, took_step, counter.matvec_flops,
+                       level="fine" if prev_step_fine else "coarse")
 
     if not converged and iteration >= cfg.max_outer_iter:
         if stale:  # the cap landed right after an accepted step

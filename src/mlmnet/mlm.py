@@ -1,22 +1,23 @@
 """Two-level Levenberg-Marquardt driver.
 
-Alternates plain fine-level iterations with coarse corrections.  The
-coarse objective is the same loss over the sub-network spanned by the
-coarse hidden nodes, shifted by a linear term so its gradient at the
-restricted iterate equals the restricted fine gradient; a bounded run of
-damped Gauss-Newton iterations minimizes it, each step an exact direct
-solve, in the m-dimensional kernel space of the coarse Jacobian when that
-has fewer rows than columns.  The resulting coarse step is prolongated
-back and judged by the usual actual-over-predicted ratio on the fine loss.
+Runs the Levenberg-Marquardt loop of `lm` with a coarse correction
+offered after every fine iteration.  The coarse objective is the same
+loss over the sub-network spanned by the coarse hidden nodes, shifted by
+a linear term so its gradient at the restricted iterate equals the
+restricted fine gradient; a bounded run of damped Gauss-Newton
+iterations minimizes it, each step an exact direct solve, in the
+m-dimensional kernel space of the coarse Jacobian when that has fewer
+rows than columns.  The resulting coarse step is prolongated back and
+judged by the usual actual-over-predicted ratio on the fine loss.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amg import apply_blockwise, build_transfer_operators
-from .linsolve import FlopCounter, NumericalError, cgls_truncated, direct_solve, predicted_reduction
-from .lm import LmConfig, SolveReport, TraceWriter, update_lambda, _MAX_INNER_FAILURES
+from .amg import apply_blockwise
+from .linsolve import FlopCounter, NumericalError, direct_solve
+from .lm import LmConfig, minimize, update_lambda
 from .network import NetworkArch
 
 
@@ -25,15 +26,16 @@ class MlmConfig(LmConfig):
     """LmConfig plus the coarse-level controls.
 
     kappa_h and epsilon_h gate the descent to the coarse level (relative
-    and absolute size of the restricted gradient); the coarse run itself
-    stops at the fine gradient tolerance or after max_coarse_iter
-    iterations.  Only the alternating V-style cycle is supported.
+    and absolute size of the restricted gradient), tested after every
+    fine iteration; the coarse run itself stops at the fine gradient
+    tolerance or after max_coarse_iter iterations.  The transfer
+    operators are the ones passed to `mlm_solve`, built once at the
+    starting point.
     """
 
     kappa_h: float = 0.1
     epsilon_h: float = None  # default: the fine gradient tolerance
     max_coarse_iter: int = 10
-    rebuild_operators: bool = False  # rebuild transfer operators (same eps_amg) every iteration
 
     def __post_init__(self):
         super().__post_init__()
@@ -195,146 +197,32 @@ def mlm_solve(system, x0, cfg=None, ops=None, counter=None, trace=None, seed=Non
     """Two-level minimization of 0.5*||F(x)||^2 from x0.
 
     `ops` are the transfer operators built once beforehand (from the
-    Gauss-Newton matrix at the starting point).  The first iteration works
-    at the fine level; afterwards a coarse correction is attempted
-    whenever the previous iteration was fine and the restricted gradient
-    passes the descent test.
+    Gauss-Newton matrix at the starting point).  This is the LM loop of
+    `lm_solve`: the first iteration works at the fine level; afterwards a
+    coarse correction is attempted whenever the previous iteration was
+    fine and the restricted gradient passes the descent test.
     """
     if ops is None:
         raise ValueError("mlm_solve requires transfer operators")
     cfg = cfg if cfg is not None else MlmConfig()
     counter = counter if counter is not None else FlopCounter()
-    writer = TraceWriter(trace, with_level=True) if trace is not None else None
-
-    x = np.array(x0, dtype=float)
-    F = system.residual(x)
-    f = 0.5 * float(F @ F)
-    if not np.isfinite(f):
-        raise ValueError("loss is not finite at the starting point")
-    m, n = len(F), len(x)
-    cg_cap = cfg.cg_max_iter if cfg.cg_max_iter is not None else n
-
-    lam = cfg.lambda0
-    history = [f]
-    accepted = rejected = 0
-    coarse_attempts = 0
-    coherence_log = []
-    inner_failures = 0
-    converged = False
-    grad_norm = np.inf
-    prev_step_fine = False
-    stale = True
     kappa = effective_kappa(cfg, ops)
+    coherence_log = []
 
-    iteration = 0
-    while iteration < cfg.max_outer_iter:
-        if stale:
-            J = system.jacobian(x)
-            g = J.T @ F
-            counter.add_matvec(m, n)
-            grad_norm = float(np.linalg.norm(g))
-            stale = False
-            if cfg.rebuild_operators and accepted:
-                if not hasattr(system, "arch"):
-                    raise ValueError("operator rebuild needs a network residual system")
-                ops = build_transfer_operators(J, system.arch, eps_amg=ops.eps_amg)
-                kappa = effective_kappa(cfg, ops)
-        if grad_norm <= cfg.epsilon:
-            converged = True
-            break
+    def coarse_step(x, g, grad_norm, lam):
+        restricted = go_down(g, ops, kappa, cfg.epsilon_h, counter)
+        if restricted is None:
+            return None
+        model = build_coarse_model(
+            system, x, ops, grad_fine=g, restricted_grad=restricted, counter=counter
+        )
+        coherence_log.append((model.coherence_residual, grad_norm))
+        step_coarse, pred, n_accepted = coarse_cycle(model, lam, cfg, counter)
+        if n_accepted > 0 and pred > 0 and step_coarse.any():
+            return apply_blockwise(ops, step_coarse, "prolong", counter), pred
+        return None, pred
 
-        iteration += 1
-        restricted = go_down(g, ops, kappa, cfg.epsilon_h, counter) if prev_step_fine else None
-        if restricted is not None:
-            prev_step_fine = False
-            coarse_attempts += 1
-            model = build_coarse_model(
-                system, x, ops, grad_fine=g, restricted_grad=restricted, counter=counter
-            )
-            coherence_log.append((model.coherence_residual, grad_norm))
-            step_coarse, pred, n_accepted = coarse_cycle(model, lam, cfg, counter)
-            rho = None
-            if n_accepted > 0 and pred > 0 and step_coarse.any():
-                s = apply_blockwise(ops, step_coarse, "prolong", counter)
-                F_trial = system.residual(x + s)
-                f_trial = 0.5 * float(F_trial @ F_trial)
-                if np.isfinite(f_trial):
-                    rho = (f - f_trial) / pred
-            took_step = rho is not None and rho >= cfg.eta1
-            if took_step:
-                x = x + s
-                F, f = F_trial, f_trial
-                accepted += 1
-                stale = True
-            else:
-                rejected += 1
-            lam = update_lambda(lam, rho, cfg)
-            history.append(f)
-            if writer:
-                writer.row(
-                    iteration, f, grad_norm, lam, rho, took_step, counter.matvec_flops,
-                    level="coarse",
-                )
-            continue
-
-        # fine Taylor step
-        prev_step_fine = True
-        try:
-            inner = cgls_truncated(
-                J, F, lam, theta=cfg.theta, max_iter=cg_cap, counter=counter, grad=g
-            )
-        except NumericalError:
-            inner_failures += 1
-            if inner_failures >= _MAX_INNER_FAILURES:
-                raise
-            lam = cfg.gamma3 * lam
-            rejected += 1
-            history.append(f)
-            if writer:
-                writer.row(iteration, f, grad_norm, lam, None, False, counter.matvec_flops,
-                           level="fine")
-            continue
-        inner_failures = 0
-        s = inner.step
-        pred = predicted_reduction(s, -g, inner.linear_residual, lam)
-        rho = None
-        if pred > 0 and s.any():
-            F_trial = system.residual(x + s)
-            f_trial = 0.5 * float(F_trial @ F_trial)
-            if np.isfinite(f_trial):
-                rho = (f - f_trial) / pred
-        took_step = rho is not None and rho >= cfg.eta1
-        if took_step:
-            x = x + s
-            F, f = F_trial, f_trial
-            accepted += 1
-            stale = True
-        else:
-            rejected += 1
-        lam = update_lambda(lam, rho, cfg)
-        history.append(f)
-        if writer:
-            writer.row(iteration, f, grad_norm, lam, rho, took_step, counter.matvec_flops,
-                       level="fine")
-
-    if not converged and iteration >= cfg.max_outer_iter:
-        if stale:  # the cap landed right after an accepted step
-            g = system.jacobian(x).T @ F
-            counter.add_matvec(m, n)
-            grad_norm = float(np.linalg.norm(g))
-        converged = grad_norm <= cfg.epsilon
-
-    report = SolveReport(
-        iterations=iteration,
-        accepted_steps=accepted,
-        rejected_steps=rejected,
-        final_gradient_norm=grad_norm,
-        loss_history=history,
-        matvec_flops=counter.matvec_flops,
-        converged=converged,
-        final_params=x,
-        seed=seed,
-        coarse_steps=coarse_attempts,
-    )
+    report = minimize(system, x0, cfg, counter, trace, seed, coarse_step)
+    report.coarse_steps = len(coherence_log)
     report.coherence_residuals = coherence_log
     return report

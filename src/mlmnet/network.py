@@ -78,11 +78,6 @@ class NetworkParams:
     def dim(self):
         return self.in_weights.shape[0]
 
-    def to_vector(self):
-        return np.concatenate(
-            [self.out_weights, self.in_weights.ravel(), self.hidden_bias, [self.out_bias]]
-        )
-
     @classmethod
     def from_vector(cls, vec, n_hidden, dim):
         vec = np.asarray(vec, dtype=float)
@@ -92,9 +87,9 @@ class NetworkParams:
             )
         r = n_hidden
         return cls(
-            out_weights=vec[:r].copy(),
-            in_weights=vec[r : (dim + 1) * r].reshape(dim, r).copy(),
-            hidden_bias=vec[(dim + 1) * r : (dim + 2) * r].copy(),
+            out_weights=vec[:r],
+            in_weights=vec[r : (dim + 1) * r].reshape(dim, r),
+            hidden_bias=vec[(dim + 1) * r : (dim + 2) * r],
             out_bias=float(vec[-1]),
         )
 
@@ -105,17 +100,6 @@ def _check_match(arch, params):
             f"parameters of shape (n_hidden={params.n_hidden}, dim={params.dim}) do not "
             f"match architecture (n_hidden={arch.n_hidden}, dim={arch.dim})"
         )
-
-
-def _as_points(arch, z):
-    pts = np.asarray(z, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if pts.shape[1] != arch.dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {arch.dim}")
-    return pts
 
 
 def row_blocks(n_rows, width):
@@ -225,34 +209,3 @@ def laplacian_param_jacobian_batch(arch, params, points):
         params, points, s2, s3, np.empty((len(points), arch.n_params))
     )
 
-
-# Pointwise interface.
-
-def net_eval(arch, params, z):
-    """Network output at a single point."""
-    return float(eval_batch(arch, params, _as_points(arch, z))[0])
-
-
-def net_grad_z(arch, params, z):
-    """Gradient of the output with respect to the input point, shape (dim,)."""
-    return grad_z_batch(arch, params, _as_points(arch, z))[0]
-
-
-def net_laplacian_z(arch, params, z):
-    """Laplacian of the output with respect to the input point."""
-    return float(laplacian_batch(arch, params, _as_points(arch, z))[0])
-
-
-def net_param_jacobian(arch, params, z, quantity="value"):
-    """Gradient with respect to the parameters of the output or its Laplacian.
-
-    `quantity` selects the scalar being differentiated: "value" for the
-    network output, "laplacian" for its spatial Laplacian.  Returns a
-    vector in the flat parameter layout, length (dim+2)*n_hidden + 1.
-    """
-    pts = _as_points(arch, z)
-    if quantity == "value":
-        return value_param_jacobian_batch(arch, params, pts)[0]
-    if quantity == "laplacian":
-        return laplacian_param_jacobian_batch(arch, params, pts)[0]
-    raise ValueError(f"unknown quantity {quantity!r}, expected 'value' or 'laplacian'")

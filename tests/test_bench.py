@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 from pathlib import Path
@@ -10,6 +11,12 @@ from mlmnet.bench import Campaign, ComparisonRow, emit_report, initial_guess, ru
 from mlmnet.linsolve import NumericalError
 
 DATA = Path(__file__).parent / "data"
+
+
+def parse_report_csv(path):
+    """Read back an emitted CSV report as a list of dicts (strings kept)."""
+    with open(path, newline="") as stream:
+        return list(csv.DictReader(stream))
 
 
 def tiny_campaign(**kw):
@@ -84,15 +91,36 @@ def test_campaign_determinism(tmp_path):
     assert filecmp.cmp(*paths, shallow=False)
 
 
-def test_flop_parity_without_coarse_descents(rng):
-    # with the descent test disabled, the two-level solver does the same
-    # fine work as the one-level solver plus the restriction bookkeeping
+def test_flop_parity_without_coarse_descents(monkeypatch):
+    # with the descent test disabled, the two-level solver is the one-level
+    # solver: the same iterates, plus the restriction of each descent test
+    built = []
+    build = bench.build_transfer_operators
+
+    def recording_build(J, arch, eps_amg=0.9):
+        built.append(build(J, arch, eps_amg=eps_amg))
+        return built[-1]
+
+    monkeypatch.setattr(bench, "build_transfer_operators", recording_build)
     campaign = tiny_campaign(
-        solvers=("lm", "mlm"), overrides={"epsilon": 1e-3, "epsilon_h": 1e12}
+        solvers=("lm", "mlm"), seeds=(0, 1, 2), overrides={"epsilon": 1e-3, "epsilon_h": 1e12}
     )
     rows, seeds = run_campaign(campaign)
     save = [r for r in rows if r.solver == "mlm"][0].save_mean
     assert 0.85 < save <= 1.0
+    dim = 1  # poisson1d
+    assert len(built) == len(seeds) == 3
+    for res, ops in zip(seeds, built):
+        lm_report, mlm_report = res.reports["lm"], res.reports["mlm"]
+        assert mlm_report.iterations == lm_report.iterations > 1
+        assert mlm_report.loss_history == lm_report.loss_history
+        assert np.array_equal(mlm_report.final_params, lm_report.final_params)
+        assert mlm_report.coarse_steps == 0
+        # one go_down after every iteration but the first, each restricting
+        # the dim + 2 weight blocks of the gradient
+        descent_tests = mlm_report.iterations - 1
+        restriction = (dim + 2) * 2 * campaign.r * ops.r_coarse
+        assert mlm_report.matvec_flops - lm_report.matvec_flops == descent_tests * restriction
 
 
 def test_parallel_workers_match_sequential():
@@ -129,7 +157,7 @@ def test_emit_report_empty(tmp_path):
 def test_emit_report_round_trip(tmp_path):
     path = tmp_path / "report.csv"
     emit_report([("demo", synthetic_row())], "csv", path)
-    back = bench.parse_report_csv(path)
+    back = parse_report_csv(path)
     assert len(back) == 1
     rec = back[0]
     assert rec["solver"] == "mlm"
@@ -187,6 +215,9 @@ def test_parse_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[campaign:x]\nproblem = poisson1d\nwarp = 9\n")
     with pytest.raises(ValueError):
+        config.parse_campaign_file(path)
+    path.write_text("[campaign:x]\nproblem = poisson1d\nrebuild_operators = true\n")
+    with pytest.raises(ValueError, match="unknown key 'rebuild_operators'"):
         config.parse_campaign_file(path)
     path.write_text("[not-a-campaign]\nproblem = poisson1d\n")
     with pytest.raises(ValueError):
@@ -249,7 +280,7 @@ def test_cli_run_lists_runs_stopped_at_the_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     for seed in (0, 1):
         assert f"quick lm seed {seed}: stopped at the iteration cap after 3 iterations" in err
-    assert bench.parse_report_csv(out)[0]["failures"] == "0"
+    assert parse_report_csv(out)[0]["failures"] == "0"
 
 
 def test_cli_run_seed_solver_overrides(tmp_path):
@@ -262,7 +293,7 @@ def test_cli_run_seed_solver_overrides(tmp_path):
         "--solver", "lm", "--trace", str(trace_dir),
     ])
     assert code == 0
-    rows = bench.parse_report_csv(out)
+    rows = parse_report_csv(out)
     assert len(rows) == 1
     assert (trace_dir / "trace_quick_lm_seed3.csv").exists()
 

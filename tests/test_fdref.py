@@ -7,7 +7,6 @@ from mlmnet.fdref import (
     cache_path,
     cached_reference,
     load_reference,
-    sample_reference,
     save_reference,
     solve_helmholtz_fd,
 )
@@ -89,7 +88,7 @@ def test_sample_at_grid_nodes_exact():
     g1, _ = manufactured_rhs(1.0, 40.0)
     grid = solve_helmholtz_fd(1.0, constant_velocity, g1, 33)
     pts = np.array([[grid.axis[3], grid.axis[7]], [grid.axis[10], grid.axis[20]]])
-    vals = sample_reference(grid, pts)
+    vals = grid.sample(pts)
     assert vals[0] == pytest.approx(grid.values[3, 7], abs=1e-14)
     assert vals[1] == pytest.approx(grid.values[10, 20], abs=1e-14)
 

@@ -36,6 +36,9 @@ def test_config_validation():
         LmConfig(lambda0=1e-7, lambda_min=1e-6)
     with pytest.raises(ValueError):
         LmConfig(epsilon=-1.0)
+    with pytest.raises(ValueError):
+        LmConfig(cg_max_iter=0)  # no CG iteration would ever produce a step
+    assert LmConfig(cg_max_iter=1).cg_max_iter == 1
 
 
 def test_already_critical_start(rng):

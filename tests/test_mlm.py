@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 import scipy.linalg
 
 from mlmnet.activations import Activation
-from mlmnet.amg import TransferOperators, apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
-from mlmnet.linsolve import FlopCounter, direct_solve
-from mlmnet.lm import update_lambda
-from mlmnet import mlm
+from mlmnet.amg import apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
+from mlmnet import lm
+from mlmnet.linsolve import FlopCounter, NumericalError, direct_solve
+from mlmnet.lm import lm_solve, update_lambda
 from mlmnet.mlm import (
     MlmConfig,
     build_coarse_model,
@@ -296,31 +297,58 @@ def test_accepted_steps_strictly_decrease_loss(rng):
     assert report.iterations == report.accepted_steps + report.rejected_steps
 
 
-def test_operator_rebuild_flag(rng):
-    system = network_system(nu=3, r=12)
+@pytest.mark.parametrize("solver", ["lm", "mlm"])
+def test_inner_solver_breakdowns_are_rejected_fine_steps(rng, monkeypatch, solver):
+    # both solvers run the loop of lm.py, so one patch reaches both
+    system = network_system(nu=3, r=8)
     x0 = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
-    cfg = MlmConfig(epsilon=1e-4, max_outer_iter=150, rebuild_operators=True)
-    report = mlm_solve(system, x0, cfg, ops)
-    assert report.converged
-    # generic systems cannot supply the architecture the rebuild needs
-    surrogate = LinearLeastSquares(rng.normal(size=(20, 13)), rng.normal(size=20))
-    with pytest.raises(ValueError):
-        mlm_solve(surrogate, np.ones(13), cfg, identity_ops(4))
+    real_cgls = lm.cgls_truncated
+    calls = []
 
+    def solve(fails, max_outer_iter, stream):
+        calls.clear()
 
-def test_operator_rebuild_keeps_the_coarsening_threshold(rng, monkeypatch):
-    system = network_system(nu=3, r=12)
-    x0 = rng.uniform(-1, 1, system.n)
-    ops = build_transfer_operators(system.jacobian(x0), system.arch, eps_amg=0.5)
-    assert ops.eps_amg == 0.5
-    used = []
+        def flaky_cgls(*args, **kwargs):
+            calls.append(None)
+            if fails(len(calls)):
+                raise NumericalError("injected breakdown")
+            return real_cgls(*args, **kwargs)
 
-    def recording_build(J, arch, eps_amg=0.9):
-        used.append(eps_amg)
-        return build_transfer_operators(J, arch, eps_amg=eps_amg)
+        monkeypatch.setattr(lm, "cgls_truncated", flaky_cgls)
+        cfg = MlmConfig(epsilon=1e-3, max_outer_iter=max_outer_iter, epsilon_h=1e12)
+        if solver == "lm":
+            return lm_solve(system, x0, cfg, trace=stream), cfg
+        return mlm_solve(system, x0, cfg, ops, trace=stream), cfg
 
-    monkeypatch.setattr(mlm, "build_transfer_operators", recording_build)
-    cfg = MlmConfig(epsilon=1e-4, max_outer_iter=20, rebuild_operators=True)
-    mlm_solve(system, x0, cfg, ops)
-    assert used and set(used) == {0.5}
+    def rows_of(stream):
+        return list(csv.DictReader(io.StringIO(stream.getvalue())))
+
+    failing = 5
+    stream = io.StringIO()
+    report, cfg = solve(lambda call: call <= failing, 40, stream)
+    rows = rows_of(stream)
+    lam = cfg.lambda0
+    for i, row in enumerate(rows[:failing], start=1):
+        lam = cfg.gamma3 * lam
+        assert row["iteration"] == str(i)
+        assert row["rho"] == "" and row["accepted"] == "0"
+        assert row["lambda"] == f"{lam:.12g}"
+        assert row.get("level", "fine") == "fine"
+    assert rows[failing]["rho"] != ""
+    assert report.loss_history[: failing + 1] == [report.loss_history[0]] * (failing + 1)
+    assert report.rejected_steps == sum(row["accepted"] == "0" for row in rows) >= failing
+    assert report.iterations == report.accepted_steps + report.rejected_steps
+
+    # a success in between resets the count of consecutive breakdowns
+    limit = lm._MAX_INNER_FAILURES
+    stream = io.StringIO()
+    report, _ = solve(lambda call: call % limit != 0, 2 * limit + 10, stream)
+    assert report.iterations == len(rows_of(stream)) == 2 * limit + 10
+
+    # the limit-th consecutive breakdown propagates; the earlier ones are traced
+    stream = io.StringIO()
+    with pytest.raises(NumericalError, match="injected breakdown"):
+        solve(lambda call: True, 2 * limit, stream)
+    assert len(calls) == limit
+    assert len(rows_of(stream)) == limit - 1

@@ -3,16 +3,49 @@ import pytest
 
 from mlmnet import network
 from mlmnet.activations import KINDS, Activation
-from mlmnet.network import (
-    NetworkArch,
-    NetworkParams,
-    net_eval,
-    net_grad_z,
-    net_laplacian_z,
-    net_param_jacobian,
-)
+from mlmnet.network import NetworkArch, NetworkParams
 
 from conftest import call_on_one_blas_thread, fd_gradient, rel_err
+
+
+# Pointwise wrappers over the batch functions, for the checks below.
+
+def _as_points(arch, z):
+    pts = np.asarray(z, dtype=float)
+    if pts.ndim == 0:
+        pts = pts.reshape(1, 1)
+    elif pts.ndim == 1:
+        pts = pts.reshape(1, -1)
+    if pts.shape[1] != arch.dim:
+        raise ValueError(f"points have dimension {pts.shape[1]}, expected {arch.dim}")
+    return pts
+
+
+def net_eval(arch, params, z):
+    return float(network.eval_batch(arch, params, _as_points(arch, z))[0])
+
+
+def net_grad_z(arch, params, z):
+    return network.grad_z_batch(arch, params, _as_points(arch, z))[0]
+
+
+def net_laplacian_z(arch, params, z):
+    return float(network.laplacian_batch(arch, params, _as_points(arch, z))[0])
+
+
+def net_param_jacobian(arch, params, z, quantity="value"):
+    """d(output)/d(params) ("value") or d(Laplacian)/d(params) ("laplacian") at z."""
+    pts = _as_points(arch, z)
+    if quantity == "value":
+        return network.value_param_jacobian_batch(arch, params, pts)[0]
+    return network.laplacian_param_jacobian_batch(arch, params, pts)[0]
+
+
+def to_vector(params):
+    """Flat parameter vector in the layout `NetworkParams.from_vector` reads."""
+    return np.concatenate(
+        [params.out_weights, params.in_weights.ravel(), params.hidden_bias, [params.out_bias]]
+    )
 
 
 def random_instance(rng, r=4, dim=2, kind="sigmoid"):
@@ -105,7 +138,7 @@ def test_param_jacobian_matches_finite_differences(rng, quantity, kind):
     for _ in range(20):
         arch, p = random_instance(rng, r=3, dim=2, kind=kind)
         z = rng.uniform(-1, 1, 2)
-        x0 = p.to_vector()
+        x0 = to_vector(p)
 
         def scalar_map(vec):
             q = NetworkParams.from_vector(vec, arch.n_hidden, arch.dim)
@@ -120,10 +153,10 @@ def test_param_jacobian_matches_finite_differences(rng, quantity, kind):
 
 def test_vector_round_trip(rng):
     arch, p = random_instance(rng, r=3, dim=2)
-    vec = p.to_vector()
+    vec = to_vector(p)
     assert vec.size == arch.n_params
     q = NetworkParams.from_vector(vec, 3, 2)
-    assert np.array_equal(q.to_vector(), vec)
+    assert np.array_equal(to_vector(q), vec)
 
 
 def test_dimension_mismatch_rejected(rng):

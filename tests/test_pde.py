@@ -159,6 +159,20 @@ def test_jacobian_matches_finite_differences(rng, problem):
     assert rel_err(J, J_fd) < 1e-6
 
 
+@pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
+def test_params_are_views_of_the_parameter_vector(rng, problem):
+    system = small_system(problem, r=8)
+    x = rng.uniform(-1, 1, system.n)
+    params = system.params_from(x)
+    for weights in (params.out_weights, params.in_weights, params.hidden_bias):
+        assert np.shares_memory(weights, x)
+        assert weights.flags.c_contiguous
+    before = x.copy()
+    system.residual(x)
+    system.jacobian(x)
+    assert np.array_equal(x, before)
+
+
 def test_output_bias_column_structure(rng):
     system = small_system(poisson_1d(nu=3), r=4)
     x = rng.uniform(-1, 1, system.n)
