@@ -160,24 +160,20 @@ def build_interpolation(A, split):
     Coarse rows of the prolongation are unit rows; each fine row
     interpolates from its strongly coupled coarse neighbours with the
     classical two-sign weights.  A fine node without coarse neighbours
-    (or with zero diagonal) is promoted to coarse and the build restarts.
+    (or with zero diagonal) is promoted to coarse.
     The returned pair is scaled by the respective infinity norms.
     """
     A = np.asarray(A, dtype=float)
     r = A.shape[0]
     strong = split.strong
     coarse = set(int(i) for i in split.coarse)
-
-    while True:
-        degenerate = []
-        for i in range(r):
-            if i in coarse:
-                continue
-            if A[i, i] == 0 or not any(k in coarse for k in np.flatnonzero(strong[i])):
-                degenerate.append(i)
-        if not degenerate:
-            break
-        coarse.update(degenerate)
+    # promotion only grows the coarse set, so a fine node with a strong
+    # coarse neighbour keeps it: one pass finds every degenerate node
+    coarse.update([
+        i for i in range(r)
+        if i not in coarse
+        and (A[i, i] == 0 or not any(k in coarse for k in np.flatnonzero(strong[i])))
+    ])
 
     coarse_idx = np.array(sorted(coarse), dtype=int)
     col_of = {int(k): c for c, k in enumerate(coarse_idx)}

@@ -90,6 +90,8 @@ class Campaign:
     penalty: float = None
     test_points_per_axis: int = 100
     fd_resolution: int = 201
+    lm_config: LmConfig = field(init=False, repr=False)
+    mlm_config: MlmConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -109,6 +111,11 @@ class Campaign:
         unknown = set(self.overrides) - set(MlmConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config overrides {sorted(unknown)}")
+        # built here so that an out-of-range setting fails before any campaign runs
+        try:
+            self.lm_config, self.mlm_config = _solver_configs(self)
+        except ValueError as exc:
+            raise ValueError(f"campaign {self.name!r}: {exc}") from exc
 
 
 @dataclass
@@ -257,11 +264,12 @@ def run_campaign(campaign, trace_dir=None, cache_dir=None, workers=1):
     so the report does not depend on scheduling.
     """
     system = build_system(campaign)
-    lm_cfg, mlm_cfg = _solver_configs(campaign)
     reference = reference_for(campaign, system, cache_dir)
 
     def job(seed):
-        return run_seed(campaign, system, seed, lm_cfg, mlm_cfg, reference, trace_dir)
+        return run_seed(
+            campaign, system, seed, campaign.lm_config, campaign.mlm_config, reference, trace_dir
+        )
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

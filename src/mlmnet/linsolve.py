@@ -147,7 +147,7 @@ def _shifted_gram_norm(G, lam, n):
     return float(np.sqrt(np.linalg.norm(G) ** 2 + 2.0 * lam * np.trace(G) + n * lam**2))
 
 
-def direct_solve(J, lam, rhs, counter=None):
+def direct_solve(J, lam, rhs):
     """Solve (J^T J + lam I) s = rhs for J of shape (m, n) by Cholesky factorization.
 
     With m < n the Woodbury identity reduces it to the m-by-m kernel system

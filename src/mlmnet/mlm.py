@@ -18,7 +18,6 @@ import numpy as np
 from .amg import apply_blockwise
 from .linsolve import FlopCounter, NumericalError, direct_solve
 from .lm import LmConfig, minimize, update_lambda
-from .network import NetworkArch
 
 
 @dataclass
@@ -71,20 +70,6 @@ class CoarseModel:
     _grad0: np.ndarray = None
 
 
-def coarsen_system(system, ops):
-    """Coarse counterpart of a least-squares system under the given operators."""
-    if hasattr(system, "coarsen"):
-        return system.coarsen(ops)
-    # network residual systems: same problem and training set, sub-network width
-    from .pde import ResidualSystem
-
-    if isinstance(system, ResidualSystem):
-        arch = system.arch
-        coarse_arch = NetworkArch(ops.r_coarse, arch.dim, arch.activation)
-        return ResidualSystem(system.problem, coarse_arch, system.training)
-    raise TypeError(f"cannot coarsen system of type {type(system).__name__}")
-
-
 def go_down(grad_fine, ops, kappa, epsilon_h, counter=None):
     """Descent test: the restricted gradient if it justifies a coarse step, else None.
 
@@ -124,7 +109,7 @@ def build_coarse_model(system, x, ops, grad_fine=None, restricted_grad=None, cou
     if restricted_grad is None:
         restricted_grad = apply_blockwise(ops, grad_fine, "restrict", counter)
     x0 = apply_blockwise(ops, x, "restrict", counter)
-    coarse = coarsen_system(system, ops)
+    coarse = system.coarsen(ops)
     F0 = coarse.residual(x0)
     J0 = coarse.jacobian(x0)
     g0 = J0.T @ F0
@@ -171,7 +156,7 @@ def coarse_cycle(model, lam, cfg, counter=None):
         if np.linalg.norm(grad_model) <= cfg.epsilon:
             break
         try:
-            s = direct_solve(J, lam, -grad_model, counter)
+            s = direct_solve(J, lam, -grad_model)
         except NumericalError:
             lam = cfg.gamma3 * lam
             continue

@@ -1,7 +1,8 @@
 """PDE benchmark problems and their nonlinear least-squares formulation.
 
-A problem couples a differential operator on the unit hypercube (0,1)^dim
-with Dirichlet boundary data.  Training minimizes
+A problem couples a differential operator
+D(z, u) = lap_sign * Lap(u) + reaction(z, u) on the unit hypercube
+(0,1)^dim with Dirichlet boundary data.  Training minimizes
 
     loss(p) = 1/(2t) * ( ||D(z, u(p,z)) - g1(z)||^2  over interior points
                          + penalty * ||u(p,z) - g2(z)||^2  over boundary points )
@@ -12,7 +13,7 @@ sqrt(penalty/t), so the least-squares machinery never needs to know the
 loss coefficients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,44 +21,39 @@ import numpy as np
 from . import network
 from .network import NetworkArch, NetworkParams
 
-OPERATORS = ("poisson", "helmholtz1d", "helmholtz2d_velocity", "sine_nonlinear", "exp_nonlinear")
-
-# operators whose linearization depends on u itself
-_NONLINEAR = ("sine_nonlinear", "exp_nonlinear")
-
-# operator -> admissible spatial dimensions
-_OPERATOR_DIMS = {
-    "poisson": (1, 2),
-    "helmholtz1d": (1,),
-    "helmholtz2d_velocity": (2,),
-    "sine_nonlinear": (1,),
-    "exp_nonlinear": (2,),
-}
-
 
 @dataclass
 class PdeProblem:
-    """A stationary PDE with Dirichlet boundary conditions on (0,1)^dim."""
+    """A stationary PDE with Dirichlet boundary conditions on (0,1)^dim.
+
+    The operator is D(z, u) = lap_sign * Lap(u) + reaction(z, u).  The
+    reaction, None for Poisson, and its derivative reaction_du(z, u) in u
+    take the interior points and the values of u there, and return a
+    scalar or one value per point.  `velocity` is the wave speed of the
+    Helmholtz problems, which the finite-difference reference reads.
+    """
 
     name: str
     dim: int
-    operator: str
     nu: float
     rhs_interior: Callable[[np.ndarray], np.ndarray]   # g1, rows -> values
     rhs_boundary: Callable[[np.ndarray], np.ndarray]   # g2
     penalty: float
+    lap_sign: int = -1
+    reaction: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    reaction_du: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     velocity: Optional[Callable[[np.ndarray], np.ndarray]] = None
     true_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.operator not in OPERATORS:
-            raise ValueError(f"unknown operator {self.operator!r}")
-        if self.dim not in _OPERATOR_DIMS[self.operator]:
-            raise ValueError(f"operator {self.operator!r} is not defined for dim={self.dim}")
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if self.lap_sign not in (1, -1):
+            raise ValueError(f"lap_sign must be +1 or -1, got {self.lap_sign!r}")
+        if (self.reaction is None) != (self.reaction_du is None):
+            raise ValueError("reaction and reaction_du must be given together")
         if self.penalty <= 0:
             raise ValueError("boundary penalty must be positive")
-        if self.operator == "helmholtz2d_velocity" and self.velocity is None:
-            raise ValueError("helmholtz2d_velocity requires a velocity field")
 
 
 @dataclass
@@ -122,11 +118,6 @@ class ResidualSystem:
         t = self.training.total
         self._int_scale = 1.0 / np.sqrt(t)
         self._bnd_scale = np.sqrt(problem.penalty / t)
-        if problem.operator == "helmholtz2d_velocity":
-            c = np.asarray(problem.velocity(self.training.interior), dtype=float)
-            self._wavenumber_sq = (2.0 * np.pi * problem.nu / c) ** 2
-        else:
-            self._wavenumber_sq = None
 
     @property
     def m(self):
@@ -141,52 +132,28 @@ class ResidualSystem:
             return p
         return NetworkParams.from_vector(p, self.arch.n_hidden, self.arch.dim)
 
-    # -- operator evaluation -------------------------------------------------
-
-    def _operator_terms(self, values, laplacians):
-        """D(z,u) on the interior points, given u and Lap(u) there."""
-        op = self.problem.operator
-        if op == "poisson":
-            return -laplacians
-        if op == "helmholtz1d":
-            return -laplacians - self.problem.nu**2 * values
-        if op == "helmholtz2d_velocity":
-            return -laplacians - self._wavenumber_sq * values
-        if op == "sine_nonlinear":
-            return laplacians + np.sin(values)
-        return laplacians + np.exp(values)
-
-    def _operator_linearization(self, values):
-        """(a, b) with dD = a*d(Lap u) + b*d(u).
-
-        a is +-1; b is a scalar, a column over the interior points, or None
-        when zero.
-        """
-        op = self.problem.operator
-        if op == "poisson":
-            return -1.0, None
-        if op == "helmholtz1d":
-            return -1.0, -self.problem.nu**2
-        if op == "helmholtz2d_velocity":
-            return -1.0, -self._wavenumber_sq[:, None]
-        if op == "sine_nonlinear":
-            return 1.0, np.cos(values)[:, None]
-        return 1.0, np.exp(values)[:, None]
+    def coarsen(self, ops):
+        """The same problem and training set on the sub-network of ops.r_coarse hidden nodes."""
+        arch = NetworkArch(ops.r_coarse, self.arch.dim, self.arch.activation)
+        return ResidualSystem(self.problem, arch, self.training)
 
     # -- residual / Jacobian / loss -------------------------------------------
     #
     # Each evaluates the pre-activations and the activation base of a point
-    # set once, and only the derivative orders its operator uses.
+    # set once, and only the derivative orders its operator uses: the
+    # values of u and their parameter derivatives only with a reaction term.
 
     def residual(self, p):
         """Stacked residual vector F(p), interior entries first."""
         params = self.params_from(p)
+        problem = self.problem
         zi, zb = self.training.interior, self.training.boundary
-        with_values = self.problem.operator != "poisson"
+        with_values = problem.reaction is not None
         acts = network.hidden_activations(self.arch, params, zi, (2, 0) if with_values else (2,))
-        laplacians = network.laplacian(params, acts[0])
-        values = network.output(params, acts[1]) if with_values else None
-        r_int = self._int_scale * (self._operator_terms(values, laplacians) - self._g1)
+        d_int = problem.lap_sign * network.laplacian(params, acts[0])
+        if with_values:
+            d_int = d_int + problem.reaction(zi, network.output(params, acts[1]))
+        r_int = self._int_scale * (d_int - self._g1)
         (s0,) = network.hidden_activations(self.arch, params, zb, (0,))
         r_bnd = self._bnd_scale * (network.output(params, s0) - self._g2)
         return np.concatenate([r_int, r_bnd])
@@ -194,27 +161,27 @@ class ResidualSystem:
     def jacobian(self, p):
         """J(p), one row per residual entry, columns in parameter layout.
 
-        Interior rows are (a * d(Lap u) + b * d(u)) * interior scale, element
-        by element, written into one preallocated array.
+        Interior rows are (lap_sign * d(Lap u) + reaction_du * d(u)) * interior
+        scale, element by element, written into one preallocated array.
         """
         params = self.params_from(p)
+        problem = self.problem
         zi, zb = self.training.interior, self.training.boundary
-        op = self.problem.operator
         jac = np.empty((self.m, self.n))
         j_int, j_bnd = jac[: len(zi)], jac[len(zi) :]
+        with_values = problem.reaction is not None
         acts = network.hidden_activations(
-            self.arch, params, zi, (2, 3) if op == "poisson" else (2, 3, 0, 1)
+            self.arch, params, zi, (2, 3, 0, 1) if with_values else (2, 3)
         )
         network.fill_laplacian_param_jacobian(params, zi, acts[0], acts[1], j_int)
-        values = network.output(params, acts[2]) if op in _NONLINEAR else None
-        a, b = self._operator_linearization(values)
-        if b is None:
-            j_int *= a * self._int_scale  # a is +-1: exactly (a * d(Lap u)) * scale
+        if not with_values:
+            j_int *= problem.lap_sign * self._int_scale  # exactly (lap_sign * d(Lap u)) * scale
         else:
-            j_int *= a
+            j_int *= problem.lap_sign
             j_val = np.empty_like(j_int)
             network.fill_value_param_jacobian(params, zi, acts[2], acts[3], j_val)
-            j_val *= b
+            du = problem.reaction_du(zi, network.output(params, acts[2]))
+            j_val *= np.reshape(du, (-1, 1))
             j_int += j_val
             j_int *= self._int_scale
         s0, s1 = network.hidden_activations(self.arch, params, zb, (0, 1))
@@ -285,7 +252,6 @@ def poisson_1d(nu=20, penalty=None):
     return PdeProblem(
         name=f"poisson1d(nu={nu:g})",
         dim=1,
-        operator="poisson",
         nu=nu,
         rhs_interior=lambda z: nu**2 * np.cos(nu * z[:, 0]),
         rhs_boundary=u,
@@ -304,7 +270,6 @@ def poisson_2d(nu=5, penalty=None):
     return PdeProblem(
         name=f"poisson2d(nu={nu:g})",
         dim=2,
-        operator="poisson",
         nu=nu,
         rhs_interior=lambda z: 2.0 * nu**2 * np.cos(nu * (z[:, 0] + z[:, 1])),
         rhs_boundary=u,
@@ -323,11 +288,12 @@ def helmholtz_1d(nu=5, penalty=None):
     return PdeProblem(
         name=f"helmholtz1d(nu={nu:g})",
         dim=1,
-        operator="helmholtz1d",
         nu=nu,
         rhs_interior=lambda z: np.zeros(z.shape[0]),
         rhs_boundary=u,
         penalty=default_penalty(nu, 1) if penalty is None else penalty,
+        reaction=lambda z, u: -nu**2 * u,
+        reaction_du=lambda z, u: -nu**2,
         true_solution=u,
     )
 
@@ -378,14 +344,19 @@ def helmholtz_2d(nu=1, velocity="constant", penalty=None):
         c, vname = velocity, getattr(velocity, "__name__", "custom")
     else:
         c, vname = VELOCITY_FIELDS[velocity], velocity
+
+    def wavenumber_sq(z):
+        return (2.0 * np.pi * nu / np.asarray(c(z), dtype=float)) ** 2
+
     return PdeProblem(
         name=f"helmholtz2d(nu={nu:g}, c={vname})",
         dim=2,
-        operator="helmholtz2d_velocity",
         nu=nu,
         rhs_interior=box_source,
         rhs_boundary=lambda z: np.zeros(z.shape[0]),
         penalty=default_penalty(nu, 2) if penalty is None else penalty,
+        reaction=lambda z, u: -wavenumber_sq(z) * u,
+        reaction_du=lambda z, u: -wavenumber_sq(z),
         velocity=c,
     )
 
@@ -400,11 +371,13 @@ def sine_nonlinear_1d(nu=20, penalty=None):
     return PdeProblem(
         name=f"sine-nonlinear1d(nu={nu:g})",
         dim=1,
-        operator="sine_nonlinear",
         nu=nu,
         rhs_interior=lambda z: -0.1 * nu**2 * np.cos(nu * z[:, 0]) + np.sin(u(z)),
         rhs_boundary=u,
         penalty=default_penalty(nu, 1) if penalty is None else penalty,
+        lap_sign=1,
+        reaction=lambda z, u: np.sin(u),
+        reaction_du=lambda z, u: np.cos(u),
         true_solution=u,
     )
 
@@ -423,10 +396,12 @@ def exp_nonlinear_2d(nu=1, penalty=None):
     return PdeProblem(
         name=f"exp-nonlinear2d(nu={nu:g})",
         dim=2,
-        operator="exp_nonlinear",
         nu=nu,
         rhs_interior=g1,
         rhs_boundary=u,
         penalty=default_penalty(nu, 2) if penalty is None else penalty,
+        lap_sign=1,
+        reaction=lambda z, u: np.exp(u),
+        reaction_du=lambda z, u: np.exp(u),
         true_solution=u,
     )

@@ -227,6 +227,21 @@ def test_parse_rejects_unknown_key(tmp_path):
         config.parse_campaign_file(path)
 
 
+@pytest.mark.parametrize("setting", ["cg_max_iter = 0", "epsilon = -1"])
+def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, setting):
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        "[campaign:good]\nproblem = poisson1d\nnu = 2\nr = 4\nsolvers = lm\n"
+        f"[campaign:bad]\nproblem = poisson1d\nnu = 2\nr = 4\nsolvers = lm\n{setting}\n"
+    )
+    ran = []
+    monkeypatch.setattr(bench, "run_campaign", lambda campaign, **kw: ran.append(campaign))
+    out = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match="campaign 'bad'"):
+        cli.main(["run", str(path), "--out", str(out)])
+    assert ran == [] and not out.exists()
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 

@@ -18,6 +18,32 @@ from mlmnet.pde import (
 
 from conftest import call_on_one_blas_thread, fd_gradient, fd_jacobian, rel_err
 
+# constant-solution problem kind -> (lap_sign, reaction, reaction_du)
+CONSTANT_SOLUTION_KINDS = {
+    "poisson": (-1, None, None),
+    "sine_nonlinear": (1, lambda z, u: np.sin(u), lambda z, u: np.cos(u)),
+    "exp_nonlinear": (1, lambda z, u: np.exp(u), lambda z, u: np.exp(u)),
+}
+
+
+def constant_solution_problem(kind, dim, value):
+    """A problem whose exact solution is the constant `value`, so g1 = reaction(value)."""
+    lap_sign, reaction, reaction_du = CONSTANT_SOLUTION_KINDS[kind]
+    g1 = 0.0 if reaction is None else reaction(None, value)
+    return PdeProblem(
+        name=f"const-{kind}-{dim}d",
+        dim=dim,
+        nu=2,
+        rhs_interior=lambda z: np.full(z.shape[0], g1),
+        rhs_boundary=lambda z: np.full(z.shape[0], value),
+        penalty=0.5,
+        lap_sign=lap_sign,
+        reaction=reaction,
+        reaction_du=reaction_du,
+        true_solution=lambda z: np.full(z.shape[0], value),
+    )
+
+
 ALL_PROBLEMS = [
     poisson_1d(nu=3),
     poisson_2d(nu=2),
@@ -28,30 +54,12 @@ ALL_PROBLEMS = [
     helmholtz_2d(nu=2, velocity="sine"),
     sine_nonlinear_1d(nu=3),
     exp_nonlinear_2d(nu=1),
+    constant_solution_problem("sine_nonlinear", 2, 0.3),
 ]
 
 
 def small_system(problem, r=8, kind="sigmoid"):
     return ResidualSystem(problem, NetworkArch(r, problem.dim, Activation(kind)))
-
-
-def constant_solution_problem(operator, dim, value):
-    """A problem whose exact solution is the constant `value`."""
-    rhs = {
-        "poisson": lambda z: np.zeros(z.shape[0]),
-        "sine_nonlinear": lambda z: np.full(z.shape[0], np.sin(value)),
-        "exp_nonlinear": lambda z: np.full(z.shape[0], np.exp(value)),
-    }[operator]
-    return PdeProblem(
-        name=f"const-{operator}",
-        dim=dim,
-        operator=operator,
-        nu=2,
-        rhs_interior=rhs,
-        rhs_boundary=lambda z: np.full(z.shape[0], value),
-        penalty=0.5,
-        true_solution=lambda z: np.full(z.shape[0], value),
-    )
 
 
 def constant_network(system, value):
@@ -98,11 +106,12 @@ def loss_and_gradient(system, p):
 
 
 @pytest.mark.parametrize(
-    "operator,dim,value",
-    [("poisson", 1, 0.8), ("poisson", 2, -0.4), ("sine_nonlinear", 1, 0.3), ("exp_nonlinear", 2, 0.6)],
+    "kind,dim,value",
+    [("poisson", 1, 0.8), ("poisson", 2, -0.4), ("sine_nonlinear", 1, 0.3), ("exp_nonlinear", 2, 0.6),
+     ("sine_nonlinear", 2, 0.3)],
 )
-def test_exact_constant_solution_has_zero_residual(operator, dim, value):
-    system = small_system(constant_solution_problem(operator, dim, value))
+def test_exact_constant_solution_has_zero_residual(kind, dim, value):
+    system = small_system(constant_solution_problem(kind, dim, value))
     params = constant_network(system, value)
     assert np.allclose(system.residual(params), 0.0, atol=1e-14)
     loss, grad = loss_and_gradient(system, params)
@@ -124,7 +133,7 @@ def test_loss_identity_against_direct_formula(rng):
             zi, zb = system.training.interior, system.training.boundary
             values = network.eval_batch(system.arch, params, zi)
             lap = network.laplacian_batch(system.arch, params, zi)
-            op = system._operator_terms(values, lap)
+            op = operator_terms(problem, zi, values, lap)
             t = system.training.total
             direct = (
                 np.sum((op - problem.rhs_interior(zi)) ** 2)
@@ -196,13 +205,21 @@ def test_gradient_matches_finite_differences(rng):
 # -- bit identity with the per-quantity network evaluations ------------------------
 
 
+def operator_terms(problem, z, values, laplacians):
+    """D(z, u) = lap_sign * Lap(u) + reaction(z, u), given u and Lap(u) at the points z."""
+    terms = problem.lap_sign * laplacians
+    if problem.reaction is not None:
+        terms = terms + problem.reaction(z, values)
+    return terms
+
+
 def reference_residual(system, p):
     """F(p) composed of one network.*_batch call per quantity: the reference."""
     arch, params = system.arch, system.params_from(p)
     zi, zb = system.training.interior, system.training.boundary
     values = network.eval_batch(arch, params, zi)
     laplacians = network.laplacian_batch(arch, params, zi)
-    r_int = system._int_scale * (system._operator_terms(values, laplacians) - system._g1)
+    r_int = system._int_scale * (operator_terms(system.problem, zi, values, laplacians) - system._g1)
     r_bnd = system._bnd_scale * (network.eval_batch(arch, params, zb) - system._g2)
     return np.concatenate([r_int, r_bnd])
 
@@ -211,18 +228,11 @@ def reference_jacobian(system, p):
     """J(p) composed of one network.*_batch call per quantity: the reference."""
     arch, params = system.arch, system.params_from(p)
     zi, zb = system.training.interior, system.training.boundary
-    values = network.eval_batch(arch, params, zi)
-    op, nu = system.problem.operator, system.problem.nu
-    a, b = {
-        "poisson": lambda: (-1.0, None),
-        "helmholtz1d": lambda: (-1.0, np.full_like(values, -nu**2)),
-        "helmholtz2d_velocity": lambda: (-1.0, -system._wavenumber_sq),
-        "sine_nonlinear": lambda: (1.0, np.cos(values)),
-        "exp_nonlinear": lambda: (1.0, np.exp(values)),
-    }[op]()
-    j_int = a * network.laplacian_param_jacobian_batch(arch, params, zi)
-    if b is not None:
-        j_int += b[:, None] * network.value_param_jacobian_batch(arch, params, zi)
+    problem = system.problem
+    j_int = problem.lap_sign * network.laplacian_param_jacobian_batch(arch, params, zi)
+    if problem.reaction is not None:
+        du = np.broadcast_to(problem.reaction_du(zi, network.eval_batch(arch, params, zi)), len(zi))
+        j_int += du[:, None] * network.value_param_jacobian_batch(arch, params, zi)
     j_int *= system._int_scale
     j_bnd = system._bnd_scale * network.value_param_jacobian_batch(arch, params, zb)
     return np.vstack([j_int, j_bnd])
@@ -346,13 +356,17 @@ def test_rmse_requires_reference_for_helmholtz2d(rng):
 
 
 def test_invalid_operator_dim_combinations_rejected():
-    with pytest.raises(ValueError):
-        PdeProblem(
-            name="bad", dim=2, operator="helmholtz1d", nu=2,
-            rhs_interior=lambda z: np.zeros(z.shape[0]),
-            rhs_boundary=lambda z: np.zeros(z.shape[0]),
-            penalty=1.0,
-        )
+    def zero(z):
+        return np.zeros(z.shape[0])
+
+    base = dict(name="bad", dim=2, nu=2, rhs_interior=zero, rhs_boundary=zero, penalty=1.0)
+    for bad in (
+        dict(dim=3),  # the training and test grids are 1D or 2D
+        dict(lap_sign=2),
+        dict(reaction=lambda z, u: np.sin(u)),  # without its derivative
+    ):
+        with pytest.raises(ValueError):
+            PdeProblem(**{**base, **bad})
     with pytest.raises(ValueError):
         poisson_1d(nu=3, penalty=-1.0)
 
