@@ -7,12 +7,17 @@ Subcommands:
   split-inspect  dump the coupling matrix, C/F split and prolongation
 
 Exit status is 0 when every solver run completed (converged or stopped at
-its configured iteration cap) and 1 when any run failed outright.  On
+its configured iteration cap) and 1 when any run failed outright.  A
+campaign file that cannot be read, or whose campaigns (with the --seed and
+--solver overrides applied) fail validation, stops `run` with status 2 and
+one line on standard error, before any campaign runs.  On
 standard error, `run` names every failed run with its error, and every
 run that stopped at its iteration cap without converging.
 """
 
 import argparse
+import configparser
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,7 +29,21 @@ from .bench import PROBLEMS
 
 
 def _cmd_run(args):
-    campaigns = config.parse_campaign_file(args.config)
+    replaced = {}
+    if args.seed:
+        replaced["seeds"] = tuple(args.seed)
+    if args.solver:
+        replaced["solvers"] = tuple(args.solver)
+    try:
+        # rebuilt, not assigned, so the overridden campaign is validated again
+        campaigns = [
+            dataclasses.replace(campaign, **replaced)
+            for campaign in config.parse_campaign_file(args.config)
+        ]
+    except (OSError, ValueError, configparser.Error) as exc:
+        message = " ".join(str(exc).split())
+        print(f"mlmnet run: {args.config}: {message}", file=sys.stderr)
+        return 2
     trace_dir = None
     if args.trace is not None:
         trace_dir = Path(args.trace)
@@ -32,10 +51,6 @@ def _cmd_run(args):
     all_rows = []
     failed = 0
     for campaign in campaigns:
-        if args.seed:
-            campaign.seeds = tuple(args.seed)
-        if args.solver:
-            campaign.solvers = tuple(args.solver)
         rows, seed_results = bench.run_campaign(
             campaign, trace_dir=trace_dir, cache_dir=args.cache, workers=args.workers
         )

@@ -1,15 +1,20 @@
 """Inner solvers for the regularized model minimization.
 
 The fine-level systems (J^T J + lam I) s = -(J^T F + corr) are solved by a
-truncated conjugate-gradient iteration that applies the operator through
-two products with J per step and stops once the model gradient is small
-against the squared step norm.  Coarse-level systems are solved exactly
-by a Cholesky factorization of the smaller Gram matrix of J: the m-by-m
-J J^T + lam I (kernel form) when J has fewer rows than columns.
+truncated conjugate-gradient iteration on these shifted normal equations,
+which applies the operator through two products with J per step and stops
+once the model gradient is small against the squared step norm.
+Coarse-level systems are solved exactly by a Cholesky factorization of the
+smaller Gram matrix of J: the m-by-m J J^T + lam I (kernel form) when J
+has fewer rows than columns.
 
 Only genuine matrix-vector products are charged to the flop counter, at
 2*rows*cols apiece; the direct solve, J products of its kernel form
-included, is not matrix-vector work and is left out of the tally.
+included, is not matrix-vector work and is left out of the tally.  The
+conjugate-gradient loop charges its products, 2mn + 2nm flops per
+iteration, in one call when the solve ends (returns or raises); the
+gradient J^T F and each re-verification of the true residual are charged
+as they are made.
 """
 
 import math
@@ -64,9 +69,11 @@ def predicted_reduction(step, rhs, linear_residual, lam):
 def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None, grad=None):
     """Approximately solve (J^T J + lam I) s = -(J^T F + corr).
 
-    Plain conjugate gradients on the shifted normal operator, applied via
-    one product with J and one with J^T per iteration.  Iterations stop at
-    the first step whose true system residual satisfies
+    Plain conjugate gradients on the shifted normal equations (not CGLS:
+    the residual is kept in n-space), the operator applied via one product
+    with J and one with J^T per iteration, written into preallocated
+    vectors.  Iterations stop at the first step whose true system residual
+    satisfies
 
         ||(J^T J + lam I) s + J^T F + corr|| <= theta * ||s||^2
 
@@ -107,35 +114,44 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
 
     r = rhs.copy()
     p = r.copy()
-    rs = float(r @ r)
+    Jp, mp, scratch = np.empty(m), np.empty(n), np.empty(n)
+    rs = r.dot(r)
     rhs_norm = math.sqrt(rs)
     model_value = 0.0  # 0.5 s^T (B+lam I) s - rhs^T s, decreases monotonically
-    for iteration in range(1, max_iter + 1):
-        mp = apply_operator(p)
-        curvature = float(p @ mp)
-        if not math.isfinite(curvature) or curvature <= 0:
-            raise NumericalError("conjugate gradient lost positive definiteness")
-        alpha = rs / curvature
-        s += alpha * p
-        r -= alpha * mp
-        ss = float(s @ s)
-        # 0.5 s^T (B+lam I) s - rhs^T s with (B+lam I) s = rhs - r
-        new_model_value = -0.5 * (float(s @ rhs) + float(s @ r))
-        # monotone up to rounding of magnitude ~eps * ||s|| * ||rhs||
-        assert new_model_value <= model_value + 1e-9 * (1.0 + rhs_norm * math.sqrt(ss))
-        model_value = new_model_value
-        rs_new = float(r @ r)
-        bound = theta * ss
-        if rs_new == 0.0 or math.sqrt(rs_new) <= bound:
-            true_residual = rhs - apply_operator(s)
-            true_norm = float(np.linalg.norm(true_residual))
-            if true_norm <= bound:
-                return InnerSolveResult(s, true_norm, iteration, True, true_residual)
-            if rs_new == 0.0:  # recurrence exhausted, nothing more to gain
-                return InnerSolveResult(s, true_norm, iteration, False, true_residual)
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
+    iteration = 0
+    try:
+        for iteration in range(1, max_iter + 1):
+            # mp = (J^T J + lam I) p, the same bits as apply_operator(p)
+            J.dot(p, out=Jp)
+            JT.dot(Jp, out=mp)
+            mp += np.multiply(p, lam, out=scratch)
+            curvature = p.dot(mp)
+            if not math.isfinite(curvature) or curvature <= 0:
+                raise NumericalError("conjugate gradient lost positive definiteness")
+            alpha = rs / curvature
+            s += np.multiply(p, alpha, out=scratch)
+            r -= np.multiply(mp, alpha, out=scratch)
+            ss = s.dot(s)
+            # 0.5 s^T (B+lam I) s - rhs^T s with (B+lam I) s = rhs - r
+            new_model_value = -0.5 * (s.dot(rhs) + s.dot(r))
+            # monotone up to rounding of magnitude ~eps * ||s|| * ||rhs||
+            assert new_model_value <= model_value + 1e-9 * (1.0 + rhs_norm * math.sqrt(ss))
+            model_value = new_model_value
+            rs_new = r.dot(r)
+            bound = theta * ss
+            if rs_new == 0.0 or math.sqrt(rs_new) <= bound:
+                true_residual = rhs - apply_operator(s)
+                true_norm = float(np.linalg.norm(true_residual))
+                if true_norm <= bound:
+                    return InnerSolveResult(s, true_norm, iteration, True, true_residual)
+                if rs_new == 0.0:  # recurrence exhausted, nothing more to gain
+                    return InnerSolveResult(s, true_norm, iteration, False, true_residual)
+            p *= rs_new / rs
+            p += r
+            rs = rs_new
+    finally:
+        # the loop's products with J and J^T, 2mn + 2nm flops per iteration, in one charge
+        counter.add_matvec(2 * m * iteration, n)
     true_residual = rhs - apply_operator(s)
     true_norm = float(np.linalg.norm(true_residual))
     satisfied = true_norm <= theta * float(s @ s)

@@ -228,7 +228,7 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["cg_max_iter = 0", "epsilon = -1"])
-def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, setting):
+def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, capsys, setting):
     path = tmp_path / "c.cfg"
     path.write_text(
         "[campaign:good]\nproblem = poisson1d\nnu = 2\nr = 4\nsolvers = lm\n"
@@ -237,9 +237,50 @@ def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypat
     ran = []
     monkeypatch.setattr(bench, "run_campaign", lambda campaign, **kw: ran.append(campaign))
     out = tmp_path / "report.csv"
-    with pytest.raises(ValueError, match="campaign 'bad'"):
-        cli.main(["run", str(path), "--out", str(out)])
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    assert "campaign 'bad'" in capsys.readouterr().err
     assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[campaign:x]\nproblem = poisson1d\nwarp = 9\n", "unknown key 'warp'"),
+    ("[campaign:x]\nproblem = nope\n", "unknown problem 'nope'"),
+    ("[campaign:x]\nproblem = poisson1d\ncg_max_iter = 0\n", "campaign 'x'"),
+    ("problem = poisson1d\n", "no section headers"),
+    (None, "No such file or directory"),
+], ids=["unknown-key", "unknown-problem", "out-of-range", "no-section", "missing-file"])
+def test_cli_run_reports_a_malformed_file_in_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "c.cfg"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"mlmnet run: {path}: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_solver_override_is_validated(tmp_path, monkeypatch, capsys):
+    ran = []
+
+    def run_campaign_stub(campaign, **kw):
+        ran.append(campaign)
+        return [], []
+
+    monkeypatch.setattr(bench, "run_campaign", run_campaign_stub)
+    # the file alone is valid: r = 1 is too small only for the two-level solver
+    path = tmp_path / "c.cfg"
+    path.write_text("[campaign:x]\nproblem = poisson1d\nnu = 2\nr = 1\nsolvers = lm\nepsilon = 1e-3\n")
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", str(path), "--out", str(out), "--solver", "mlm"]) == 2
+    assert "at least 2 hidden nodes" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+    # a valid override gives a rebuilt campaign, its solver settings included
+    assert cli.main(["run", str(path), "--out", str(out), "--seed", "4", "--seed", "5"]) == 0
+    (campaign,) = ran
+    assert campaign.seeds == (4, 5) and campaign.lm_config.epsilon == 1e-3
 
 
 # -- CLI ----------------------------------------------------------------------------

@@ -109,6 +109,57 @@ def test_flop_count_formula(rng):
     assert counter.matvec_flops == 2 * m * n + res.iterations * 4 * m * n + 4 * m * n
 
 
+def test_flop_charges_add_up_per_call(rng, monkeypatch):
+    # record each call as perfbench/spans.py sees it: (counter, rows, cols), positionally
+    calls = []
+    add_matvec = FlopCounter.add_matvec
+
+    def recording_add_matvec(counter, rows, cols):
+        calls.append((rows, cols))
+        add_matvec(counter, rows, cols)
+
+    monkeypatch.setattr(FlopCounter, "add_matvec", recording_add_matvec)
+    J = rng.normal(size=(9, 5))
+    counter = FlopCounter()
+    res = cgls_truncated(J, rng.normal(size=9), lam=0.1, theta=1e-12, counter=counter)
+    assert res.iterations > 1
+    assert sum(2 * rows * cols for rows, cols in calls) == counter.matvec_flops
+    # gradient, all loop products in one charge, and the two of the verification
+    assert len(calls) == 4
+
+
+def breakdown_system(entry):
+    """A system whose CG curvature overflows mid-solve.
+
+    One column is scaled by 1e100 and its right-hand side entry set to
+    `entry`; that direction's share of the residual grows each iteration
+    until p^T (J^T J + lam I) p is no longer finite.
+    """
+    m, n = 7, 6
+    J = np.zeros((m, n))
+    J[np.arange(n - 1), np.arange(n - 1)] = np.arange(1.0, n)
+    J[n - 1, n - 1] = 1e100
+    F = -np.ones(m)
+    F[n - 1] = -entry / 1e100
+    F[n] = 0.0
+    return J, F
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("with_grad", [False, True], ids=["grad-built", "grad-given"])
+@pytest.mark.parametrize("entry, k", [(1e300, 1), (1e-100, 2), (1e-200, 10)])
+def test_breakdown_charges_the_products_made_before_it(entry, k, with_grad):
+    J, F = breakdown_system(entry)
+    m, n = J.shape
+    grad = J.T @ F if with_grad else None
+    # k is the first iteration whose curvature is not finite
+    cgls_truncated(J, F, lam=1e-3, theta=1e-300, max_iter=k - 1, grad=grad)
+    counter = FlopCounter()
+    with pytest.raises(NumericalError, match="positive definiteness"):
+        cgls_truncated(J, F, lam=1e-3, theta=1e-300, max_iter=k, counter=counter, grad=grad)
+    assert counter.matvec_flops == k * 4 * m * n + (0 if with_grad else 2 * m * n)
+
+
 def test_predicted_reduction_positive(rng):
     for _ in range(10):
         J = rng.normal(size=(10, 6))
