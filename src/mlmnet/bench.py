@@ -14,7 +14,7 @@ import hashlib
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import pde
 from .activations import Activation
 from .amg import build_transfer_operators
 from .linsolve import FlopCounter, NumericalError
-from .lm import LmConfig, lm_solve
+from .lm import lm_solve
 from .mlm import MlmConfig, mlm_solve
 from .network import NetworkArch
 
@@ -76,7 +76,13 @@ PROBLEMS = {
 
 @dataclass
 class Campaign:
-    """One benchmark configuration: problem, sizes, seeds, solvers."""
+    """One benchmark configuration: problem, sizes, seeds, solvers.
+
+    `solver_config` is the one MlmConfig both solvers run: the overrides
+    on top of an epsilon of 1e-4 in 1D and 1e-3 in 2D.  Every setting is
+    checked on construction, by building the solver config and the
+    residual system, so that a bad campaign fails before any campaign runs.
+    """
 
     name: str
     problem: str
@@ -90,30 +96,31 @@ class Campaign:
     penalty: float = None
     test_points_per_axis: int = 100
     fd_resolution: int = 201
-    lm_config: LmConfig = field(init=False, repr=False)
-    mlm_config: MlmConfig = field(init=False, repr=False)
+    solver_config: MlmConfig = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}; see list_problems()")
-        if not self.seeds:
-            raise ValueError("campaign needs at least one seed")
-        unknown = set(self.solvers) - set(SOLVERS)
-        if unknown:
-            raise ValueError(f"unknown solvers {sorted(unknown)}")
-        entry = PROBLEMS[self.problem]
-        if self.nu is None:
-            self.nu = entry.default_nu
-        if self.r is None:
-            self.r = entry.default_r
-        if "mlm" in self.solvers and self.r < 2:
-            raise ValueError("the two-level solver needs at least 2 hidden nodes to coarsen")
-        unknown = set(self.overrides) - set(MlmConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config overrides {sorted(unknown)}")
-        # built here so that an out-of-range setting fails before any campaign runs
         try:
-            self.lm_config, self.mlm_config = _solver_configs(self)
+            if self.problem not in PROBLEMS:
+                raise ValueError(f"unknown problem {self.problem!r}; see mlmnet list-problems")
+            if not self.seeds:
+                raise ValueError("campaign needs at least one seed")
+            unknown = set(self.solvers) - set(SOLVERS)
+            if unknown:
+                raise ValueError(f"unknown solvers {sorted(unknown)}")
+            entry = PROBLEMS[self.problem]
+            if self.nu is None:
+                self.nu = entry.default_nu
+            if self.r is None:
+                self.r = entry.default_r
+            if "mlm" in self.solvers and self.r < 2:
+                raise ValueError("the two-level solver needs at least 2 hidden nodes to coarsen")
+            unknown = set(self.overrides) - set(MlmConfig.__dataclass_fields__)
+            if unknown:
+                raise ValueError(f"unknown config overrides {sorted(unknown)}")
+            settings = dict(self.overrides)
+            settings.setdefault("epsilon", 1e-4 if entry.dim == 1 else 1e-3)
+            self.solver_config = MlmConfig(**settings)
+            _residual_system(self)
         except ValueError as exc:
             raise ValueError(f"campaign {self.name!r}: {exc}") from exc
 
@@ -148,22 +155,19 @@ def initial_guess(seed, n_params):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, n_params)
 
 
-def _solver_configs(campaign):
-    base = {}
-    lm_fields = set(LmConfig.__dataclass_fields__)
-    if "epsilon" not in campaign.overrides:
-        base["epsilon"] = 1e-4 if PROBLEMS[campaign.problem].dim == 1 else 1e-3
-    lm_kwargs = {k: v for k, v in {**base, **campaign.overrides}.items() if k in lm_fields}
-    mlm_kwargs = {**base, **campaign.overrides}
-    return LmConfig(**lm_kwargs), MlmConfig(**mlm_kwargs)
-
-
 def build_system(campaign):
     """Residual system for a campaign (problem, grid and architecture)."""
+    return _residual_system(campaign)
+
+
+def _residual_system(campaign):
+    # The body of build_system.  Campaign validation calls it directly, so
+    # that the benchmark's traced bench.build_system spans, which it
+    # attributes to a run, are only the builds made inside run_campaign.
     entry = PROBLEMS[campaign.problem]
     problem = entry.build(campaign.nu)
     if campaign.penalty is not None:
-        problem.penalty = campaign.penalty
+        problem = replace(problem, penalty=campaign.penalty)
     arch = NetworkArch(campaign.r, problem.dim, Activation(campaign.activation))
     return pde.ResidualSystem(problem, arch)
 
@@ -186,12 +190,12 @@ def reference_for(campaign, system, cache_dir=None):
     )
 
 
-def run_seed(campaign, system, seed, lm_cfg, mlm_cfg, reference, trace_dir=None):
+def run_seed(campaign, system, seed, reference, trace_dir=None):
     """Run every requested solver from the seed's starting point."""
     p0 = initial_guess(seed, system.n)
     digest = hashlib.sha256(p0.tobytes()).hexdigest()
     reports, rmse, errors = {}, {}, {}
-    ops = None
+    cfg = campaign.solver_config
     for solver in campaign.solvers:
         x0 = p0.copy()
         assert hashlib.sha256(x0.tobytes()).hexdigest() == digest
@@ -201,14 +205,12 @@ def run_seed(campaign, system, seed, lm_cfg, mlm_cfg, reference, trace_dir=None)
             trace = open(trace_path, "w", newline="")
         try:
             if solver == "lm":
-                report = lm_solve(system, x0, lm_cfg, FlopCounter(), trace=trace, seed=seed)
+                report = lm_solve(system, x0, cfg, FlopCounter(), trace=trace)
             else:
                 ops = build_transfer_operators(
                     system.jacobian(p0), system.arch, eps_amg=campaign.eps_amg
                 )
-                report = mlm_solve(
-                    system, x0, mlm_cfg, ops, FlopCounter(), trace=trace, seed=seed
-                )
+                report = mlm_solve(system, x0, cfg, ops, FlopCounter(), trace=trace)
             reports[solver] = report
             rmse[solver] = system.rmse(
                 report.final_params, campaign.test_points_per_axis, reference
@@ -267,9 +269,7 @@ def run_campaign(campaign, trace_dir=None, cache_dir=None, workers=1):
     reference = reference_for(campaign, system, cache_dir)
 
     def job(seed):
-        return run_seed(
-            campaign, system, seed, campaign.lm_config, campaign.mlm_config, reference, trace_dir
-        )
+        return run_seed(campaign, system, seed, reference, trace_dir)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

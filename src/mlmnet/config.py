@@ -14,10 +14,10 @@ Example::
 
 Keys `problem` (required), `nu`, `r`, `activation`, `seeds`, `solvers`,
 `penalty`, `eps_amg`, `test_points_per_axis`, `fd_resolution` configure
-the campaign; any field of the solver configurations (eta1, eta2, gamma1,
+the campaign; any field of the solver configuration (eta1, eta2, gamma1,
 gamma2, gamma3, lambda0, lambda_min, epsilon, theta, max_outer_iter,
 cg_max_iter, kappa_h, epsilon_h, max_coarse_iter) may be set as an
-override and applies to both solvers where it exists.
+override of the one `MlmConfig` both solvers run.
 """
 
 import configparser

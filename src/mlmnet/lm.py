@@ -63,7 +63,6 @@ class SolveReport:
     matvec_flops: int
     converged: bool
     final_params: np.ndarray
-    seed: int = None
     coarse_steps: int = 0
     coherence_residuals: list = field(default_factory=list)
 
@@ -102,19 +101,18 @@ def update_lambda(lam, rho, cfg):
     return cfg.gamma3 * lam
 
 
-def lm_solve(system, x0, cfg=None, counter=None, trace=None, seed=None):
+def lm_solve(system, x0, cfg=None, counter=None, trace=None):
     """Minimize 0.5*||F(x)||^2 from x0; stops on the gradient norm.
 
     `trace`, when given, is a text stream receiving one CSV row per
-    iteration.  Returns a SolveReport; `seed` is carried through for
-    bookkeeping only.
+    iteration.  Returns a SolveReport.
     """
     cfg = cfg if cfg is not None else LmConfig()
     counter = counter if counter is not None else FlopCounter()
-    return minimize(system, x0, cfg, counter, trace, seed)
+    return minimize(system, x0, cfg, counter, trace)
 
 
-def minimize(system, x0, cfg, counter, trace, seed, coarse_step=None):
+def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     """The LM iteration loop of both solvers.
 
     `coarse_step(x, g, grad_norm, lam)`, when given, is offered every
@@ -211,5 +209,4 @@ def minimize(system, x0, cfg, counter, trace, seed, coarse_step=None):
         matvec_flops=counter.matvec_flops,
         converged=converged,
         final_params=x,
-        seed=seed,
     )

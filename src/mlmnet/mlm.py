@@ -9,6 +9,10 @@ iterations minimizes it, each step an exact direct solve, in the
 m-dimensional kernel space of the coarse Jacobian when that has fewer
 rows than columns.  The resulting coarse step is prolongated back and
 judged by the usual actual-over-predicted ratio on the fine loss.
+
+The transfer operators and the coarse system they define are built once
+per run; each coarse attempt builds only its model, and each coarse
+point is evaluated once.
 """
 
 from dataclasses import dataclass
@@ -29,7 +33,8 @@ class MlmConfig(LmConfig):
     fine iteration; the coarse run itself stops at the fine gradient
     tolerance or after max_coarse_iter iterations.  The transfer
     operators are the ones passed to `mlm_solve`, built once at the
-    starting point.
+    starting point.  A campaign hands one MlmConfig to both solvers;
+    `lm_solve` reads only its LmConfig fields.
     """
 
     kappa_h: float = 0.1
@@ -96,20 +101,15 @@ def effective_kappa(cfg, ops):
     return cfg.kappa_h * min(1.0, spectral)
 
 
-def build_coarse_model(system, x, ops, grad_fine=None, restricted_grad=None, counter=None):
-    """Restrict the iterate and attach the first-order coherence correction."""
-    x = np.asarray(x, dtype=float)
-    if counter is None:
-        counter = FlopCounter()
-    if grad_fine is None:
-        F = system.residual(x)
-        J = system.jacobian(x)
-        grad_fine = J.T @ F
-        counter.add_matvec(*J.shape)
-    if restricted_grad is None:
-        restricted_grad = apply_blockwise(ops, grad_fine, "restrict", counter)
+def build_coarse_model(coarse, x, ops, grad_fine, restricted_grad, counter):
+    """Anchor the coarse model at the restricted iterate.
+
+    `coarse` is the coarse system (`system.coarsen(ops)`), `grad_fine` the
+    fine gradient at `x` and `restricted_grad` its restriction; the
+    correction makes the model gradient at the restricted iterate equal
+    `restricted_grad`.  Restriction and products are charged to `counter`.
+    """
     x0 = apply_blockwise(ops, x, "restrict", counter)
-    coarse = system.coarsen(ops)
     F0 = coarse.residual(x0)
     J0 = coarse.jacobian(x0)
     g0 = J0.T @ F0
@@ -129,7 +129,7 @@ def build_coarse_model(system, x, ops, grad_fine=None, restricted_grad=None, cou
     )
 
 
-def coarse_cycle(model, lam, cfg, counter=None):
+def coarse_cycle(model, lam, cfg, counter):
     """Bounded damped Gauss-Newton run on the corrected coarse objective.
 
     Returns (step, predicted_reduction, accepted_count) where the step is
@@ -137,8 +137,6 @@ def coarse_cycle(model, lam, cfg, counter=None):
     decrease achieved by the run; a zero step or zero prediction marks a
     failed coarse attempt.
     """
-    if counter is None:
-        counter = FlopCounter()
     system, corr = model.system, model.correction
     y = model.x0.copy()
     F, J, g = model._residual0, model._jacobian0, model._grad0
@@ -147,7 +145,6 @@ def coarse_cycle(model, lam, cfg, counter=None):
     stale = False
     for _ in range(cfg.max_coarse_iter):
         if stale:
-            F = system.residual(y)
             J = system.jacobian(y)
             g = J.T @ F
             counter.add_matvec(*J.shape)
@@ -165,12 +162,13 @@ def coarse_cycle(model, lam, cfg, counter=None):
         pred = -(float(grad_model @ s) + 0.5 * float(Js @ Js))
         rho = None
         if pred > 0 and s.any():
-            F_trial = system.residual(y + s)
-            trial_value = 0.5 * float(F_trial @ F_trial) + float(corr @ (y + s - model.x0))
+            y_trial = y + s
+            F_trial = system.residual(y_trial)
+            trial_value = 0.5 * float(F_trial @ F_trial) + float(corr @ (y_trial - model.x0))
             if np.isfinite(trial_value):
                 rho = (model_value - trial_value) / pred
         if rho is not None and rho >= cfg.eta1:
-            y = y + s
+            y, F = y_trial, F_trial
             model_value = trial_value
             accepted += 1
             stale = True
@@ -178,36 +176,33 @@ def coarse_cycle(model, lam, cfg, counter=None):
     return y - model.x0, model.f0 - model_value, accepted
 
 
-def mlm_solve(system, x0, cfg=None, ops=None, counter=None, trace=None, seed=None):
+def mlm_solve(system, x0, cfg, ops, counter=None, trace=None):
     """Two-level minimization of 0.5*||F(x)||^2 from x0.
 
     `ops` are the transfer operators built once beforehand (from the
-    Gauss-Newton matrix at the starting point).  This is the LM loop of
-    `lm_solve`: the first iteration works at the fine level; afterwards a
-    coarse correction is attempted whenever the previous iteration was
-    fine and the restricted gradient passes the descent test.
+    Gauss-Newton matrix at the starting point); the coarse system they
+    define is built once per run.  This is the LM loop of `lm_solve`: the
+    first iteration works at the fine level; afterwards a coarse
+    correction is attempted whenever the previous iteration was fine and
+    the restricted gradient passes the descent test.
     """
-    if ops is None:
-        raise ValueError("mlm_solve requires transfer operators")
-    cfg = cfg if cfg is not None else MlmConfig()
     counter = counter if counter is not None else FlopCounter()
     kappa = effective_kappa(cfg, ops)
+    coarse = system.coarsen(ops)
     coherence_log = []
 
     def coarse_step(x, g, grad_norm, lam):
         restricted = go_down(g, ops, kappa, cfg.epsilon_h, counter)
         if restricted is None:
             return None
-        model = build_coarse_model(
-            system, x, ops, grad_fine=g, restricted_grad=restricted, counter=counter
-        )
+        model = build_coarse_model(coarse, x, ops, g, restricted, counter)
         coherence_log.append((model.coherence_residual, grad_norm))
         step_coarse, pred, n_accepted = coarse_cycle(model, lam, cfg, counter)
         if n_accepted > 0 and pred > 0 and step_coarse.any():
             return apply_blockwise(ops, step_coarse, "prolong", counter), pred
         return None, pred
 
-    report = minimize(system, x0, cfg, counter, trace, seed, coarse_step)
+    report = minimize(system, x0, cfg, counter, trace, coarse_step)
     report.coarse_steps = len(coherence_log)
     report.coherence_residuals = coherence_log
     return report

@@ -31,6 +31,7 @@ class PdeProblem:
     take the interior points and the values of u there, and return a
     scalar or one value per point.  `velocity` is the wave speed of the
     Helmholtz problems, which the finite-difference reference reads.
+    The boundary `penalty` defaults to 0.1 * t, t the training-set size.
     """
 
     name: str
@@ -38,7 +39,7 @@ class PdeProblem:
     nu: float
     rhs_interior: Callable[[np.ndarray], np.ndarray]   # g1, rows -> values
     rhs_boundary: Callable[[np.ndarray], np.ndarray]   # g2
-    penalty: float
+    penalty: Optional[float] = None
     lap_sign: int = -1
     reaction: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     reaction_du: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -52,8 +53,10 @@ class PdeProblem:
             raise ValueError(f"lap_sign must be +1 or -1, got {self.lap_sign!r}")
         if (self.reaction is None) != (self.reaction_du is None):
             raise ValueError("reaction and reaction_du must be given together")
-        if self.penalty <= 0:
-            raise ValueError("boundary penalty must be positive")
+        if self.penalty is None:
+            self.penalty = 0.1 * training_set_size(self.nu, self.dim)
+        if not self.penalty > 0:
+            raise ValueError(f"boundary penalty must be positive, got {self.penalty!r}")
 
 
 @dataclass
@@ -66,11 +69,6 @@ class TrainingSet:
     @property
     def total(self):
         return self.interior.shape[0] + self.boundary.shape[0]
-
-
-def default_penalty(nu, dim):
-    """Boundary penalty weight used when none is given: 0.1 * t."""
-    return 0.1 * training_set_size(nu, dim)
 
 
 def training_set_size(nu, dim):
@@ -242,7 +240,7 @@ class ResidualSystem:
 # -- problem catalogue (manufactured solutions on (0,1)^dim) -------------------
 
 
-def poisson_1d(nu=20, penalty=None):
+def poisson_1d(nu=20):
     """-u'' = g1 with true solution cos(nu*z)."""
     nu = float(nu)
 
@@ -255,12 +253,11 @@ def poisson_1d(nu=20, penalty=None):
         nu=nu,
         rhs_interior=lambda z: nu**2 * np.cos(nu * z[:, 0]),
         rhs_boundary=u,
-        penalty=default_penalty(nu, 1) if penalty is None else penalty,
         true_solution=u,
     )
 
 
-def poisson_2d(nu=5, penalty=None):
+def poisson_2d(nu=5):
     """-Lap(u) = g1 with true solution cos(nu*(z1+z2))."""
     nu = float(nu)
 
@@ -273,12 +270,11 @@ def poisson_2d(nu=5, penalty=None):
         nu=nu,
         rhs_interior=lambda z: 2.0 * nu**2 * np.cos(nu * (z[:, 0] + z[:, 1])),
         rhs_boundary=u,
-        penalty=default_penalty(nu, 2) if penalty is None else penalty,
         true_solution=u,
     )
 
 
-def helmholtz_1d(nu=5, penalty=None):
+def helmholtz_1d(nu=5):
     """-u'' - nu^2 u = 0 with true solution sin(nu*z) + cos(nu*z)."""
     nu = float(nu)
 
@@ -291,7 +287,6 @@ def helmholtz_1d(nu=5, penalty=None):
         nu=nu,
         rhs_interior=lambda z: np.zeros(z.shape[0]),
         rhs_boundary=u,
-        penalty=default_penalty(nu, 1) if penalty is None else penalty,
         reaction=lambda z, u: -nu**2 * u,
         reaction_du=lambda z, u: -nu**2,
         true_solution=u,
@@ -333,7 +328,7 @@ VELOCITY_FIELDS = {
 }
 
 
-def helmholtz_2d(nu=1, velocity="constant", penalty=None):
+def helmholtz_2d(nu=1, velocity="constant"):
     """-Lap(u) - (2*pi*nu/c)^2 u = box source, homogeneous Dirichlet walls.
 
     No closed-form solution; the error metric needs a finite-difference
@@ -354,14 +349,13 @@ def helmholtz_2d(nu=1, velocity="constant", penalty=None):
         nu=nu,
         rhs_interior=box_source,
         rhs_boundary=lambda z: np.zeros(z.shape[0]),
-        penalty=default_penalty(nu, 2) if penalty is None else penalty,
         reaction=lambda z, u: -wavenumber_sq(z) * u,
         reaction_du=lambda z, u: -wavenumber_sq(z),
         velocity=c,
     )
 
 
-def sine_nonlinear_1d(nu=20, penalty=None):
+def sine_nonlinear_1d(nu=20):
     """u'' + sin(u) = g1 with true solution 0.1*cos(nu*z)."""
     nu = float(nu)
 
@@ -374,7 +368,6 @@ def sine_nonlinear_1d(nu=20, penalty=None):
         nu=nu,
         rhs_interior=lambda z: -0.1 * nu**2 * np.cos(nu * z[:, 0]) + np.sin(u(z)),
         rhs_boundary=u,
-        penalty=default_penalty(nu, 1) if penalty is None else penalty,
         lap_sign=1,
         reaction=lambda z, u: np.sin(u),
         reaction_du=lambda z, u: np.cos(u),
@@ -382,7 +375,7 @@ def sine_nonlinear_1d(nu=20, penalty=None):
     )
 
 
-def exp_nonlinear_2d(nu=1, penalty=None):
+def exp_nonlinear_2d(nu=1):
     """Lap(u) + e^u = g1 with true solution log(nu/(z1+z2+10))."""
     nu = float(nu)
 
@@ -399,7 +392,6 @@ def exp_nonlinear_2d(nu=1, penalty=None):
         nu=nu,
         rhs_interior=g1,
         rhs_boundary=u,
-        penalty=default_penalty(nu, 2) if penalty is None else penalty,
         lap_sign=1,
         reaction=lambda z, u: np.exp(u),
         reaction_du=lambda z, u: np.exp(u),

@@ -227,24 +227,30 @@ def test_parse_rejects_unknown_key(tmp_path):
         config.parse_campaign_file(path)
 
 
-@pytest.mark.parametrize("setting", ["cg_max_iter = 0", "epsilon = -1"])
+@pytest.mark.parametrize("setting", [
+    "cg_max_iter = 0", "epsilon = -1", "penalty = 0", "penalty = -1", "nu = 2.3",
+    "activation = relu",
+])
 def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, capsys, setting):
+    # the bad campaign takes the registry's nu unless its setting gives one
     path = tmp_path / "c.cfg"
     path.write_text(
         "[campaign:good]\nproblem = poisson1d\nnu = 2\nr = 4\nsolvers = lm\n"
-        f"[campaign:bad]\nproblem = poisson1d\nnu = 2\nr = 4\nsolvers = lm\n{setting}\n"
+        f"[campaign:bad]\nproblem = poisson1d\nr = 4\nsolvers = lm\n{setting}\n"
     )
     ran = []
     monkeypatch.setattr(bench, "run_campaign", lambda campaign, **kw: ran.append(campaign))
     out = tmp_path / "report.csv"
     assert cli.main(["run", str(path), "--out", str(out)]) == 2
-    assert "campaign 'bad'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "campaign 'bad'" in err and err.count("\n") == 1
     assert ran == [] and not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
     ("[campaign:x]\nproblem = poisson1d\nwarp = 9\n", "unknown key 'warp'"),
-    ("[campaign:x]\nproblem = nope\n", "unknown problem 'nope'"),
+    ("[campaign:x]\nproblem = nope\n",
+     "campaign 'x': unknown problem 'nope'; see mlmnet list-problems"),
     ("[campaign:x]\nproblem = poisson1d\ncg_max_iter = 0\n", "campaign 'x'"),
     ("problem = poisson1d\n", "no section headers"),
     (None, "No such file or directory"),
@@ -275,12 +281,13 @@ def test_cli_solver_override_is_validated(tmp_path, monkeypatch, capsys):
     path.write_text("[campaign:x]\nproblem = poisson1d\nnu = 2\nr = 1\nsolvers = lm\nepsilon = 1e-3\n")
     out = tmp_path / "report.csv"
     assert cli.main(["run", str(path), "--out", str(out), "--solver", "mlm"]) == 2
-    assert "at least 2 hidden nodes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "campaign 'x': the two-level solver needs at least 2 hidden nodes" in err
     assert ran == [] and not out.exists()
     # a valid override gives a rebuilt campaign, its solver settings included
     assert cli.main(["run", str(path), "--out", str(out), "--seed", "4", "--seed", "5"]) == 0
     (campaign,) = ran
-    assert campaign.seeds == (4, 5) and campaign.lm_config.epsilon == 1e-3
+    assert campaign.seeds == (4, 5) and campaign.solver_config.epsilon == 1e-3
 
 
 # -- CLI ----------------------------------------------------------------------------

@@ -39,6 +39,14 @@ def network_system(nu=3, r=8):
     return ResidualSystem(poisson_1d(nu=nu), NetworkArch(r, 1, Activation("sigmoid")))
 
 
+def coarse_model_at(system, x, ops):
+    """The coarse model `mlm_solve` builds at x, from the fine gradient, its
+    restriction and the coarse system."""
+    grad = system.jacobian(x).T @ system.residual(x)
+    restricted = apply_blockwise(ops, grad, "restrict")
+    return build_coarse_model(system.coarsen(ops), x, ops, grad, restricted, FlopCounter())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MlmConfig(kappa_h=1.5)
@@ -85,7 +93,7 @@ def test_coherence_enforced_by_construction(rng):
     system = network_system(r=10)
     x = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x), system.arch)
-    model = build_coarse_model(system, x, ops)
+    model = coarse_model_at(system, x, ops)
     F = system.residual(x)
     grad = system.jacobian(x).T @ F
     restricted = apply_blockwise(ops, grad, "restrict")
@@ -99,7 +107,7 @@ def test_identity_operators_give_zero_correction(rng):
     system = network_system(r=6)
     x = rng.uniform(-1, 1, system.n)
     ops = identity_ops(6)
-    model = build_coarse_model(system, x, ops)
+    model = coarse_model_at(system, x, ops)
     assert np.allclose(model.correction, 0.0, atol=1e-14)
     assert np.allclose(model.x0, x)
     # the coarse objective is the fine loss itself
@@ -113,7 +121,7 @@ def test_first_order_coherence_along_prolongated_directions(rng):
     system = network_system(r=10)
     x = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x), system.arch)
-    model = build_coarse_model(system, x, ops)
+    model = coarse_model_at(system, x, ops)
     F = system.residual(x)
     grad = system.jacobian(x).T @ F
     grad_model0 = apply_blockwise(ops, grad, "restrict")  # == grad of the model at x0
@@ -141,8 +149,8 @@ def test_critical_start_returns_zero_step(rng):
     x_star = np.linalg.lstsq(A, rng.normal(size=12), rcond=None)[0]
     system = LinearLeastSquares(A, A @ x_star)
     ops = identity_ops(3)  # layout 3*3+1 = 10
-    model = build_coarse_model(system, x_star, ops)
-    step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-8))
+    model = coarse_model_at(system, x_star, ops)
+    step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-8), FlopCounter())
     assert not step.any()
     assert pred == 0.0
     assert accepted == 0
@@ -186,8 +194,8 @@ def test_coarse_cycle_matches_reference_loop(rng):
     x0 = rng.normal(size=10)
     ops = identity_ops(3)
     cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=10)
-    model = build_coarse_model(system, x0, ops)
-    step, pred, accepted = coarse_cycle(model, cfg.lambda0, cfg)
+    model = coarse_model_at(system, x0, ops)
+    step, pred, accepted = coarse_cycle(model, cfg.lambda0, cfg, FlopCounter())
     ref_step, ref_pred, n_acc = replay_coarse_cycle(model, cfg.lambda0, cfg, direct_solve)
     assert accepted == n_acc
     assert np.allclose(step, ref_step, rtol=0, atol=1e-14)
@@ -200,10 +208,10 @@ def test_coarse_cycle_kernel_solve_matches_dense_reference(rng):
     system = network_system(nu=3, r=12)
     x = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x), system.arch)
-    model = build_coarse_model(system, x, ops)
+    model = coarse_model_at(system, x, ops)
     assert len(model._residual0) < model.x0.size
     cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=10)
-    step, pred, accepted = coarse_cycle(model, 0.05, cfg)
+    step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter())
 
     def dense_solve(J, lam, rhs):
         return scipy.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), rhs, assume_a="pos")
@@ -215,12 +223,31 @@ def test_coarse_cycle_kernel_solve_matches_dense_reference(rng):
     assert pred == pytest.approx(ref_pred, rel=1e-10)
 
 
+def test_coarse_cycle_evaluates_each_coarse_point_once(rng, monkeypatch):
+    system = network_system(nu=3, r=12)
+    x = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x), system.arch)
+    points = []  # the arguments of every coarse residual evaluation
+    real_residual = ResidualSystem.residual
+
+    def recording_residual(self, p):
+        if self is not system:
+            points.append(np.asarray(p).tobytes())
+        return real_residual(self, p)
+
+    monkeypatch.setattr(ResidualSystem, "residual", recording_residual)
+    model = coarse_model_at(system, x, ops)
+    _, _, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-10), FlopCounter())
+    assert accepted > 0 and len(points) > accepted
+    assert len(points) == len(set(points))
+
+
 def test_pred_positive_when_step_accepted(rng):
     system = network_system(r=10)
     x = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x), system.arch)
-    model = build_coarse_model(system, x, ops)
-    step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-6))
+    model = coarse_model_at(system, x, ops)
+    step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-6), FlopCounter())
     if accepted > 0:
         assert step.any()
         assert pred > 0
@@ -241,10 +268,21 @@ def test_identity_ops_converge_on_linear_surrogate(rng):
     assert report.coarse_steps > 0
 
 
-def test_requires_operators(rng):
-    system = LinearLeastSquares(rng.normal(size=(5, 4)), rng.normal(size=5))
-    with pytest.raises(ValueError):
-        mlm_solve(system, np.zeros(4), MlmConfig())
+def test_coarse_system_is_built_once_per_run(rng, monkeypatch):
+    system = network_system(nu=3, r=12)
+    x0 = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x0), system.arch)
+    built = []
+    real_coarsen = ResidualSystem.coarsen
+
+    def counting_coarsen(self, ops):
+        built.append(ops)
+        return real_coarsen(self, ops)
+
+    monkeypatch.setattr(ResidualSystem, "coarsen", counting_coarsen)
+    report = mlm_solve(system, x0, MlmConfig(epsilon=1e-5, max_outer_iter=200), ops)
+    assert report.coarse_steps > 1
+    assert len(built) == 1 and built[0] is ops
 
 
 def test_fine_branch_when_go_down_impossible(rng):

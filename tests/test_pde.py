@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,8 +146,8 @@ def test_loss_identity_against_direct_formula(rng):
 
 
 def test_boundary_entries_scale_with_sqrt_penalty(rng):
-    base = poisson_1d(nu=3, penalty=2.0)
-    doubled = poisson_1d(nu=3, penalty=4.0)
+    base = replace(poisson_1d(nu=3), penalty=2.0)
+    doubled = replace(poisson_1d(nu=3), penalty=4.0)
     arch = NetworkArch(4, 1, Activation("tanh"))
     s1, s2 = ResidualSystem(base, arch), ResidualSystem(doubled, arch)
     x = rng.uniform(-1, 1, s1.n)
@@ -367,8 +369,9 @@ def test_invalid_operator_dim_combinations_rejected():
     ):
         with pytest.raises(ValueError):
             PdeProblem(**{**base, **bad})
-    with pytest.raises(ValueError):
-        poisson_1d(nu=3, penalty=-1.0)
+    for penalty in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="boundary penalty"):
+            replace(poisson_1d(nu=3), penalty=penalty)
 
 
 def test_dimension_mismatch_rejected(rng):
