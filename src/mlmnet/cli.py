@@ -10,9 +10,10 @@ Exit status is 0 when every solver run completed (converged or stopped at
 its configured iteration cap) and 1 when any run failed outright.  A
 campaign file that cannot be read, or whose campaigns (with the --seed and
 --solver overrides applied) fail validation, stops `run` with status 2 and
-one line on standard error, before any campaign runs.  On
-standard error, `run` names every failed run with its error, and every
-run that stopped at its iteration cap without converging.
+one line on standard error, before any campaign runs; `fd-ref` and
+`split-inspect` treat settings that define no problem or grid the same
+way.  On standard error, `run` names every failed run with its error,
+and every run that stopped at its iteration cap without converging.
 """
 
 import argparse
@@ -28,6 +29,13 @@ from .amg import build_coupling_matrix, build_interpolation, dump_coarsening, ru
 from .bench import PROBLEMS
 
 
+def _input_error(where, exc):
+    """Print `exc` as one line on standard error; return the bad-input status 2."""
+    message = " ".join(str(exc).split())
+    print(f"mlmnet {where}: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args):
     replaced = {}
     if args.seed:
@@ -41,9 +49,7 @@ def _cmd_run(args):
             for campaign in config.parse_campaign_file(args.config)
         ]
     except (OSError, ValueError, configparser.Error) as exc:
-        message = " ".join(str(exc).split())
-        print(f"mlmnet run: {args.config}: {message}", file=sys.stderr)
-        return 2
+        return _input_error(f"run: {args.config}", exc)
     trace_dir = None
     if args.trace is not None:
         trace_dir = Path(args.trace)
@@ -95,21 +101,27 @@ def _cmd_fd_ref(args):
               file=sys.stderr)
         return 1
     nu = args.nu if args.nu is not None else entry.default_nu
-    problem = entry.build(nu)
-    grid = fdref.cached_reference(
-        args.cache, nu, problem.velocity, entry.velocity_name,
-        problem.rhs_interior, args.resolution,
-    )
+    try:
+        problem = entry.build(nu)
+        grid = fdref.cached_reference(
+            args.cache, nu, problem.velocity, entry.velocity_name,
+            problem.rhs_interior, args.resolution,
+        )
+    except ValueError as exc:
+        return _input_error("fd-ref", exc)
     path = fdref.cache_path(args.cache, nu, entry.velocity_name, args.resolution)
     print(f"reference field {grid.points_per_axis}x{grid.points_per_axis} cached at {path}")
     return 0
 
 
 def _cmd_split_inspect(args):
-    campaign = bench.Campaign(
-        name="inspect", problem=args.problem,
-        nu=args.nu, r=args.r, activation=args.activation, seeds=(args.seed,),
-    )
+    try:
+        campaign = bench.Campaign(
+            name="inspect", problem=args.problem,
+            nu=args.nu, r=args.r, activation=args.activation, seeds=(args.seed,),
+        )
+    except ValueError as exc:
+        return _input_error("split-inspect", exc)
     system = bench.build_system(campaign)
     p0 = bench.initial_guess(args.seed, system.n)
     A = build_coupling_matrix(system.jacobian(p0), system.arch)

@@ -3,7 +3,9 @@
 The fine-level systems (J^T J + lam I) s = -(J^T F + corr) are solved by a
 truncated conjugate-gradient iteration on these shifted normal equations,
 which applies the operator through two products with J per step and stops
-once the model gradient is small against the squared step norm.
+once the model gradient is small against the squared step norm, or at
+min(n, m + 1) iterations: in exact arithmetic CG ends within rank(J) <= m
+steps there, so every further step is driven by rounding alone.
 Coarse-level systems are solved exactly by a Cholesky factorization of the
 smaller Gram matrix of J: the m-by-m J J^T + lam I (kernel form) when J
 has fewer rows than columns.
@@ -80,6 +82,13 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
     (the stopping bound is re-verified against a freshly recomputed
     residual before the result is flagged satisfied).  `grad` may carry a
     precomputed J^T F whose cost was already charged by the caller.
+
+    `max_iter` defaults to min(n, m + 1), the exact-arithmetic bound: the
+    right-hand side -J^T F lies in range(J^T), of dimension rank(J) <= m,
+    which the Krylov space exhausts within rank(J) steps; the `+ 1` covers
+    a `corr` with a component outside it.  A solve stopped at the cap
+    returns its iterate, flagged satisfied only if the re-verified residual
+    meets the bound.
     """
     if lam <= 0:
         raise ValueError("regularization weight lam must be positive")
@@ -97,7 +106,7 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
     if not np.all(np.isfinite(rhs)):
         raise NumericalError("non-finite right-hand side in the inner linear system")
     if max_iter is None:
-        max_iter = n
+        max_iter = min(n, m + 1)
 
     JT = J.T
 

@@ -34,7 +34,7 @@ class LmConfig:
     epsilon: float = 1e-4
     theta: float = 0.1
     max_outer_iter: int = 2000
-    cg_max_iter: int = None  # default: system dimension
+    cg_max_iter: int = None  # default: min(n, m + 1), CG's exact-arithmetic bound
 
     def __post_init__(self):
         if not (0 < self.eta1 <= self.eta2 < 1):
@@ -130,7 +130,6 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     if not np.isfinite(f):
         raise ValueError("loss is not finite at the starting point")
     m, n = len(F), len(x)
-    cg_cap = cfg.cg_max_iter if cfg.cg_max_iter is not None else n
 
     lam = cfg.lambda0
     history = [f]
@@ -161,7 +160,7 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
         else:
             try:
                 inner = cgls_truncated(
-                    J, F, lam, theta=cfg.theta, max_iter=cg_cap, counter=counter, grad=g
+                    J, F, lam, theta=cfg.theta, max_iter=cfg.cg_max_iter, counter=counter, grad=g
                 )
             except NumericalError:
                 inner_failures += 1

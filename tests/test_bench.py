@@ -371,6 +371,22 @@ def test_cli_split_inspect(tmp_path, capsys):
     assert "coupling matrix" in out.read_text()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["split-inspect", "--r", "1"], "at least 2 hidden nodes"),
+    (["split-inspect", "--nu", "2.3"], "2*nu must be an integer"),
+    (["fd-ref", "--resolution", "2"], "at least 3 points per axis"),
+], ids=["split-r", "split-nu", "fd-resolution"])
+def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
+    target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
+        "--cache", str(tmp_path)]
+    assert cli.main(argv + target) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"mlmnet {argv[0]}: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_fd_ref_cache(tmp_path, capsys):
     code = cli.main([
         "fd-ref", "--problem", "helmholtz2d-const", "--nu", "1",

@@ -175,6 +175,20 @@ def test_predicted_reduction_positive(rng):
             assert pred == pytest.approx(explicit, rel=1e-8, abs=1e-12)
 
 
+def graded_wide_system(rng):
+    """Graded columns: at theta = 1e-12 and max_iter = n, CG runs past m + 1 = 42 iterations."""
+    return rng.normal(size=(41, 300)) * np.logspace(0, -6, 300), rng.normal(size=41)
+
+
+def same_result(a, b):
+    return (
+        np.array_equal(a.step, b.step)
+        and np.array_equal(a.linear_residual, b.linear_residual)
+        and (a.iterations, a.satisfied, a.model_gradient_norm)
+        == (b.iterations, b.satisfied, b.model_gradient_norm)
+    )
+
+
 def reference_cgls(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None, grad=None):
     """The conjugate-gradient loop before its per-iteration calls were trimmed: the reference."""
     m, n = J.shape
@@ -182,7 +196,7 @@ def reference_cgls(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
         grad = J.T @ F
         counter.add_matvec(m, n)
     rhs = -grad if corr is None else -(grad + corr)
-    max_iter = n if max_iter is None else max_iter
+    max_iter = min(n, m + 1) if max_iter is None else max_iter
 
     def apply_operator(x):
         y = J.T @ (J @ x) + lam * x
@@ -224,8 +238,7 @@ def cgls_mismatches():
     x = rng.uniform(-1, 1, system.n)
     systems = [
         ("network", system.jacobian(x), system.residual(x)),
-        # graded columns: at theta = 1e-12 the iteration runs past m + 1 = 42 steps
-        ("wide", rng.normal(size=(41, 300)) * np.logspace(0, -6, 300), rng.normal(size=41)),
+        ("wide", *graded_wide_system(rng)),
         ("tall", rng.normal(size=(30, 12)), rng.normal(size=30)),
     ]
     mismatches = []
@@ -234,25 +247,50 @@ def cgls_mismatches():
         for lam in (1e-6, 0.1):
             for theta in (0.1, 1e-12):
                 for corr in (None, rng.normal(size=n) * 1e-3):
-                    for max_iter, with_grad in ((None, False), (5, True)):
+                    # max_iter = n keeps the loop beyond the default cap under comparison
+                    for max_iter, with_grad in ((None, False), (n, False), (5, True)):
                         grad = J.T @ F if with_grad else None
                         counters = FlopCounter(), FlopCounter()
                         got = cgls_truncated(J, F, lam, corr, theta, max_iter, counters[0], grad)
                         ref = reference_cgls(J, F, lam, corr, theta, max_iter, counters[1], grad)
-                        same = (
-                            np.array_equal(got.step, ref.step)
-                            and np.array_equal(got.linear_residual, ref.linear_residual)
-                            and (got.iterations, got.satisfied, got.model_gradient_norm)
-                            == (ref.iterations, ref.satisfied, ref.model_gradient_norm)
-                            and counters[0].matvec_flops == counters[1].matvec_flops
-                        )
-                        if not same:
+                        same_flops = counters[0].matvec_flops == counters[1].matvec_flops
+                        if not (same_result(got, ref) and same_flops):
                             mismatches.append((name, lam, theta, corr is None, max_iter))
     return mismatches
 
 
 def test_cgls_is_bit_identical_to_the_reference_loop():
     assert call_on_one_blas_thread("test_linsolve", "cgls_mismatches") == "[]"
+
+
+@pytest.mark.parametrize("lam", [1e-6, 0.1])
+def test_default_cap_stops_a_wide_solve_at_m_plus_one(rng, lam):
+    J, F = graded_wide_system(rng)
+    m, n = J.shape
+    uncapped = cgls_truncated(J, F, lam, theta=1e-12, max_iter=n)
+    assert uncapped.iterations > m + 1
+    counter = FlopCounter()
+    res = cgls_truncated(J, F, lam, theta=1e-12, counter=counter)
+    assert res.iterations == m + 1
+    assert not res.satisfied
+    # gradient (2mn) + per-iteration operator (4mn) + one verification (4mn)
+    assert counter.matvec_flops == 2 * m * n + (m + 1) * 4 * m * n + 4 * m * n
+    assert same_result(res, cgls_truncated(J, F, lam, theta=1e-12, max_iter=m + 1))
+
+
+def test_default_cap_of_a_tall_solve_is_n(rng):
+    J, F = rng.normal(size=(30, 12)), rng.normal(size=30)
+    # a bound no iterate meets: the solve runs to its cap
+    res = cgls_truncated(J, F, 0.1, theta=1e-300)
+    assert res.iterations == 12
+    assert same_result(res, cgls_truncated(J, F, 0.1, theta=1e-300, max_iter=12))
+
+
+def test_default_cap_leaves_an_early_stop_unchanged(rng):
+    J, F = rng.normal(size=(20, 60)), rng.normal(size=20)
+    res = cgls_truncated(J, F, 1.0, theta=0.1)
+    assert res.satisfied and res.iterations < 21
+    assert same_result(res, cgls_truncated(J, F, 1.0, theta=0.1, max_iter=60))
 
 
 def test_direct_solve_identity():

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from mlmnet import lm
 from mlmnet.activations import Activation
 from mlmnet.linsolve import FlopCounter
 from mlmnet.lm import LmConfig, lm_solve
@@ -39,6 +40,37 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LmConfig(cg_max_iter=0)  # no CG iteration would ever produce a step
     assert LmConfig(cg_max_iter=1).cg_max_iter == 1
+
+
+def fine_solve_sizes(monkeypatch, system, x0, cfg):
+    """(CG iterations, rows of J) of every fine solve of one lm run."""
+    sizes = []
+    solve = lm.cgls_truncated
+
+    def spy(J, *args, **kwargs):
+        result = solve(J, *args, **kwargs)
+        sizes.append((result.iterations, J.shape[0]))
+        return result
+
+    monkeypatch.setattr(lm, "cgls_truncated", spy)
+    lm_solve(system, x0, cfg)
+    return sizes
+
+
+def test_fine_solves_stop_at_the_exact_arithmetic_bound(monkeypatch, rng):
+    system = ResidualSystem(poisson_1d(nu=5), NetworkArch(16, 1, Activation("sigmoid")))
+    x0 = rng.uniform(-1, 1, system.n)
+    sizes = fine_solve_sizes(monkeypatch, system, x0, LmConfig(max_outer_iter=300))
+    assert sizes and all(iterations <= m + 1 for iterations, m in sizes)
+
+
+def test_cg_max_iter_overrides_the_bound(monkeypatch, rng):
+    system = ResidualSystem(poisson_1d(nu=5), NetworkArch(16, 1, Activation("sigmoid")))
+    x0 = rng.uniform(-1, 1, system.n)
+    cfg = LmConfig(max_outer_iter=300, cg_max_iter=system.n)
+    sizes = fine_solve_sizes(monkeypatch, system, x0, cfg)
+    assert any(iterations > m + 1 for iterations, m in sizes)
+    assert all(iterations <= system.n for iterations, _ in sizes)
 
 
 def test_already_critical_start(rng):
