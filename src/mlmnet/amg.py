@@ -108,6 +108,17 @@ def _strong_positive(A, eps_amg):
     return strong
 
 
+def check_eps_amg(eps_amg):
+    """Raise ValueError unless the strength threshold eps_amg lies in (0, 1].
+
+    Above 1 (or NaN) no coupling is strong, so every node stays coarse and
+    the coarse level is the fine level; at 0 or below even zero couplings
+    count as strong.
+    """
+    if not 0.0 < eps_amg <= 1.0:
+        raise ValueError(f"eps_amg must lie in (0, 1], got {eps_amg!r}")
+
+
 def ruge_stuben_split(A, eps_amg=0.9):
     """Classical two-pass coarse/fine splitting of the coupling matrix.
 

@@ -13,14 +13,13 @@ which it sums.
 import hashlib
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import pde
 from .activations import Activation
-from .amg import build_transfer_operators
+from .amg import build_transfer_operators, check_eps_amg
 from .linsolve import FlopCounter, NumericalError
 from .lm import lm_solve
 from .mlm import MlmConfig, mlm_solve
@@ -80,8 +79,9 @@ class Campaign:
 
     `solver_config` is the one MlmConfig both solvers run: the overrides
     on top of an epsilon of 1e-4 in 1D and 1e-3 in 2D.  Every setting is
-    checked on construction, by building the solver config and the
-    residual system, so that a bad campaign fails before any campaign runs.
+    checked on construction, by building the solver config, the residual
+    system and its test grid, so that a bad campaign fails before any
+    campaign runs.
     """
 
     name: str
@@ -120,7 +120,20 @@ class Campaign:
             settings = dict(self.overrides)
             settings.setdefault("epsilon", 1e-4 if entry.dim == 1 else 1e-3)
             self.solver_config = MlmConfig(**settings)
-            _residual_system(self)
+            check_eps_amg(self.eps_amg)
+            if entry.velocity_name is not None and self.fd_resolution < 3:
+                raise ValueError(
+                    f"fd_resolution must be at least 3 points per axis, got {self.fd_resolution}"
+                )
+            if self.test_points_per_axis < 1:
+                raise ValueError(
+                    f"test_points_per_axis must be at least 1, got {self.test_points_per_axis}"
+                )
+            if not len(_residual_system(self).test_grid(self.test_points_per_axis)):
+                raise ValueError(
+                    f"the test grid of test_points_per_axis = {self.test_points_per_axis} "
+                    "lies entirely on training points"
+                )
         except ValueError as exc:
             raise ValueError(f"campaign {self.name!r}: {exc}") from exc
 
@@ -211,10 +224,10 @@ def run_seed(campaign, system, seed, reference, trace_dir=None):
                     system.jacobian(p0), system.arch, eps_amg=campaign.eps_amg
                 )
                 report = mlm_solve(system, x0, cfg, ops, FlopCounter(), trace=trace)
-            reports[solver] = report
             rmse[solver] = system.rmse(
                 report.final_params, campaign.test_points_per_axis, reference
             )
+            reports[solver] = report  # only with its RMSE: aggregate reads both
         except (NumericalError, ValueError) as exc:
             # a declared solver failure (a numerical breakdown, a non-finite
             # start, a failed operator build) is recorded and excluded from
@@ -262,20 +275,15 @@ def aggregate(campaign, seed_results):
 def run_campaign(campaign, trace_dir=None, cache_dir=None, workers=1):
     """Execute a campaign and return its comparison rows (plus seed detail).
 
-    Seeds may run on a thread pool; results are aggregated in seed order,
-    so the report does not depend on scheduling.
+    Seeds run in sequence.  `workers` remains only because the benchmark
+    harness (perfbench/run.py) passes `workers=1`; any other value raises
+    ValueError.
     """
+    if workers != 1:
+        raise ValueError(f"campaign seeds run in sequence; workers must be 1, got {workers!r}")
     system = build_system(campaign)
     reference = reference_for(campaign, system, cache_dir)
-
-    def job(seed):
-        return run_seed(campaign, system, seed, reference, trace_dir)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            seed_results = list(pool.map(job, campaign.seeds))
-    else:
-        seed_results = [job(seed) for seed in campaign.seeds]
+    seed_results = [run_seed(campaign, system, s, reference, trace_dir) for s in campaign.seeds]
     return aggregate(campaign, seed_results), seed_results
 
 

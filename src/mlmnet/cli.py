@@ -12,8 +12,9 @@ campaign file that cannot be read, or whose campaigns (with the --seed and
 --solver overrides applied) fail validation, stops `run` with status 2 and
 one line on standard error, before any campaign runs; `fd-ref` and
 `split-inspect` treat settings that define no problem or grid the same
-way.  On standard error, `run` names every failed run with its error,
-and every run that stopped at its iteration cap without converging.
+way, and `split-inspect` names the flag at fault.  On standard error,
+`run` names every failed run with its error, and every run that stopped
+at its iteration cap without converging.
 """
 
 import argparse
@@ -25,8 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, config, fdref, pde
-from .amg import build_coupling_matrix, build_interpolation, dump_coarsening, ruge_stuben_split
+from .activations import Activation
+from .amg import (
+    build_coupling_matrix, build_interpolation, check_eps_amg, dump_coarsening, ruge_stuben_split,
+)
 from .bench import PROBLEMS
+from .network import NetworkArch
 
 
 def _input_error(where, exc):
@@ -57,9 +62,7 @@ def _cmd_run(args):
     all_rows = []
     failed = 0
     for campaign in campaigns:
-        rows, seed_results = bench.run_campaign(
-            campaign, trace_dir=trace_dir, cache_dir=args.cache, workers=args.workers
-        )
+        rows, seed_results = bench.run_campaign(campaign, trace_dir=trace_dir, cache_dir=args.cache)
         failed += sum(len(r.errors) for r in seed_results)
         all_rows.extend((campaign.name, row) for row in rows)
         for res in seed_results:
@@ -115,14 +118,23 @@ def _cmd_fd_ref(args):
 
 
 def _cmd_split_inspect(args):
+    entry = PROBLEMS[args.problem]
+    nu = entry.default_nu if args.nu is None else args.nu
+    r = entry.default_r if args.r is None else args.r
+    flag = f"--nu {nu:g}"
     try:
-        campaign = bench.Campaign(
-            name="inspect", problem=args.problem,
-            nu=args.nu, r=args.r, activation=args.activation, seeds=(args.seed,),
-        )
+        problem = entry.build(nu)
+        training = pde.build_training_set(problem)
+        flag = f"--r {r}"
+        if r < 2:
+            raise ValueError("coarsening needs at least 2 hidden nodes")
+        flag = f"--activation {args.activation}"
+        arch = NetworkArch(r, problem.dim, Activation(args.activation))
+        flag = f"--eps-amg {args.eps_amg:g}"
+        check_eps_amg(args.eps_amg)
     except ValueError as exc:
-        return _input_error("split-inspect", exc)
-    system = bench.build_system(campaign)
+        return _input_error("split-inspect", f"{flag}: {exc}")
+    system = pde.ResidualSystem(problem, arch, training)
     p0 = bench.initial_guess(args.seed, system.n)
     A = build_coupling_matrix(system.jacobian(p0), system.arch)
     split = ruge_stuben_split(A, eps_amg=args.eps_amg)
@@ -152,7 +164,6 @@ def build_parser():
     run.add_argument("--trace", help="directory for per-iteration trace CSV files")
     run.add_argument("--cache", default=".mlmnet-cache",
                      help="cache directory for FD reference fields")
-    run.add_argument("--workers", type=int, default=1, help="parallel seed workers")
     run.set_defaults(func=_cmd_run)
 
     lp = sub.add_parser("list-problems", help="list registered benchmark problems")

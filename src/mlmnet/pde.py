@@ -135,7 +135,7 @@ class ResidualSystem:
         arch = NetworkArch(ops.r_coarse, self.arch.dim, self.arch.activation)
         return ResidualSystem(self.problem, arch, self.training)
 
-    # -- residual / Jacobian / loss -------------------------------------------
+    # -- residual / Jacobian ---------------------------------------------------
     #
     # Each evaluates the pre-activations and the activation base of a point
     # set once, and only the derivative orders its operator uses: the
@@ -186,10 +186,6 @@ class ResidualSystem:
         network.fill_value_param_jacobian(params, zb, s0, s1, j_bnd)
         j_bnd *= self._bnd_scale
         return jac
-
-    def loss(self, p):
-        r = self.residual(p)
-        return 0.5 * float(r @ r)
 
     # -- error metric ----------------------------------------------------------
 

@@ -164,7 +164,7 @@ def test_criterion_6_table2_order_reproduction():
             seeds=tuple(range(10)),
             solvers=("lm", "mlm"),
         )
-        rows, seed_results = run_campaign(campaign, workers=4)
+        rows, seed_results = run_campaign(campaign)
         by_solver = {row.solver: row for row in rows}
         for solver in ("lm", "mlm"):
             row = by_solver[solver]

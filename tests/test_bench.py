@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlmnet import bench, cli, config
+from mlmnet import bench, cli, config, pde
 from mlmnet.bench import Campaign, ComparisonRow, emit_report, initial_guess, run_campaign
 from mlmnet.linsolve import NumericalError
 
@@ -123,12 +123,20 @@ def test_flop_parity_without_coarse_descents(monkeypatch):
         assert mlm_report.matvec_flops - lm_report.matvec_flops == descent_tests * restriction
 
 
-def test_parallel_workers_match_sequential():
-    campaign = tiny_campaign(seeds=(0, 1, 2))
-    sequential, _ = run_campaign(campaign, workers=1)
-    threaded, _ = run_campaign(campaign, workers=3)
-    assert sequential[0].rmse_seeds == threaded[0].rmse_seeds
-    assert sequential[0].mean_iterations == threaded[0].mean_iterations
+def test_seeds_run_in_sequence_only():
+    with pytest.raises(ValueError, match="workers must be 1"):
+        run_campaign(tiny_campaign(), workers=2)
+
+
+def test_a_failed_rmse_fails_its_seed(monkeypatch):
+    def failing_rmse(*args, **kwargs):
+        raise ValueError("injected RMSE failure")
+
+    monkeypatch.setattr(pde.ResidualSystem, "rmse", failing_rmse)
+    with pytest.warns(UserWarning, match="1 seed"):
+        rows, (result,) = run_campaign(tiny_campaign())
+    assert rows[0].failures == 1 and result.reports == {}
+    assert result.errors == {"lm": "ValueError: injected RMSE failure"}
 
 
 # -- reports ------------------------------------------------------------------------
@@ -230,13 +238,19 @@ def test_parse_rejects_unknown_key(tmp_path):
 @pytest.mark.parametrize("setting", [
     "cg_max_iter = 0", "epsilon = -1", "penalty = 0", "penalty = -1", "nu = 2.3",
     "activation = relu",
+    pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
+    "test_points_per_axis = 0", "test_points_per_axis = -5", "test_points_per_axis = 7",
+    "eps_amg = 1.5", "eps_amg = nan", "eps_amg = 0", "eps_amg = -1",
 ])
 def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, capsys, setting):
-    # the bad campaign takes the registry's nu unless its setting gives one
+    # the bad campaign takes the registry's nu unless its setting gives one: at
+    # nu = 20 the training spacing 1/40 holds every test point k/8
+    bad = {"problem": "poisson1d", "r": "4", "solvers": "lm"}
+    bad.update(line.split(" = ") for line in setting.split("\n"))
     path = tmp_path / "c.cfg"
     path.write_text(
-        "[campaign:good]\nproblem = poisson1d\nnu = 2\nr = 4\nsolvers = lm\n"
-        f"[campaign:bad]\nproblem = poisson1d\nr = 4\nsolvers = lm\n{setting}\n"
+        "[campaign:good]\nproblem = poisson1d\nnu = 2\nr = 4\nsolvers = lm\n[campaign:bad]\n"
+        + "".join(f"{key} = {value}\n" for key, value in bad.items())
     )
     ran = []
     monkeypatch.setattr(bench, "run_campaign", lambda campaign, **kw: ran.append(campaign))
@@ -346,6 +360,16 @@ def test_cli_run_lists_runs_stopped_at_the_cap(tmp_path, capsys):
     assert parse_report_csv(out)[0]["failures"] == "0"
 
 
+def test_cli_run_has_no_workers_option(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(cfg), "--out", str(tmp_path / "r.csv"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_run_seed_solver_overrides(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG_TEXT)
@@ -372,17 +396,19 @@ def test_cli_split_inspect(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["split-inspect", "--r", "1"], "at least 2 hidden nodes"),
-    (["split-inspect", "--nu", "2.3"], "2*nu must be an integer"),
+    (["split-inspect", "--r", "1"], "--r 1: coarsening needs at least 2 hidden nodes"),
+    (["split-inspect", "--nu", "2.3"], "--nu 2.3: 2*nu must be an integer"),
+    (["split-inspect", "--activation", "relu"], "--activation relu: unknown activation"),
+    (["split-inspect", "--eps-amg", "1.5"], "--eps-amg 1.5: eps_amg must lie in (0, 1]"),
     (["fd-ref", "--resolution", "2"], "at least 3 points per axis"),
-], ids=["split-r", "split-nu", "fd-resolution"])
+], ids=["split-r", "split-nu", "split-activation", "split-eps-amg", "fd-resolution"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
         "--cache", str(tmp_path)]
     assert cli.main(argv + target) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.startswith(f"mlmnet {argv[0]}: ")
+    assert captured.err.startswith(f"mlmnet {argv[0]}: ") and "campaign" not in captured.err
     assert message in captured.err and captured.err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
