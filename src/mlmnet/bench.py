@@ -78,10 +78,10 @@ class Campaign:
     """One benchmark configuration: problem, sizes, seeds, solvers.
 
     `solver_config` is the one MlmConfig both solvers run: the overrides
-    on top of an epsilon of 1e-4 in 1D and 1e-3 in 2D.  Every setting is
-    checked on construction, by building the solver config, the residual
-    system and its test grid, so that a bad campaign fails before any
-    campaign runs.
+    on top of an epsilon of 1e-4 in 1D and 1e-3 in 2D.  The seeds must be
+    distinct non-negative integers.  Every setting is checked on
+    construction, by building the solver config, the residual system and
+    its test grid, so that a bad campaign fails before any campaign runs.
     """
 
     name: str
@@ -104,6 +104,11 @@ class Campaign:
                 raise ValueError(f"unknown problem {self.problem!r}; see mlmnet list-problems")
             if not self.seeds:
                 raise ValueError("campaign needs at least one seed")
+            for k, seed in enumerate(self.seeds):
+                check_seed(seed)
+                if seed in self.seeds[:k]:
+                    # a repeat would overwrite its own trace and count twice in the means
+                    raise ValueError(f"seeds must be distinct; seed {seed} repeats")
             unknown = set(self.solvers) - set(SOLVERS)
             if unknown:
                 raise ValueError(f"unknown solvers {sorted(unknown)}")
@@ -161,6 +166,12 @@ class ComparisonRow:
     save_mean: float = None
     save_max: float = None
     failures: int = 0
+
+
+def check_seed(seed):
+    """Raise ValueError unless `seed` is a non-negative integer, as numpy's generator needs."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"a seed must be a non-negative integer, got {seed!r}")
 
 
 def initial_guess(seed, n_params):

@@ -132,6 +132,8 @@ def _cmd_split_inspect(args):
         arch = NetworkArch(r, problem.dim, Activation(args.activation))
         flag = f"--eps-amg {args.eps_amg:g}"
         check_eps_amg(args.eps_amg)
+        flag = f"--seed {args.seed}"
+        bench.check_seed(args.seed)
     except ValueError as exc:
         return _input_error("split-inspect", f"{flag}: {exc}")
     system = pde.ResidualSystem(problem, arch, training)

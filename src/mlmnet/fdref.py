@@ -4,14 +4,16 @@ Solves -Lap(u) - (2*pi*nu/c(z))^2 u = g1 on the unit square with
 homogeneous Dirichlet walls using the 5-point stencil, and exposes the
 solution as a bilinear-interpolation field usable as the error-metric
 reference where no closed-form solution exists.
+
+scipy's sparse solver is imported inside `solve_helmholtz_fd`, not at
+module level, so that importing mlmnet, or running a problem with a
+closed-form solution, never loads scipy.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 
 class FdSolveError(RuntimeError):
@@ -77,6 +79,8 @@ def solve_helmholtz_fd(nu, velocity, rhs, points_per_axis=201):
     ew = np.full(n - 1, -1.0 / h**2)
     ew[inner - 1 :: inner] = 0.0  # no coupling across the y-boundary seam
     ns = np.full(n - inner, -1.0 / h**2)
+    import scipy.sparse.linalg  # here, not at module level: only this solve needs scipy
+
     A = scipy.sparse.diags(
         [main, ew, ew, ns, ns], [0, 1, -1, inner, -inner], format="csc"
     )

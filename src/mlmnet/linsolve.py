@@ -17,13 +17,16 @@ conjugate-gradient loop charges its products, 2mn + 2nm flops per
 iteration, in one call when the solve ends (returns or raises); the
 gradient J^T F and each re-verification of the true residual are charged
 as they are made.
+
+scipy is imported inside `direct_solve`, its only user, not at module
+level: loading it takes longer than all the rest of a Poisson set-up, and
+`lm` never makes a direct solve.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -201,6 +204,8 @@ def direct_solve(J, lam, rhs):
     rhs = np.asarray(rhs, dtype=float)
     m, n = J.shape
     G = J @ J.T if m < n else J.T @ J
+    import scipy.linalg  # here, not at module level: only mlm's coarse solve needs scipy
+
     try:
         factor = scipy.linalg.cho_factor(G + lam * np.eye(len(G)), check_finite=True)
         if m < n:

@@ -56,6 +56,15 @@ def call_on_one_blas_thread(module, function):
     comparisons therefore run in a child process held to one thread.
     `module` is a test module name, importable from this directory.
     """
+    return run_on_one_blas_thread(f"import {module}; print({module}.{function}())")
+
+
+def run_on_one_blas_thread(source):
+    """Standard output of the Python `source` run in a fresh child on one BLAS thread.
+
+    The child imports mlmnet from the tested sources and test modules
+    from this directory.
+    """
     env = {
         **os.environ,
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
@@ -64,7 +73,7 @@ def call_on_one_blas_thread(module, function):
         ),
     }
     child = subprocess.run(
-        [sys.executable, "-c", f"import {module}; print({module}.{function}())"],
+        [sys.executable, "-c", source],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr

@@ -10,6 +10,8 @@ from mlmnet import bench, cli, config, pde
 from mlmnet.bench import Campaign, ComparisonRow, emit_report, initial_guess, run_campaign
 from mlmnet.linsolve import NumericalError
 
+from conftest import run_on_one_blas_thread
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -241,6 +243,7 @@ def test_parse_rejects_unknown_key(tmp_path):
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
     "test_points_per_axis = 0", "test_points_per_axis = -5", "test_points_per_axis = 7",
     "eps_amg = 1.5", "eps_amg = nan", "eps_amg = 0", "eps_amg = -1",
+    "seeds = -1", "seeds = 0 0",
 ])
 def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, capsys, setting):
     # the bad campaign takes the registry's nu unless its setting gives one: at
@@ -311,6 +314,38 @@ def test_cli_list_problems(capsys):
     assert cli.main(["list-problems"]) == 0
     out = capsys.readouterr().out
     assert "poisson1d" in out and "helmholtz2d-sine" in out
+
+
+STARTUP_LOADS = """
+import json, sys
+
+import numpy as np
+
+import mlmnet, mlmnet.cli
+from mlmnet import bench
+
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+settings = dict(name="determinism", problem="poisson1d", nu=3, r=24, seeds=(0, 1),
+                overrides={"epsilon": 1e-3, "max_outer_iter": 300})
+bench.run_campaign(bench.Campaign(solvers=("lm",), **settings))
+lm_loaded = scipy_loaded()
+_, results = bench.run_campaign(bench.Campaign(solvers=("mlm",), **settings))
+mlm_ran = all(not res.errors and "mlm" in res.reports for res in results)
+mlm_linalg = "scipy.linalg" in sys.modules
+mlmnet.solve_helmholtz_fd(1.0, lambda z: np.full(len(z), 40.0), lambda z: np.ones(len(z)), 9)
+print(json.dumps([lm_loaded, mlm_ran, mlm_linalg, "scipy.sparse.linalg" in sys.modules]))
+"""
+
+
+def test_scipy_loads_only_in_the_functions_that_call_it():
+    # loading scipy takes longer than all the rest of a Poisson set-up; only
+    # mlm's coarse solve and the Helmholtz FD reference need it
+    lm_loaded, mlm_ran, mlm_linalg, fd_sparse = json.loads(run_on_one_blas_thread(STARTUP_LOADS))
+    assert lm_loaded == []
+    assert mlm_ran and mlm_linalg
+    assert fd_sparse
 
 
 def test_cli_run_and_determinism(tmp_path, capsys):
@@ -400,8 +435,10 @@ def test_cli_split_inspect(tmp_path, capsys):
     (["split-inspect", "--nu", "2.3"], "--nu 2.3: 2*nu must be an integer"),
     (["split-inspect", "--activation", "relu"], "--activation relu: unknown activation"),
     (["split-inspect", "--eps-amg", "1.5"], "--eps-amg 1.5: eps_amg must lie in (0, 1]"),
+    (["split-inspect", "--seed", "-1"], "--seed -1: a seed must be a non-negative integer"),
     (["fd-ref", "--resolution", "2"], "at least 3 points per axis"),
-], ids=["split-r", "split-nu", "split-activation", "split-eps-amg", "fd-resolution"])
+], ids=["split-r", "split-nu", "split-activation", "split-eps-amg", "split-seed",
+        "fd-resolution"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
         "--cache", str(tmp_path)]
