@@ -12,9 +12,10 @@ campaign file that cannot be read, or whose campaigns (with the --seed and
 --solver overrides applied) fail validation, stops `run` with status 2 and
 one line on standard error, before any campaign runs; `fd-ref` and
 `split-inspect` treat settings that define no problem or grid the same
-way, and `split-inspect` names the flag at fault.  On standard error,
-`run` names every failed run with its error, and every run that stopped
-at its iteration cap without converging.
+way (for `fd-ref`, also a resonant wavenumber, whose discrete operator
+cannot be solved), and `split-inspect` names the flag at fault.  On
+standard error, `run` names every failed run with its error, and every
+run that stopped at its iteration cap without converging.
 """
 
 import argparse
@@ -110,7 +111,7 @@ def _cmd_fd_ref(args):
             args.cache, nu, problem.velocity, entry.velocity_name,
             problem.rhs_interior, args.resolution,
         )
-    except ValueError as exc:
+    except (ValueError, fdref.FdSolveError) as exc:
         return _input_error("fd-ref", exc)
     path = fdref.cache_path(args.cache, nu, entry.velocity_name, args.resolution)
     print(f"reference field {grid.points_per_axis}x{grid.points_per_axis} cached at {path}")

@@ -322,30 +322,35 @@ import json, sys
 import numpy as np
 
 import mlmnet, mlmnet.cli
-from mlmnet import bench
+from mlmnet import bench, pde
 
 def scipy_loaded():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
+def fd_solve(velocity):
+    mlmnet.solve_helmholtz_fd(1.0, velocity, lambda z: np.ones(len(z)), 9)
+
 settings = dict(name="determinism", problem="poisson1d", nu=3, r=24, seeds=(0, 1),
                 overrides={"epsilon": 1e-3, "max_outer_iter": 300})
 bench.run_campaign(bench.Campaign(solvers=("lm",), **settings))
-lm_loaded = scipy_loaded()
+fd_solve(pde.velocity_two_layers)
+lm_layered_loaded = scipy_loaded()
 _, results = bench.run_campaign(bench.Campaign(solvers=("mlm",), **settings))
 mlm_ran = all(not res.errors and "mlm" in res.reports for res in results)
-mlm_linalg = "scipy.linalg" in sys.modules
-mlmnet.solve_helmholtz_fd(1.0, lambda z: np.full(len(z), 40.0), lambda z: np.ones(len(z)), 9)
-print(json.dumps([lm_loaded, mlm_ran, mlm_linalg, "scipy.sparse.linalg" in sys.modules]))
+mlm_loaded = scipy_loaded()
+fd_solve(pde.velocity_sine)
+print(json.dumps([lm_layered_loaded, mlm_ran, mlm_loaded, scipy_loaded()]))
 """
 
 
 def test_scipy_loads_only_in_the_functions_that_call_it():
     # loading scipy takes longer than all the rest of a Poisson set-up; only
-    # mlm's coarse solve and the Helmholtz FD reference need it
-    lm_loaded, mlm_ran, mlm_linalg, fd_sparse = json.loads(run_on_one_blas_thread(STARTUP_LOADS))
-    assert lm_loaded == []
-    assert mlm_ran and mlm_linalg
-    assert fd_sparse
+    # mlm's coarse solve and the FD reference of a velocity varying along z2 need it
+    lm_layered, mlm_ran, mlm_loaded, sine_loaded = json.loads(
+        run_on_one_blas_thread(STARTUP_LOADS))
+    assert lm_layered == []
+    assert mlm_ran and "scipy.linalg" in mlm_loaded
+    assert "scipy.sparse.linalg" not in mlm_loaded and "scipy.sparse.linalg" in sine_loaded
 
 
 def test_cli_run_and_determinism(tmp_path, capsys):
@@ -437,8 +442,11 @@ def test_cli_split_inspect(tmp_path, capsys):
     (["split-inspect", "--eps-amg", "1.5"], "--eps-amg 1.5: eps_amg must lie in (0, 1]"),
     (["split-inspect", "--seed", "-1"], "--seed -1: a seed must be a non-negative integer"),
     (["fd-ref", "--resolution", "2"], "at least 3 points per axis"),
+    # nu puts (2 pi nu / 40)^2 on the lowest eigenvalue of the 17-point Laplacian
+    (["fd-ref", "--nu", "28.238857824564523", "--resolution", "17"],
+     "discrete Helmholtz operator is singular"),
 ], ids=["split-r", "split-nu", "split-activation", "split-eps-amg", "split-seed",
-        "fd-resolution"])
+        "fd-resolution", "fd-resonance"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
         "--cache", str(tmp_path)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlmnet.pde import box_source, velocity_constant, velocity_four_layers, velocity_two_layers
 from mlmnet.fdref import (
     FdGrid,
     FdSolveError,
@@ -82,6 +83,61 @@ def test_resonant_wavenumber_detected():
     nu = k * c / (2.0 * np.pi)
     with pytest.raises(FdSolveError):
         solve_helmholtz_fd(nu, constant_velocity, lambda z: np.ones(z.shape[0]), M)
+
+
+def velocity_ramp_in_z2(z):
+    return 20.0 + 40.0 * z[:, 1]
+
+
+def velocity_layered_in_z2(z):
+    return np.where(z[:, 1] < 0.5, 40.0, 20.0)
+
+
+def five_point_matrix(ksq, h):
+    """Dense matrix of -Lap_h - diag(k^2) on the interior nodes, assembled node by node."""
+    inner = ksq.shape[0]
+    A = np.zeros((inner * inner, inner * inner))
+    for i in range(inner):
+        for j in range(inner):
+            A[i * inner + j, i * inner + j] = 4.0 / h**2 - ksq[i, j]
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                if 0 <= i + di < inner and 0 <= j + dj < inner:
+                    A[i * inner + j, (i + di) * inner + j + dj] = -1.0 / h**2
+    return A
+
+
+@pytest.mark.parametrize("velocity", [
+    velocity_constant, velocity_two_layers, velocity_four_layers, velocity_ramp_in_z2,
+], ids=["constant", "two-layers", "four-layers", "ramp-in-z2"])
+def test_both_solvers_match_a_dense_solve(velocity):
+    # k^2 equal along z2 takes the eigen solver, the ramp in z2 the sparse LU;
+    # nu = 30 puts k^2 above the lowest Laplacian eigenvalue somewhere in every field
+    nu, M = 30.0, 17
+    grid = solve_helmholtz_fd(nu, velocity, box_source, M)
+    xs, ys = np.meshgrid(grid.axis[1:-1], grid.axis[1:-1], indexing="ij")
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    ksq = ((2.0 * np.pi * nu / velocity(pts)) ** 2).reshape(M - 2, M - 2)
+    dense = np.linalg.solve(five_point_matrix(ksq, grid.spacing), box_source(pts))
+    inner = grid.values[1:-1, 1:-1]
+    assert np.abs(inner - dense.reshape(inner.shape)).max() <= 1e-10 * np.abs(dense).max()
+    assert np.all(grid.values[[0, -1], :] == 0.0) and np.all(grid.values[:, [0, -1]] == 0.0)
+
+
+def test_resonance_detected_for_a_velocity_varying_along_z2():
+    # with c depending on z2 only, the operator is Lx (x) I + I (x) (Ly - nu^2 W),
+    # W = diag((2 pi / c)^2), singular where nu^2 is an eigenvalue of
+    # W^(-1/2) (Ly + mu_1 I) W^(-1/2), mu_1 the lowest eigenvalue of Lx = Ly
+    M = 17
+    h = 1.0 / (M - 1)
+    axis = np.linspace(0.0, 1.0, M)[1:-1]
+    second = (2.0 * np.eye(M - 2) - np.eye(M - 2, k=1) - np.eye(M - 2, k=-1)) / h**2
+    mu_1 = (4.0 / h**2) * np.sin(np.pi * h / 2) ** 2
+    w_inv_sqrt = np.diag(velocity_layered_in_z2(np.column_stack([axis, axis])) / (2.0 * np.pi))
+    nu = np.sqrt(np.linalg.eigvalsh(w_inv_sqrt @ (second + mu_1 * np.eye(M - 2)) @ w_inv_sqrt)[0])
+    with pytest.raises(FdSolveError):
+        solve_helmholtz_fd(nu, velocity_layered_in_z2, lambda z: np.ones(z.shape[0]), M)
+    # away from resonance the same field solves
+    solve_helmholtz_fd(0.9 * nu, velocity_layered_in_z2, lambda z: np.ones(z.shape[0]), M)
 
 
 def test_sample_at_grid_nodes_exact():
