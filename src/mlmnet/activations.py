@@ -7,9 +7,9 @@ itself, so they inherit that stability for free; the logistic and
 softplus kinds are branch-guarded explicitly.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
-KINDS = ("sigmoid", "tanh", "logistic", "softplus")
+import numpy as np
 
 
 def _logistic(x):
@@ -84,53 +84,35 @@ _LADDERS = {
     "logistic": _ladder_logistic,
     "softplus": _ladder_softplus,
 }
+KINDS = tuple(_LADDERS)
 
 
-def activation_derivatives(kind, orders, x):
-    """The activation `kind`'s derivatives of the given orders at x, as a list.
-
-    Every order must be in 0..3 (0 is the value).  The base value is
-    evaluated once for all of them.  `x` may be a scalar or an ndarray;
-    each result has its shape.
-    """
-    if kind not in _LADDERS:
-        raise ValueError(f"unknown activation kind {kind!r}, expected one of {KINDS}")
-    for order in orders:
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be in 0..3, got {order}")
-    arr = np.asarray(x, dtype=float)
-    outs = _LADDERS[kind](np.atleast_1d(arr), orders)
-    if arr.ndim == 0:
-        return [float(out[0]) for out in outs]
-    return [out.reshape(arr.shape) for out in outs]
-
-
-def activation_eval(kind, order, x):
-    """Evaluate the activation `kind` or its derivative of given order.
-
-    `order` must be in 0..3.  `x` may be a scalar or an ndarray; the
-    result has the same shape.
-    """
-    return activation_derivatives(kind, (order,), x)[0]
-
-
+@dataclass(frozen=True)
 class Activation:
-    """A named hidden-node nonlinearity, callable with a derivative order."""
+    """A hidden-node nonlinearity named by one of KINDS, callable with a derivative order."""
 
-    def __init__(self, kind):
-        if kind not in KINDS:
-            raise ValueError(f"unknown activation kind {kind!r}, expected one of {KINDS}")
-        self.kind = kind
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in _LADDERS:
+            raise ValueError(f"unknown activation kind {self.kind!r}, expected one of {KINDS}")
 
     def __call__(self, x, order=0):
-        return activation_eval(self.kind, order, x)
+        """The derivative of the given order at x (order 0 is the value)."""
+        return self.derivatives(x, (order,))[0]
 
     def derivatives(self, x, orders):
-        """Derivatives of the given orders at x, from one evaluation of the base value."""
-        return activation_derivatives(self.kind, orders, x)
+        """Derivatives of the given orders at x, as a list.
 
-    def __repr__(self):
-        return f"Activation({self.kind!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Activation) and other.kind == self.kind
+        Every order must be in 0..3.  The base value is evaluated once for
+        all of them.  `x` may be a scalar or an ndarray; each result has
+        its shape.
+        """
+        for order in orders:
+            if order not in (0, 1, 2, 3):
+                raise ValueError(f"derivative order must be in 0..3, got {order}")
+        arr = np.asarray(x, dtype=float)
+        outs = _LADDERS[self.kind](np.atleast_1d(arr), orders)
+        if arr.ndim == 0:
+            return [float(out[0]) for out in outs]
+        return [out.reshape(arr.shape) for out in outs]

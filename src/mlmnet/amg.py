@@ -7,6 +7,8 @@ cut into its per-kind column blocks and their normalized Gram matrices
 are summed into a single node-coupling matrix.  A classical Ruge-Stuben
 split of that matrix selects the coarse nodes, and the usual two-sided
 interpolation formula fills the fine rows of the prolongation operator.
+It needs a split that leaves each fine node a strong coarse neighbour, as
+this split does, and makes a zero-diagonal (so non-PSD) fine node coarse.
 The operators act blockwise on parameter vectors; the scalar output bias
 is copied between levels unchanged.
 """
@@ -82,30 +84,22 @@ def build_coupling_matrix(J, arch):
     return A
 
 
-def _strong_negative(A, eps_amg):
-    """strong[i, j] == True when -a_ij >= eps_amg * max over negative a_ik."""
-    r = A.shape[0]
+def _strength(A, eps_amg):
+    """Strong couplings (strong_neg, strong_pos) as boolean matrices, false on the diagonal.
+
+    strong_neg[i, j] when -a_ij >= eps_amg * max over negative a_ik;
+    strong_pos[i, j] when a_ij > 0 and a_ij >= eps_amg * max |a_ik|; k != i.
+    """
     off = A - np.diag(np.diag(A))
     neg = np.where(off < 0, -off, 0.0)
-    row_max = neg.max(axis=1)
-    strong = np.zeros((r, r), dtype=bool)
-    rows = row_max > 0
-    strong[rows] = neg[rows] >= eps_amg * row_max[rows, None]
-    np.fill_diagonal(strong, False)
-    return strong
-
-
-def _strong_positive(A, eps_amg):
-    """strong[i, j] == True when a_ij > 0 and a_ij >= eps_amg * max |a_ik|."""
-    r = A.shape[0]
-    off = np.abs(A - np.diag(np.diag(A)))
-    row_max = off.max(axis=1)
-    strong = np.zeros((r, r), dtype=bool)
-    rows = row_max > 0
-    strong[rows] = A[rows] >= eps_amg * row_max[rows, None]
-    strong &= A > 0
-    np.fill_diagonal(strong, False)
-    return strong
+    sets = []
+    for value, row_max in ((neg, neg.max(axis=1)), (off, np.abs(off).max(axis=1))):
+        strong = np.zeros(A.shape, dtype=bool)
+        rows = row_max > 0
+        strong[rows] = value[rows] >= eps_amg * row_max[rows, None]
+        np.fill_diagonal(strong, False)
+        sets.append(strong)
+    return sets[0], sets[1] & (off > 0)
 
 
 def check_eps_amg(eps_amg):
@@ -134,7 +128,7 @@ def ruge_stuben_split(A, eps_amg=0.9):
     if A.shape != (r, r) or r < 1:
         raise ValueError("coupling matrix must be square and nonempty")
 
-    strong_neg = _strong_negative(A, eps_amg)
+    strong_neg, strong_pos = _strength(A, eps_amg)
     state = np.full(r, _UNASSIGNED)
     # measure[i]: how many nodes strongly depend on i
     measure = strong_neg.sum(axis=0).astype(float)
@@ -149,7 +143,6 @@ def ruge_stuben_split(A, eps_amg=0.9):
             measure[strong_neg[j] & (state == _UNASSIGNED)] += 1.0
 
     # second pass over strong positive fine/fine couplings
-    strong_pos = _strong_positive(A, eps_amg)
     strong = strong_neg | strong_pos
     for i in range(r):
         if state[i] != _FINE:
@@ -168,35 +161,26 @@ def ruge_stuben_split(A, eps_amg=0.9):
 def build_interpolation(A, split):
     """Transfer operators from a splitting of the coupling matrix.
 
-    Coarse rows of the prolongation are unit rows; each fine row
-    interpolates from its strongly coupled coarse neighbours with the
-    classical two-sign weights.  A fine node without coarse neighbours
-    (or with zero diagonal) is promoted to coarse.
-    The returned pair is scaled by the respective infinity norms.
+    `split` must come from `ruge_stuben_split(A, ...)`, which leaves every
+    fine node a strong coarse neighbour.  Coarse rows of the prolongation
+    are unit rows; each fine row interpolates from its strongly coupled
+    coarse neighbours with the classical two-sign weights, which divide by
+    its diagonal, so a fine node with zero diagonal (A is then not positive
+    semidefinite) is promoted to coarse.  The returned pair is scaled by
+    the respective infinity norms.
     """
     A = np.asarray(A, dtype=float)
-    r = A.shape[0]
-    strong = split.strong
-    coarse = set(int(i) for i in split.coarse)
-    # promotion only grows the coarse set, so a fine node with a strong
-    # coarse neighbour keeps it: one pass finds every degenerate node
-    coarse.update([
-        i for i in range(r)
-        if i not in coarse
-        and (A[i, i] == 0 or not any(k in coarse for k in np.flatnonzero(strong[i])))
-    ])
-
-    coarse_idx = np.array(sorted(coarse), dtype=int)
-    col_of = {int(k): c for c, k in enumerate(coarse_idx)}
-    rc = coarse_idx.size
-    P = np.zeros((r, rc))
-    for i in range(r):
-        if i in coarse:
-            P[i, col_of[i]] = 1.0
-            continue
+    coarse = np.zeros(A.shape[0], dtype=bool)
+    coarse[split.coarse] = True
+    coarse |= np.diag(A) == 0
+    coarse_idx = np.flatnonzero(coarse)
+    col_of = np.cumsum(coarse) - 1
+    P = np.zeros((A.shape[0], coarse_idx.size))
+    P[coarse_idx, col_of[coarse_idx]] = 1.0
+    for i in np.flatnonzero(~coarse):
         neighbours = np.flatnonzero(A[i] != 0)
         neighbours = neighbours[neighbours != i]
-        interp = np.array([k for k in np.flatnonzero(strong[i]) if k in coarse], dtype=int)
+        interp = np.flatnonzero(split.strong[i] & coarse)
         a_int = A[i, interp]
         neg_all = np.minimum(A[i, neighbours], 0.0).sum()
         pos_all = np.maximum(A[i, neighbours], 0.0).sum()
@@ -205,7 +189,7 @@ def build_interpolation(A, split):
         alpha = neg_all / neg_int if neg_int < 0 else 0.0
         beta = pos_all / pos_int if pos_int > 0 else 0.0
         weights = np.where(a_int < 0, -alpha * a_int / A[i, i], -beta * a_int / A[i, i])
-        P[i, [col_of[int(k)] for k in interp]] = weights
+        P[i, col_of[interp]] = weights
 
     R_raw = P.T.copy()
     p_scale = np.abs(P).sum(axis=1).max()

@@ -10,6 +10,7 @@ offsets set by its size and thread count, which changes the order in
 which it sums.
 """
 
+import csv
 import hashlib
 import math
 import warnings
@@ -239,10 +240,10 @@ def run_seed(campaign, system, seed, reference, trace_dir=None):
                 report.final_params, campaign.test_points_per_axis, reference
             )
             reports[solver] = report  # only with its RMSE: aggregate reads both
-        except (NumericalError, ValueError) as exc:
-            # a declared solver failure (a numerical breakdown, a non-finite
-            # start, a failed operator build) is recorded and excluded from
-            # the aggregates; any other exception is a bug and propagates
+        except NumericalError as exc:
+            # a declared solver failure (a numerical breakdown or a non-finite
+            # start) is recorded and excluded from the aggregates; any other
+            # exception is a bug and propagates
             errors[solver] = f"{type(exc).__name__}: {exc}"
         finally:
             if trace is not None:
@@ -327,15 +328,15 @@ def emit_report(rows, fmt, path):
         raise ValueError(f"unknown report format {fmt!r}")
     with open(path, "w", newline="") as stream:
         if fmt == "csv":
-            stream.write(",".join(_CSV_FIELDS) + "\n")
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(_CSV_FIELDS)
             for name, row in rows:
-                rec = [
+                writer.writerow([
                     name, row.solver, _fmt(row.mean_iterations), _fmt(row.rmse_geomean),
                     ";".join(_fmt(v) for v in row.rmse_seeds),
                     _fmt(row.save_min), _fmt(row.save_mean), _fmt(row.save_max),
                     str(row.failures),
-                ]
-                stream.write(",".join(rec) + "\n")
+                ])
         else:
             import json
 

@@ -128,7 +128,7 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     F = system.residual(x)
     f = 0.5 * float(F @ F)
     if not np.isfinite(f):
-        raise ValueError("loss is not finite at the starting point")
+        raise NumericalError("loss is not finite at the starting point")
     m, n = len(F), len(x)
 
     lam = cfg.lambda0

@@ -108,6 +108,8 @@ def build_coarse_model(coarse, x, ops, grad_fine, restricted_grad, counter):
     fine gradient at `x` and `restricted_grad` its restriction; the
     correction makes the model gradient at the restricted iterate equal
     `restricted_grad`.  Restriction and products are charged to `counter`.
+    The coherence assert bounds rounding on the scale of its operands; a
+    violation is a programming error, not a solver failure, and propagates.
     """
     x0 = apply_blockwise(ops, x, "restrict", counter)
     F0 = coarse.residual(x0)
@@ -116,7 +118,7 @@ def build_coarse_model(coarse, x, ops, grad_fine, restricted_grad, counter):
     counter.add_matvec(*J0.shape)
     correction = restricted_grad - g0
     coherence = float(np.linalg.norm((g0 + correction) - restricted_grad))
-    assert coherence <= 1e-10 * (1.0 + float(np.linalg.norm(grad_fine)))
+    assert coherence <= 1e-10 * (1.0 + np.linalg.norm(g0) + np.linalg.norm(restricted_grad))
     return CoarseModel(
         system=coarse,
         x0=x0,

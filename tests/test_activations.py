@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
 
-from mlmnet.activations import KINDS, Activation, activation_derivatives, activation_eval
+from mlmnet.activations import KINDS, Activation
 
 from conftest import central_difference
 
 
 def test_exact_values_at_zero():
-    assert activation_eval("sigmoid", 0, 0.0) == 0.0
-    assert activation_eval("logistic", 0, 0.0) == 0.5
-    assert activation_eval("tanh", 0, 0.0) == 0.0
-    assert activation_eval("softplus", 0, 0.0) == pytest.approx(np.log(2.0))
+    assert Activation("sigmoid")(0.0) == 0.0
+    assert Activation("logistic")(0.0) == 0.5
+    assert Activation("tanh")(0.0) == 0.0
+    assert Activation("softplus")(0.0) == pytest.approx(np.log(2.0))
 
 
 def test_formulas_match_definitions():
     x = np.linspace(-3, 3, 11)
-    assert np.allclose(activation_eval("sigmoid", 0, x), (np.exp(x) - 1) / (np.exp(x) + 1))
-    assert np.allclose(activation_eval("tanh", 0, x), (np.exp(2 * x) - 1) / (np.exp(2 * x) + 1))
-    assert np.allclose(activation_eval("logistic", 0, x), np.exp(x) / (np.exp(x) + 1))
-    assert np.allclose(activation_eval("softplus", 0, x), np.log(np.exp(x) + 1))
+    assert np.allclose(Activation("sigmoid")(x), (np.exp(x) - 1) / (np.exp(x) + 1))
+    assert np.allclose(Activation("tanh")(x), (np.exp(2 * x) - 1) / (np.exp(2 * x) + 1))
+    assert np.allclose(Activation("logistic")(x), np.exp(x) / (np.exp(x) + 1))
+    assert np.allclose(Activation("softplus")(x), np.log(np.exp(x) + 1))
 
 
 def test_tanh_first_derivative_matches_finite_difference():
-    fd = central_difference(lambda y: activation_eval("tanh", 0, y), 0.3, 1e-5)
-    exact = activation_eval("tanh", 1, 0.3)
+    fd = central_difference(lambda y: Activation("tanh")(y), 0.3, 1e-5)
+    exact = Activation("tanh")(0.3, 1)
     assert abs(exact - fd) / abs(exact) < 1e-8
 
 
@@ -32,8 +32,8 @@ def test_tanh_first_derivative_matches_finite_difference():
 def test_derivative_ladder_consistency(kind, order):
     # (d/dx) of order k matches order k+1 on a grid in [-5, 5]
     xs = np.linspace(-5.0, 5.0, 100)
-    fd = central_difference(lambda y: activation_eval(kind, order, y), xs, 1e-6)
-    exact = activation_eval(kind, order + 1, xs)
+    fd = central_difference(lambda y: Activation(kind)(y, order), xs, 1e-6)
+    exact = Activation(kind)(xs, order + 1)
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(fd - exact)) / scale < 1e-6
 
@@ -42,26 +42,26 @@ def test_derivative_ladder_consistency(kind, order):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_stable_at_extreme_arguments(kind, order):
     for x in (-700.0, 700.0):
-        assert np.isfinite(activation_eval(kind, order, x))
+        assert np.isfinite(Activation(kind)(x, order))
 
 
 def test_shape_preserved_and_scalar_returned():
-    out = activation_eval("logistic", 1, np.zeros((3, 4)))
+    out = Activation("logistic")(np.zeros((3, 4)), 1)
     assert out.shape == (3, 4)
-    assert isinstance(activation_eval("logistic", 1, 0.0), float)
+    assert isinstance(Activation("logistic")(0.0, 1), float)
 
 
 def test_unknown_kind_and_order_rejected():
     with pytest.raises(ValueError):
         Activation("relu")
     with pytest.raises(ValueError):
-        activation_eval("tanh", 4, 0.0)
+        Activation("tanh")(0.0, 4)
 
 
 def test_activation_object_evaluates():
     act = Activation("softplus")
     assert act(0.0) == pytest.approx(np.log(2.0))
-    assert act(1.5, order=1) == pytest.approx(activation_eval("logistic", 0, 1.5))
+    assert act(1.5, order=1) == pytest.approx(Activation("logistic")(1.5))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -71,12 +71,12 @@ def test_derivatives_equal_single_order_evaluations(kind):
         outs = Activation(kind).derivatives(x, orders)
         assert len(outs) == len(orders)
         for order, out in zip(orders, outs):
-            assert np.array_equal(out, activation_eval(kind, order, x))
-    assert activation_derivatives(kind, (0, 2), 0.5) == [
-        activation_eval(kind, 0, 0.5), activation_eval(kind, 2, 0.5)
+            assert np.array_equal(out, Activation(kind)(x, order))
+    assert Activation(kind).derivatives(0.5, (0, 2)) == [
+        Activation(kind)(0.5), Activation(kind)(0.5, 2)
     ]
     with pytest.raises(ValueError):
-        activation_derivatives(kind, (0, 4), x)
+        Activation(kind).derivatives(x, (0, 4))
 
 
 def reference_activation(kind, order, x):
@@ -105,4 +105,4 @@ def test_formulas_are_bit_identical_to_the_reference(kind):
         np.random.default_rng(3).uniform(-40.0, 40.0, 4000), [-700.0, 700.0, 0.0, -0.0]
     ])
     for order in range(4):
-        assert np.array_equal(activation_eval(kind, order, x), reference_activation(kind, order, x))
+        assert np.array_equal(Activation(kind)(x, order), reference_activation(kind, order, x))

@@ -169,16 +169,29 @@ def test_unit_coarse_rows_and_transpose_relation(rng):
         assert np.abs(ops.prolong).sum(axis=1).max() == pytest.approx(1.0)
 
 
-def test_degenerate_fine_row_promoted():
-    # node 2 couples only positively and weakly: no strong coarse neighbour
+def test_weakly_coupled_node_stays_coarse():
+    # node 2 couples only positively and weakly: nothing depends on it, so
+    # the split leaves it coarse and the interpolation keeps it so
     A = np.array([
         [2.0, -1.0, 0.01],
         [-1.0, 2.0, 0.01],
         [0.01, 0.01, 1.0],
     ])
     split = ruge_stuben_split(A, 0.9)
+    assert 2 in split.coarse.tolist()
     ops = build_interpolation(A, split)
     assert 2 in ops.coarse_idx.tolist()
+
+
+def test_zero_diagonal_fine_node_promoted():
+    # an indefinite coupling matrix: the split leaves node 1 fine, but its
+    # interpolation weights would divide by its zero diagonal
+    A = np.array([[2.0, -1.0], [-1.0, 0.0]])
+    split = ruge_stuben_split(A, 0.9)
+    assert split.fine.tolist() == [1]
+    ops = build_interpolation(A, split)
+    assert ops.coarse_idx.tolist() == [0, 1]
+    assert np.all(np.isfinite(ops.prolong))
 
 
 # -- blockwise application --------------------------------------------------------

@@ -132,13 +132,42 @@ def test_seeds_run_in_sequence_only():
 
 def test_a_failed_rmse_fails_its_seed(monkeypatch):
     def failing_rmse(*args, **kwargs):
-        raise ValueError("injected RMSE failure")
+        raise NumericalError("injected RMSE failure")
 
     monkeypatch.setattr(pde.ResidualSystem, "rmse", failing_rmse)
     with pytest.warns(UserWarning, match="1 seed"):
         rows, (result,) = run_campaign(tiny_campaign())
     assert rows[0].failures == 1 and result.reports == {}
-    assert result.errors == {"lm": "ValueError: injected RMSE failure"}
+    assert result.errors == {"lm": "NumericalError: injected RMSE failure"}
+
+
+def test_a_value_error_in_a_seed_propagates(monkeypatch):
+    # only a NumericalError is a declared failure; a ValueError (a shape
+    # bug, say) is a programming error and stops the campaign
+    def buggy_rmse(*args, **kwargs):
+        raise ValueError("injected shape bug")
+
+    monkeypatch.setattr(pde.ResidualSystem, "rmse", buggy_rmse)
+    with pytest.raises(ValueError, match="injected shape bug"):
+        run_campaign(tiny_campaign())
+
+
+@pytest.mark.parametrize("name", sorted(bench.PROBLEMS))
+def test_every_registry_problem_runs_under_both_solvers(name, tmp_path):
+    # a small campaign of each problem, Helmholtz ones through their FD
+    # reference: each run ends with a report or a declared failure
+    campaign = Campaign(
+        name=name, problem=name, r=16, fd_resolution=33, solvers=("lm", "mlm"),
+        overrides={"max_outer_iter": 30},
+    )
+    rows, (result,) = run_campaign(campaign, cache_dir=tmp_path)
+    assert set(result.reports) | set(result.errors) == {"lm", "mlm"}
+    for solver, report in result.reports.items():
+        assert report.iterations <= 30
+        assert np.isfinite(result.rmse[solver])
+    for message in result.errors.values():
+        assert message.startswith("NumericalError: ")
+    assert [row.solver for row in rows] == ["lm", "mlm"]
 
 
 # -- reports ------------------------------------------------------------------------
@@ -185,6 +214,15 @@ def test_emit_report_json(tmp_path):
     assert payload[0]["save_max"] == pytest.approx(4.3)
     with pytest.raises(ValueError):
         emit_report([], "xml", tmp_path / "report.xml")
+
+
+def test_emit_report_quotes_a_campaign_name_with_a_comma(tmp_path):
+    path = tmp_path / "report.csv"
+    emit_report([("a,b", synthetic_row())], "csv", path)
+    with open(path, newline="") as stream:
+        header, record = list(csv.reader(stream))
+    assert len(record) == len(header) == 9
+    assert record[0] == "a,b" and record[1] == "mlm"
 
 
 def test_emit_report_matches_golden(tmp_path):

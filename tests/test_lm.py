@@ -5,7 +5,7 @@ import pytest
 
 from mlmnet import lm
 from mlmnet.activations import Activation
-from mlmnet.linsolve import FlopCounter
+from mlmnet.linsolve import FlopCounter, NumericalError
 from mlmnet.lm import LmConfig, lm_solve
 from mlmnet.network import NetworkArch
 from mlmnet.pde import ResidualSystem, poisson_1d
@@ -129,7 +129,7 @@ def test_determinism(rng):
 
 def test_non_finite_start_rejected():
     system = LinearLeastSquares(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="not finite at the starting point"):
         lm_solve(system, np.array([np.nan, 0.0]))
 
 
