@@ -240,10 +240,10 @@ def run_seed(campaign, system, seed, reference, trace_dir=None):
                 report.final_params, campaign.test_points_per_axis, reference
             )
             reports[solver] = report  # only with its RMSE: aggregate reads both
-        except NumericalError as exc:
-            # a declared solver failure (a numerical breakdown or a non-finite
-            # start) is recorded and excluded from the aggregates; any other
-            # exception is a bug and propagates
+        except (NumericalError, ValueError) as exc:
+            # a declared solver failure (a numerical breakdown, a non-finite
+            # start, a failed operator build) is recorded and excluded from
+            # the aggregates; any other exception is a bug and propagates
             errors[solver] = f"{type(exc).__name__}: {exc}"
         finally:
             if trace is not None:

@@ -101,11 +101,11 @@ def effective_kappa(cfg, ops):
     return cfg.kappa_h * min(1.0, spectral)
 
 
-def build_coarse_model(coarse, x, ops, grad_fine, restricted_grad, counter):
+def build_coarse_model(coarse, x, ops, restricted_grad, counter):
     """Anchor the coarse model at the restricted iterate.
 
-    `coarse` is the coarse system (`system.coarsen(ops)`), `grad_fine` the
-    fine gradient at `x` and `restricted_grad` its restriction; the
+    `coarse` is the coarse system (`system.coarsen(ops)`) and
+    `restricted_grad` the restriction of the fine gradient at `x`; the
     correction makes the model gradient at the restricted iterate equal
     `restricted_grad`.  Restriction and products are charged to `counter`.
     The coherence assert bounds rounding on the scale of its operands; a
@@ -197,7 +197,7 @@ def mlm_solve(system, x0, cfg, ops, counter=None, trace=None):
         restricted = go_down(g, ops, kappa, cfg.epsilon_h, counter)
         if restricted is None:
             return None
-        model = build_coarse_model(coarse, x, ops, g, restricted, counter)
+        model = build_coarse_model(coarse, x, ops, restricted, counter)
         coherence_log.append((model.coherence_residual, grad_norm))
         step_coarse, pred, n_accepted = coarse_cycle(model, lam, cfg, counter)
         if n_accepted > 0 and pred > 0 and step_coarse.any():

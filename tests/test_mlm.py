@@ -40,11 +40,11 @@ def network_system(nu=3, r=8):
 
 
 def coarse_model_at(system, x, ops):
-    """The coarse model `mlm_solve` builds at x, from the fine gradient, its
-    restriction and the coarse system."""
+    """The coarse model `mlm_solve` builds at x, from the restriction of the
+    fine gradient and the coarse system."""
     grad = system.jacobian(x).T @ system.residual(x)
     restricted = apply_blockwise(ops, grad, "restrict")
-    return build_coarse_model(system.coarsen(ops), x, ops, grad, restricted, FlopCounter())
+    return build_coarse_model(system.coarsen(ops), x, ops, restricted, FlopCounter())
 
 
 def test_config_validation():
