@@ -308,13 +308,19 @@ _CSV_FIELDS = (
 
 
 def _fmt(value):
-    if value is None:
-        return ""
+    if isinstance(value, list):
+        return ";".join(_fmt(v) for v in value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.6g}"
-    return str(value)
+        return "nan" if math.isnan(value) else f"{value:.6g}"
+    return "" if value is None else str(value)
+
+
+def _json_num(value):
+    if isinstance(value, list):
+        return [_json_num(v) for v in value]
+    if isinstance(value, float):
+        return None if math.isnan(value) else float(f"{value:.6g}")
+    return value
 
 
 def emit_report(rows, fmt, path):
@@ -326,46 +332,19 @@ def emit_report(rows, fmt, path):
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
+    # each row's values in _CSV_FIELDS order; every field after the campaign is a row attribute
+    table = [(name, *(getattr(row, key) for key in _CSV_FIELDS[1:])) for name, row in rows]
     with open(path, "w", newline="") as stream:
         if fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(_CSV_FIELDS)
-            for name, row in rows:
-                writer.writerow([
-                    name, row.solver, _fmt(row.mean_iterations), _fmt(row.rmse_geomean),
-                    ";".join(_fmt(v) for v in row.rmse_seeds),
-                    _fmt(row.save_min), _fmt(row.save_mean), _fmt(row.save_max),
-                    str(row.failures),
-                ])
+            writer.writerows([_fmt(v) for v in values] for values in table)
         else:
             import json
 
-            payload = [
-                {
-                    "campaign": name,
-                    "solver": row.solver,
-                    "mean_iterations": _json_num(row.mean_iterations),
-                    "rmse_geomean": _json_num(row.rmse_geomean),
-                    "rmse_seeds": [_json_num(v) for v in row.rmse_seeds],
-                    "save_min": _json_num(row.save_min),
-                    "save_mean": _json_num(row.save_mean),
-                    "save_max": _json_num(row.save_max),
-                    "failures": row.failures,
-                }
-                for name, row in rows
-            ]
+            payload = [dict(zip(_CSV_FIELDS, map(_json_num, values))) for values in table]
             json.dump(payload, stream, indent=2)
             stream.write("\n")
-
-
-def _json_num(value):
-    if value is None:
-        return None
-    if isinstance(value, float):
-        if math.isnan(value):
-            return None
-        return float(f"{value:.6g}")
-    return value
 
 
 def list_problems():

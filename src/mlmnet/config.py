@@ -12,34 +12,26 @@ Example::
     epsilon = 1e-4
     max_outer_iter = 2000
 
-Keys `problem` (required), `nu`, `r`, `activation`, `seeds`, `solvers`,
-`penalty`, `eps_amg`, `test_points_per_axis`, `fd_resolution` configure
-the campaign; any field of the solver configuration (eta1, eta2, gamma1,
-gamma2, gamma3, lambda0, lambda_min, epsilon, theta, max_outer_iter,
-cg_max_iter, kappa_h, epsilon_h, max_coarse_iter) may be set as an
-override of the one `MlmConfig` both solvers run.
+The keys follow the two dataclasses, so each setting is named once.
+`seeds` and `solvers` take space-separated lists; every other str, int or
+float field of `bench.Campaign` but `name` is a key of that type, of
+which `problem` is required; and every field of `MlmConfig` may be set as
+an override of the one config both solvers run.
 """
 
 import configparser
+from dataclasses import fields
 
 from .bench import Campaign
 from .mlm import MlmConfig
 
 _CAMPAIGN_KEYS = {
-    "problem": str,
-    "nu": float,
-    "r": int,
-    "activation": str,
-    "penalty": float,
-    "eps_amg": float,
-    "test_points_per_axis": int,
-    "fd_resolution": int,
+    f.name: f.type
+    for f in fields(Campaign)
+    if f.type in (str, int, float) and f.name != "name"
 }
 
-_OVERRIDE_TYPES = {
-    name: int if spec.type is int else float
-    for name, spec in MlmConfig.__dataclass_fields__.items()
-}
+_OVERRIDE_TYPES = {f.name: int if f.type is int else float for f in fields(MlmConfig)}
 
 
 def parse_campaign_file(path):

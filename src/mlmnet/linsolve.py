@@ -103,6 +103,10 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
     rho.  With the default cap, 0.148 of lm's fine solves end satisfied on
     full-size poisson1d seed 0 (nu=20, r=512), and 0.67 of both solvers'
     on the benchmark's poisson1d-converge workload.
+
+    The `assert` that the CG model value decreases (up to rounding) checks
+    an invariant of the recurrence; a violation is a programming error,
+    not a solver failure, and propagates.
     """
     if lam <= 0:
         raise ValueError("regularization weight lam must be positive")

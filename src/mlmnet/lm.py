@@ -112,6 +112,17 @@ def lm_solve(system, x0, cfg=None, counter=None, trace=None):
     return minimize(system, x0, cfg, counter, trace)
 
 
+def evaluate_loss(system, x):
+    """(F(x), 0.5*||F(x)||^2) at a start or trial point.
+
+    Overflow yields a non-finite loss without a RuntimeWarning: a trial
+    point's is a rejected step, a start point's a NumericalError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = system.residual(x)
+        return F, 0.5 * float(F @ F)
+
+
 def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     """The LM iteration loop of both solvers.
 
@@ -125,31 +136,27 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     writer = TraceWriter(trace, with_level=coarse_step is not None) if trace is not None else None
 
     x = np.array(x0, dtype=float)
-    F = system.residual(x)
-    f = 0.5 * float(F @ F)
+    F, f = evaluate_loss(system, x)
     if not np.isfinite(f):
         raise NumericalError("loss is not finite at the starting point")
-    m, n = len(F), len(x)
 
     lam = cfg.lambda0
     history = [f]
-    accepted = rejected = 0
+    accepted = 0
     inner_failures = 0
-    converged = False
-    grad_norm = np.inf
     prev_step_fine = False
     stale = True  # J and g need a refresh (start, or after an accepted step)
 
     iteration = 0
-    while iteration < cfg.max_outer_iter:
+    while True:
         if stale:
             J = system.jacobian(x)
             g = J.T @ F
-            counter.add_matvec(m, n)
+            counter.add_matvec(*J.shape)
             grad_norm = float(np.linalg.norm(g))
             stale = False
-        if grad_norm <= cfg.epsilon:
-            converged = True
+        converged = grad_norm <= cfg.epsilon
+        if converged or iteration >= cfg.max_outer_iter:
             break
 
         iteration += 1
@@ -174,8 +181,7 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
 
         rho = None
         if s is not None and pred > 0 and s.any():
-            F_trial = system.residual(x + s)
-            f_trial = 0.5 * float(F_trial @ F_trial)
+            F_trial, f_trial = evaluate_loss(system, x + s)
             if np.isfinite(f_trial):
                 rho = (f - f_trial) / pred
         took_step = rho is not None and rho >= cfg.eta1
@@ -184,25 +190,16 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
             F, f = F_trial, f_trial
             accepted += 1
             stale = True
-        else:
-            rejected += 1
         lam = update_lambda(lam, rho, cfg)
         history.append(f)
         if writer:
             writer.row(iteration, f, grad_norm, lam, rho, took_step, counter.matvec_flops,
                        level="fine" if prev_step_fine else "coarse")
 
-    if not converged and iteration >= cfg.max_outer_iter:
-        if stale:  # the cap landed right after an accepted step
-            g = system.jacobian(x).T @ F
-            counter.add_matvec(m, n)
-            grad_norm = float(np.linalg.norm(g))
-        converged = grad_norm <= cfg.epsilon
-
     return SolveReport(
         iterations=iteration,
         accepted_steps=accepted,
-        rejected_steps=rejected,
+        rejected_steps=iteration - accepted,
         final_gradient_norm=grad_norm,
         loss_history=history,
         matvec_flops=counter.matvec_flops,

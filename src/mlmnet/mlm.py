@@ -21,7 +21,7 @@ import numpy as np
 
 from .amg import apply_blockwise
 from .linsolve import FlopCounter, NumericalError, direct_solve
-from .lm import LmConfig, minimize, update_lambda
+from .lm import LmConfig, evaluate_loss, minimize, update_lambda
 
 
 @dataclass
@@ -165,8 +165,8 @@ def coarse_cycle(model, lam, cfg, counter):
         rho = None
         if pred > 0 and s.any():
             y_trial = y + s
-            F_trial = system.residual(y_trial)
-            trial_value = 0.5 * float(F_trial @ F_trial) + float(corr @ (y_trial - model.x0))
+            F_trial, trial_value = evaluate_loss(system, y_trial)
+            trial_value += float(corr @ (y_trial - model.x0))
             if np.isfinite(trial_value):
                 rho = (model_value - trial_value) / pred
         if rho is not None and rho >= cfg.eta1:

@@ -54,7 +54,7 @@ class PdeProblem:
         if (self.reaction is None) != (self.reaction_du is None):
             raise ValueError("reaction and reaction_du must be given together")
         if self.penalty is None:
-            self.penalty = 0.1 * training_set_size(self.nu, self.dim)
+            self.penalty = 0.1 * training_points_per_axis(self.nu) ** self.dim
         if not self.penalty > 0:
             raise ValueError(f"boundary penalty must be positive, got {self.penalty!r}")
 
@@ -71,8 +71,9 @@ class TrainingSet:
         return self.interior.shape[0] + self.boundary.shape[0]
 
 
-def training_set_size(nu, dim):
-    return (2 * int(round(nu)) + 1) ** dim
+def training_points_per_axis(nu):
+    """Training points per axis: spacing 1/(2*nu) on [0, 1], ends included."""
+    return int(round(2 * nu)) + 1
 
 
 def build_training_set(problem):
@@ -86,7 +87,7 @@ def build_training_set(problem):
         raise ValueError("nu must be >= 1")
     if abs(2 * nu - round(2 * nu)) > 1e-9:
         raise ValueError("2*nu must be an integer to build the uniform grid")
-    axis = np.linspace(0.0, 1.0, int(round(2 * nu)) + 1)
+    axis = np.linspace(0.0, 1.0, training_points_per_axis(nu))
     if problem.dim == 1:
         interior = axis[1:-1].reshape(-1, 1)
         boundary = np.array([[axis[0]], [axis[-1]]])
@@ -327,20 +328,18 @@ VELOCITY_FIELDS = {
 def helmholtz_2d(nu=1, velocity="constant"):
     """-Lap(u) - (2*pi*nu/c)^2 u = box source, homogeneous Dirichlet walls.
 
-    No closed-form solution; the error metric needs a finite-difference
-    reference field (see the fdref module).
+    `velocity` names an entry of VELOCITY_FIELDS.  No closed-form
+    solution; the error metric needs a finite-difference reference field
+    (see the fdref module).
     """
     nu = float(nu)
-    if callable(velocity):
-        c, vname = velocity, getattr(velocity, "__name__", "custom")
-    else:
-        c, vname = VELOCITY_FIELDS[velocity], velocity
+    c = VELOCITY_FIELDS[velocity]
 
     def wavenumber_sq(z):
         return (2.0 * np.pi * nu / np.asarray(c(z), dtype=float)) ** 2
 
     return PdeProblem(
-        name=f"helmholtz2d(nu={nu:g}, c={vname})",
+        name=f"helmholtz2d(nu={nu:g}, c={velocity})",
         dim=2,
         nu=nu,
         rhs_interior=box_source,

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,32 @@ def test_every_registry_problem_runs_under_both_solvers(name, tmp_path):
     assert [row.solver for row in rows] == ["lm", "mlm"]
 
 
+def test_an_overflowing_trial_is_a_quiet_rejected_step():
+    # exp2d seed 1 tries a step whose exp(u) overflows: a rejected step, not a warning
+    campaign = Campaign(
+        name="exp2d", problem="exp2d", r=16, seeds=(1,), solvers=("lm", "mlm"),
+        overrides={"max_outer_iter": 30},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, (result,) = run_campaign(campaign)
+    assert result.errors == {}
+    assert [result.reports[s].iterations for s in ("lm", "mlm")] == [6, 13]
+    assert all(report.converged for report in result.reports.values())
+
+
+def test_the_fd_reference_is_the_same_with_and_without_a_cache(tmp_path):
+    # no cache solves the FD field in place; a cache solves it once, then loads it
+    campaign = Campaign(
+        name="two-layers", problem="helmholtz2d-two-layers", r=16, fd_resolution=33,
+        solvers=("lm",), overrides={"max_outer_iter": 5},
+    )
+    rmse = [run_campaign(campaign, cache_dir=cache)[0][0].rmse_geomean
+            for cache in (None, tmp_path, tmp_path)]
+    assert len(list(tmp_path.iterdir())) == 1
+    assert rmse[0] == rmse[1] == rmse[2] and np.isfinite(rmse[0])
+
+
 # -- reports ------------------------------------------------------------------------
 
 
@@ -219,6 +246,32 @@ def test_emit_report_matches_golden(tmp_path):
     emit_report([("demo", synthetic_row())], "csv", path)
     golden = DATA / "golden_report.csv"
     assert path.read_bytes() == golden.read_bytes()
+
+
+def test_emit_report_of_an_lm_row_and_an_all_failed_row(tmp_path):
+    # an lm row has no save_*; a solver that failed on every seed has NaN
+    # aggregates and no per-seed RMSE: "" and "nan" in CSV, null and [] in JSON
+    rows = [
+        ("demo", ComparisonRow("lm", 507.0, [1.25e-4, 3.5e-4], 2.0916e-4)),
+        ("demo", ComparisonRow("mlm", float("nan"), [], float("nan"), failures=2)),
+    ]
+    emit_report(rows, "csv", tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_text() == (
+        "campaign,solver,mean_iterations,rmse_geomean,rmse_seeds,save_min,save_mean,save_max,failures\n"
+        "demo,lm,507,0.00020916,0.000125;0.00035,,,,0\n"
+        "demo,mlm,nan,nan,,,,,2\n"
+    )
+    emit_report(rows, "json", tmp_path / "report.json")
+    text = (tmp_path / "report.json").read_text()
+    assert text.endswith("]\n") and "NaN" not in text
+    assert json.loads(text) == [
+        {"campaign": "demo", "solver": "lm", "mean_iterations": 507.0,
+         "rmse_geomean": 0.00020916, "rmse_seeds": [0.000125, 0.00035],
+         "save_min": None, "save_mean": None, "save_max": None, "failures": 0},
+        {"campaign": "demo", "solver": "mlm", "mean_iterations": None,
+         "rmse_geomean": None, "rmse_seeds": [],
+         "save_min": None, "save_mean": None, "save_max": None, "failures": 2},
+    ]
 
 
 # -- config files -------------------------------------------------------------------

@@ -358,3 +358,16 @@ def test_direct_solve_rejects_non_finite_jacobian(shape, bad):
 def test_direct_solve_rejects_non_positive_lambda(lam):
     with pytest.raises(NumericalError):
         direct_solve(np.eye(2, 3), lam, np.ones(3))
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
+def test_direct_solve_rejects_a_solution_past_the_backward_error_bound(rng, shape, monkeypatch):
+    J = rng.normal(size=shape)
+    rhs = rng.normal(size=shape[1])
+    direct_solve(J, 0.05, rhs)  # the unperturbed solve meets the bound
+    real_cho_solve = scipy.linalg.cho_solve
+    monkeypatch.setattr(
+        scipy.linalg, "cho_solve", lambda *args, **kw: real_cho_solve(*args, **kw) * (1 + 1e-6)
+    )
+    with pytest.raises(NumericalError, match="backward-error bound"):
+        direct_solve(J, 0.05, rhs)

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from mlmnet.activations import Activation
 from mlmnet.amg import apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
-from mlmnet import lm
+from mlmnet import lm, mlm
 from mlmnet.linsolve import FlopCounter, NumericalError, direct_solve
 from mlmnet.lm import lm_solve, update_lambda
 from mlmnet.mlm import (
@@ -240,6 +240,31 @@ def test_coarse_cycle_evaluates_each_coarse_point_once(rng, monkeypatch):
     _, _, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-10), FlopCounter())
     assert accepted > 0 and len(points) > accepted
     assert len(points) == len(set(points))
+
+
+def test_a_failed_coarse_solve_grows_lambda_and_uses_up_an_iteration(rng, monkeypatch):
+    system = network_system(nu=3, r=12)
+    x = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x), system.arch)
+    model = coarse_model_at(system, x, ops)
+    lams = []  # the lam of every coarse solve
+
+    def failing_first(J, lam, rhs):
+        lams.append(lam)
+        if len(lams) == 1:
+            raise NumericalError("injected coarse breakdown")
+        return direct_solve(J, lam, rhs)
+
+    monkeypatch.setattr(mlm, "direct_solve", failing_first)
+    cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=3)
+    coarse_cycle(model, 0.05, cfg, FlopCounter())
+    assert len(lams) == cfg.max_coarse_iter
+    assert lams[1] == cfg.gamma3 * 0.05
+
+    lams.clear()
+    step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(max_coarse_iter=1), FlopCounter())
+    assert lams == [0.05]
+    assert accepted == 0 and pred == 0.0 and not step.any()
 
 
 def test_pred_positive_when_step_accepted(rng):

@@ -99,6 +99,14 @@ def test_default_penalty_is_tenth_of_grid_size():
     assert poisson_2d(nu=5).penalty == pytest.approx(0.1 * 121)
 
 
+@pytest.mark.parametrize("factory", [poisson_1d, poisson_2d])
+@pytest.mark.parametrize("nu", [1.5, 2.5, 3, 3.5])
+def test_default_penalty_counts_the_training_grid_it_weighs(factory, nu):
+    # a half-integer nu lays round(2 nu) + 1 points per axis, not 2 round(nu) + 1
+    problem = factory(nu=nu)
+    assert problem.penalty == 0.1 * build_training_set(problem).total
+
+
 # -- residual vector ------------------------------------------------------------
 
 
