@@ -17,7 +17,7 @@ from .amg import (
     build_transfer_operators,
     ruge_stuben_split,
 )
-from .bench import Campaign, ComparisonRow, emit_report, list_problems, run_campaign
+from .bench import Campaign, ComparisonRow, emit_report, run_campaign
 from .fdref import FdGrid, solve_helmholtz_fd
 from .linsolve import FlopCounter, InnerSolveResult, NumericalError, cgls_truncated, direct_solve
 from .lm import LmConfig, SolveReport, lm_solve

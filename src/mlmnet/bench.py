@@ -346,10 +346,3 @@ def emit_report(rows, fmt, path):
             json.dump(payload, stream, indent=2)
             stream.write("\n")
 
-
-def list_problems():
-    """(id, description, default nu, default r) rows of the registry."""
-    return [
-        (name, entry.description, entry.default_nu, entry.default_r)
-        for name, entry in PROBLEMS.items()
-    ]

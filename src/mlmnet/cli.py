@@ -9,8 +9,9 @@ Subcommands:
 Exit status is 0 when every solver run completed (converged or stopped at
 its configured iteration cap) and 1 when any run failed outright.  A
 campaign file that cannot be read, or whose campaigns (with the --seed and
---solver overrides applied) fail validation, stops `run` with status 2 and
-one line on standard error, before any campaign runs; `fd-ref` and
+--solver overrides applied) fail validation, or an --out, --trace or
+--cache path that cannot be written, stops `run` with status 2 and one
+line on standard error, before any campaign runs; `fd-ref` and
 `split-inspect` treat settings that define no problem or grid the same
 way (for `fd-ref`, also a resonant wavenumber, whose discrete operator
 cannot be solved), and `split-inspect` names the flag at fault.  On
@@ -56,10 +57,19 @@ def _cmd_run(args):
         ]
     except (OSError, ValueError, configparser.Error) as exc:
         return _input_error(f"run: {args.config}", exc)
+    out, cache = Path(args.out), Path(args.cache)
+    if out.is_dir() or not out.parent.is_dir():
+        why = "is a directory" if out.is_dir() else f"no directory {out.parent}"
+        return _input_error(f"run: --out {out}", why)
+    if cache.exists() and not cache.is_dir():
+        return _input_error(f"run: --cache {cache}", "is not a directory")
     trace_dir = None
     if args.trace is not None:
         trace_dir = Path(args.trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _input_error(f"run: --trace {trace_dir}", exc)
     all_rows = []
     failed = 0
     for campaign in campaigns:
@@ -93,8 +103,8 @@ def _cmd_run(args):
 
 def _cmd_list_problems(_args):
     print(f"{'id':26s} {'nu':>5s} {'r':>6s}  description")
-    for name, description, nu, r in bench.list_problems():
-        print(f"{name:26s} {nu:5g} {r:6d}  {description}")
+    for name, entry in PROBLEMS.items():
+        print(f"{name:26s} {entry.default_nu:5g} {entry.default_r:6d}  {entry.description}")
     return 0
 
 
@@ -121,7 +131,7 @@ def _cmd_split_inspect(args):
     flag = f"--nu {nu:g}"
     try:
         problem = entry.build(nu)
-        training = pde.build_training_set(problem)
+        pde.build_training_set(problem)
         flag = f"--r {r}"
         if r < 2:
             raise ValueError("coarsening needs at least 2 hidden nodes")
@@ -133,7 +143,7 @@ def _cmd_split_inspect(args):
         bench.check_seed(args.seed)
     except ValueError as exc:
         return _input_error("split-inspect", f"{flag}: {exc}")
-    system = pde.ResidualSystem(problem, arch, training)
+    system = pde.ResidualSystem(problem, arch)
     p0 = bench.initial_guess(args.seed, system.n)
     A = build_coupling_matrix(system.jacobian(p0), system.arch)
     split = ruge_stuben_split(A, eps_amg=args.eps_amg)

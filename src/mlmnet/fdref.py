@@ -3,7 +3,8 @@
 Solves -Lap(u) - (2*pi*nu/c(z))^2 u = g1 on the unit square with
 homogeneous Dirichlet walls using the 5-point stencil, and exposes the
 solution as a bilinear-interpolation field usable as the error-metric
-reference where no closed-form solution exists.
+reference where no closed-form solution exists; its nodes are a
+`pde.tensor_grid`.
 
 Two solvers, picked by the input: a velocity whose grid values do not
 vary along z2 (constant, or layered in z1) gives a separable operator,
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .pde import tensor_grid
 
 
 class FdSolveError(RuntimeError):
@@ -76,8 +79,7 @@ def solve_helmholtz_fd(nu, velocity, rhs, points_per_axis=201):
     axis = np.linspace(0.0, 1.0, M)
     h = axis[1] - axis[0]
     inner = M - 2
-    xs, ys = np.meshgrid(axis[1:-1], axis[1:-1], indexing="ij")
-    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    pts = tensor_grid(axis[1:-1], 2)
     ksq = ((2.0 * np.pi * nu / np.asarray(velocity(pts), dtype=float)) ** 2).reshape(inner, inner)
     b = np.asarray(rhs(pts), dtype=float).reshape(inner, inner)
     if np.all(ksq == ksq[:, :1]):

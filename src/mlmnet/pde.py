@@ -10,7 +10,8 @@ D(z, u) = lap_sign * Lap(u) + reaction(z, u) on the unit hypercube
 which is expressed here as 0.5*||F(p)||^2 for a stacked residual vector F:
 interior entries are scaled by 1/sqrt(t) and boundary entries by
 sqrt(penalty/t), so the least-squares machinery never needs to know the
-loss coefficients.
+loss coefficients.  The training set and the RMSE test grid are each a
+`tensor_grid` of one axis.
 """
 
 from dataclasses import dataclass
@@ -76,6 +77,11 @@ def training_points_per_axis(nu):
     return int(round(2 * nu)) + 1
 
 
+def tensor_grid(axis, dim):
+    """Rows of the dim-fold tensor product of `axis`, the last coordinate varying fastest."""
+    return np.column_stack([c.ravel() for c in np.meshgrid(*[axis] * dim, indexing="ij")])
+
+
 def build_training_set(problem):
     """Cartesian grid with per-axis spacing 1/(2*nu); perimeter = boundary.
 
@@ -88,30 +94,20 @@ def build_training_set(problem):
     if abs(2 * nu - round(2 * nu)) > 1e-9:
         raise ValueError("2*nu must be an integer to build the uniform grid")
     axis = np.linspace(0.0, 1.0, training_points_per_axis(nu))
-    if problem.dim == 1:
-        interior = axis[1:-1].reshape(-1, 1)
-        boundary = np.array([[axis[0]], [axis[-1]]])
-    else:
-        xs, ys = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([xs.ravel(), ys.ravel()])
-        on_edge = (
-            np.isin(pts[:, 0], (axis[0], axis[-1]))
-            | np.isin(pts[:, 1], (axis[0], axis[-1]))
-        )
-        interior = pts[~on_edge]
-        boundary = pts[on_edge]
-    return TrainingSet(interior=interior, boundary=boundary)
+    pts = tensor_grid(axis, problem.dim)
+    on_edge = np.isin(pts, (axis[0], axis[-1])).any(axis=1)
+    return TrainingSet(interior=pts[~on_edge], boundary=pts[on_edge])
 
 
 class ResidualSystem:
     """The map p -> F(p) with Jacobian J(p) such that loss = 0.5*||F||^2."""
 
-    def __init__(self, problem, arch, training=None):
+    def __init__(self, problem, arch):
         if problem.dim != arch.dim:
             raise ValueError("problem and architecture disagree on the spatial dimension")
         self.problem = problem
         self.arch = arch
-        self.training = training if training is not None else build_training_set(problem)
+        self.training = build_training_set(problem)
         self._g1 = np.asarray(problem.rhs_interior(self.training.interior), dtype=float)
         self._g2 = np.asarray(problem.rhs_boundary(self.training.boundary), dtype=float)
         t = self.training.total
@@ -134,7 +130,7 @@ class ResidualSystem:
     def coarsen(self, ops):
         """The same problem and training set on the sub-network of ops.r_coarse hidden nodes."""
         arch = NetworkArch(ops.r_coarse, self.arch.dim, self.arch.activation)
-        return ResidualSystem(self.problem, arch, self.training)
+        return ResidualSystem(self.problem, arch)
 
     # -- residual / Jacobian ---------------------------------------------------
     #
@@ -193,20 +189,11 @@ class ResidualSystem:
     def test_grid(self, points_per_axis=100):
         """Uniform interior test grid, excluding any training points."""
         axis = np.linspace(0.0, 1.0, points_per_axis + 2)[1:-1]
-        if self.problem.dim == 1:
-            pts = axis.reshape(-1, 1)
-        else:
-            xs, ys = np.meshgrid(axis, axis, indexing="ij")
-            pts = np.column_stack([xs.ravel(), ys.ravel()])
-        train = np.vstack([self.training.interior, self.training.boundary])
-        coincide = np.empty(pts.shape[0], dtype=bool)
-        for rows in network.row_blocks(pts.shape[0], train.shape[0]):
-            # close[k, i]: test point i is within 1e-12 of training row k on every axis
-            close = np.abs(train[:, 0, None] - pts[rows, 0]) < 1e-12
-            for j in range(1, pts.shape[1]):
-                close &= np.abs(train[:, j, None] - pts[rows, j]) < 1e-12
-            coincide[rows] = close.any(axis=0)
-        return pts[~coincide]
+        train_axis = np.linspace(0.0, 1.0, training_points_per_axis(self.problem.nu))
+        # both are tensor grids: a test point is a training point when every coordinate is shared
+        shared = (np.abs(axis[:, None] - train_axis) < 1e-12).any(axis=1)
+        dim = self.problem.dim
+        return tensor_grid(axis, dim)[~tensor_grid(shared, dim).all(axis=1)]
 
     def rmse(self, p, points_per_axis=100, reference=None):
         """Root mean squared error of the network against the reference field.

@@ -52,7 +52,7 @@ def test_campaign_validation():
 def test_registry_defaults_applied():
     c = Campaign(name="x", problem="poisson1d")
     assert c.nu == 20 and c.r == 512
-    assert len(bench.list_problems()) == 9
+    assert len(bench.PROBLEMS) == 9
 
 
 def test_initial_guess_reproducible():
@@ -488,6 +488,32 @@ def test_cli_run_has_no_workers_option(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("flag, path, message", [
+    ("--out", "missing/dir/r.csv", "no directory"),
+    ("--out", ".", "is a directory"),
+    ("--trace", "taken", "File exists"),
+    ("--cache", "taken", "is not a directory"),
+], ids=["out-missing-dir", "out-directory", "trace-file", "cache-file"])
+def test_cli_run_checks_its_paths_before_any_campaign_runs(
+    tmp_path, monkeypatch, capsys, flag, path, message
+):
+    def run_campaign_stub(campaign, **kw):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(bench, "run_campaign", run_campaign_stub)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG_TEXT)
+    (tmp_path / "taken").write_text("")
+    # a second --out replaces the first
+    argv = ["run", str(cfg), "--out", str(tmp_path / "r.csv"), flag, str(tmp_path / path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"mlmnet run: {flag} {tmp_path / path}: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "taken"]
 
 
 def test_cli_run_seed_solver_overrides(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from mlmnet import network
 from mlmnet.activations import KINDS, Activation
+from mlmnet.amg import build_transfer_operators
 from mlmnet.network import NetworkArch, NetworkParams
 from mlmnet.pde import (
     PdeProblem,
@@ -16,6 +17,7 @@ from mlmnet.pde import (
     poisson_1d,
     poisson_2d,
     sine_nonlinear_1d,
+    tensor_grid,
 )
 
 from conftest import call_on_one_blas_thread, fd_gradient, fd_jacobian, rel_err
@@ -311,9 +313,10 @@ def test_rmse_grid_excludes_training_points():
     train = np.vstack([system.training.interior, system.training.boundary])
     for row in train:
         assert not np.any(np.all(np.abs(pts - row) < 1e-12, axis=1))
-    # a grid resolution sharing points with the training grid gets them filtered
-    pts99 = system.test_grid(99)  # spacing 0.01, hits multiples of 1/40 at 0.25 steps... none
-    assert pts99.shape[0] <= 99
+    # the 99-point axis k/100 meets the training axis j/40 at k = 5, 10, ..., 95: 19 points go
+    pts99 = system.test_grid(99)
+    assert pts99.shape == (80, 1)
+    assert np.abs(pts99[:, None, :] - train[None, :, :]).max(axis=2).min() >= 1e-12
 
 
 def loop_exclusion_grid(system, points_per_axis):
@@ -343,12 +346,44 @@ def test_rmse_grid_excludes_coinciding_2d_training_points():
 @pytest.mark.parametrize(
     "problem, points_per_axis",
     [(helmholtz_2d(nu=2), 7), (helmholtz_2d(nu=2), 100), (poisson_2d(nu=5), 99),
-     (poisson_1d(nu=20), 7), (poisson_1d(nu=20), 100)],
+     (poisson_1d(nu=20), 7), (poisson_1d(nu=20), 100), (poisson_2d(nu=1.5), 5),
+     (poisson_1d(nu=2.5), 9), (helmholtz_2d(nu=2), 3), (poisson_2d(nu=5), 9)],
 )
 def test_test_grid_matches_loop_exclusion(problem, points_per_axis):
     system = small_system(problem, r=2)
     assert np.array_equal(system.test_grid(points_per_axis),
                           loop_exclusion_grid(system, points_per_axis))
+
+
+@pytest.mark.parametrize(
+    "problem, points_per_axis, size",
+    [(poisson_2d(nu=1.5), 5, 21),  # axes k/6 and j/3 share 1/3, 2/3: only 2 x 2 points go
+     (poisson_1d(nu=2.5), 9, 5),  # the training axis j/5 holds k/10 for every even k
+     (helmholtz_2d(nu=2), 3, 0),  # j/4 holds the whole test axis k/4
+     (poisson_2d(nu=5), 9, 0)],  # j/10 holds the whole test axis k/10
+)
+def test_test_grid_drops_a_point_only_when_every_coordinate_is_shared(
+    problem, points_per_axis, size
+):
+    assert small_system(problem, r=2).test_grid(points_per_axis).shape == (size, problem.dim)
+
+
+def test_tensor_grid_rows_are_the_reshape_and_meshgrid_rows():
+    axis = np.linspace(0.0, 1.0, 9)[1:-1]
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    for dim, rows in ((1, axis.reshape(-1, 1)), (2, np.column_stack([xs.ravel(), ys.ravel()]))):
+        grid = tensor_grid(axis, dim)
+        assert grid.shape == rows.shape == (7**dim, dim) and grid.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("problem", [poisson_1d(nu=3), helmholtz_2d(nu=2)], ids=["1d", "2d"])
+def test_coarse_system_trains_on_the_fine_points(problem, rng):
+    system = small_system(problem, r=12)
+    ops = build_transfer_operators(system.jacobian(rng.uniform(-1, 1, system.n)), system.arch)
+    coarse = system.coarsen(ops)
+    assert coarse.arch.n_hidden == ops.r_coarse < system.arch.n_hidden
+    assert np.array_equal(coarse.training.interior, system.training.interior)
+    assert np.array_equal(coarse.training.boundary, system.training.boundary)
 
 
 def test_rmse_rejects_an_empty_test_grid():
