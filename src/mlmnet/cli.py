@@ -11,9 +11,11 @@ its configured iteration cap) and 1 when any run failed outright.  A
 campaign file that cannot be read, or whose campaigns (with the --seed and
 --solver overrides applied) fail validation, or an --out, --trace or
 --cache path that cannot be written, stops `run` with status 2 and one
-line on standard error, before any campaign runs; `fd-ref` and
-`split-inspect` treat settings that define no problem or grid the same
-way (for `fd-ref`, also a resonant wavenumber, whose discrete operator
+line on standard error, before any campaign runs; an --out directory
+that refuses new files counts as one that cannot be written.  `fd-ref`
+and `split-inspect` treat settings that define no problem or grid, and
+their --cache and --out paths, the same way, before any solve or build
+(for `fd-ref`, also a resonant wavenumber, whose discrete operator
 cannot be solved), and `split-inspect` names the flag at fault.  On
 standard error, `run` names every failed run with its error, and every
 run that stopped at its iteration cap without converging.
@@ -23,6 +25,7 @@ import argparse
 import configparser
 import dataclasses
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,32 @@ def _input_error(where, exc):
     return 2
 
 
+def _path_error(where, out=None, cache=None):
+    """Status 2 after one stderr line if `out` cannot be written or `cache` is a file, else None.
+
+    `out` is probed by creating and deleting a temporary file beside it, so
+    a directory that refuses new files is caught before any work starts
+    and no empty output is left behind.
+    """
+    if out is not None:
+        why = None
+        if out.is_dir():
+            why = "is a directory"
+        elif not out.parent.is_dir():
+            why = f"no directory {out.parent}"
+        else:
+            try:
+                with tempfile.NamedTemporaryFile(dir=out.parent):
+                    pass
+            except OSError as exc:
+                why = f"cannot create a file in {out.parent}: {exc.strerror or exc}"
+        if why is not None:
+            return _input_error(f"{where}: --out {out}", why)
+    if cache is not None and cache.exists() and not cache.is_dir():
+        return _input_error(f"{where}: --cache {cache}", "is not a directory")
+    return None
+
+
 def _cmd_run(args):
     replaced = {}
     if args.seed:
@@ -57,12 +86,9 @@ def _cmd_run(args):
         ]
     except (OSError, ValueError, configparser.Error) as exc:
         return _input_error(f"run: {args.config}", exc)
-    out, cache = Path(args.out), Path(args.cache)
-    if out.is_dir() or not out.parent.is_dir():
-        why = "is a directory" if out.is_dir() else f"no directory {out.parent}"
-        return _input_error(f"run: --out {out}", why)
-    if cache.exists() and not cache.is_dir():
-        return _input_error(f"run: --cache {cache}", "is not a directory")
+    status = _path_error("run", out=Path(args.out), cache=Path(args.cache))
+    if status is not None:
+        return status
     trace_dir = None
     if args.trace is not None:
         trace_dir = Path(args.trace)
@@ -111,6 +137,9 @@ def _cmd_list_problems(_args):
 def _cmd_fd_ref(args):
     entry = PROBLEMS[args.problem]
     nu = args.nu if args.nu is not None else entry.default_nu
+    status = _path_error("fd-ref", cache=Path(args.cache))
+    if status is not None:
+        return status
     try:
         problem = entry.build(nu)
         grid = fdref.cached_reference(
@@ -143,6 +172,9 @@ def _cmd_split_inspect(args):
         bench.check_seed(args.seed)
     except ValueError as exc:
         return _input_error("split-inspect", f"{flag}: {exc}")
+    status = _path_error("split-inspect", out=Path(args.out))
+    if status is not None:
+        return status
     system = pde.ResidualSystem(problem, arch)
     p0 = bench.initial_guess(args.seed, system.n)
     A = build_coupling_matrix(system.jacobian(p0), system.arch)

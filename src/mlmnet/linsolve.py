@@ -6,9 +6,12 @@ which applies the operator through two products with J per step and stops
 once the model gradient is small against the squared step norm, or at
 min(n, m + 1) iterations: in exact arithmetic CG ends within rank(J) <= m
 steps there, so every further step is driven by rounding alone.
-Coarse-level systems are solved exactly by a Cholesky factorization of the
-smaller Gram matrix of J: the m-by-m J J^T + lam I (kernel form) when J
-has fewer rows than columns.
+Coarse-level systems are solved exactly through an eigendecomposition of
+the smaller Gram matrix G of J: the m-by-m J J^T (kernel form) when J has
+fewer rows than columns, J^T J otherwise.  G + lam I shares G's
+eigenvectors, so one decomposition per Jacobian serves every lam tried
+with it (the idea of MINPACK's lmpar, More 1978), and each retry costs
+two small products and a division.
 
 Only genuine matrix-vector products are charged to the flop counter, at
 2*rows*cols apiece; the direct solve, J products of its kernel form
@@ -18,13 +21,13 @@ iteration, in one call when the solve ends (returns or raises); the
 gradient J^T F and each re-verification of the true residual are charged
 as they are made.
 
-scipy is imported inside `direct_solve`, its only user, not at module
-level: loading it takes longer than all the rest of a Poisson set-up, and
-`lm` never makes a direct solve.
+The module uses numpy alone: scipy would load a second BLAS library into
+every `mlm` process for these small dense solves.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,34 +193,63 @@ def _shifted_gram_norm(G, lam, n):
     return float(np.sqrt(np.linalg.norm(G) ** 2 + 2.0 * lam * np.trace(G) + n * lam**2))
 
 
-def direct_solve(J, lam, rhs):
-    """Solve (J^T J + lam I) s = rhs for J of shape (m, n) by Cholesky factorization.
+class GramEigen(NamedTuple):
+    """The Gram matrix G of a Jacobian and its eigendecomposition G = V diag(w) V^T."""
+
+    G: np.ndarray
+    w: np.ndarray
+    V: np.ndarray
+
+
+def gram_eigen(J):
+    """Factor the smaller Gram matrix of J once, for `direct_solve` at any lam.
+
+    G is J J^T when J has fewer rows than columns, J^T J otherwise; a
+    non-finite G, or an eigensolver that does not converge, raises
+    NumericalError.
+    """
+    J = np.asarray(J, dtype=float)
+    m, n = J.shape
+    G = J @ J.T if m < n else J.T @ J
+    if not np.all(np.isfinite(G)):
+        raise NumericalError("non-finite entries in the Gram matrix")
+    try:
+        w, V = np.linalg.eigh(G)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Gram eigendecomposition failed: {exc}") from exc
+    return GramEigen(G, w, V)
+
+
+def direct_solve(J, lam, rhs, gram=None):
+    """Solve (J^T J + lam I) s = rhs for J of shape (m, n) through `gram_eigen(J)`.
 
     With m < n the Woodbury identity reduces it to the m-by-m kernel system
     (J J^T + lam I) y = J rhs, s = (rhs - J^T y) / lam; otherwise the n-by-n
-    matrix is factored.  The solution is verified against the backward-error
-    bound ||B s - rhs|| <= 1e-10 * (||B||_F * ||s|| + ||rhs||), B = J^T J + lam I,
-    evaluated without forming B; a non-positive lam, a factorization failure
-    or a violated bound raises NumericalError so the caller can grow the
-    regularization weight and retry.  Products with J inside the solve are
-    direct-solve work, like the factorization, and are not charged.
+    system is solved.  Either way the shifted Gram matrix is inverted
+    through its eigenvalues w + lam.  `gram`, when given, must be
+    `gram_eigen(J)`, so a caller trying several lam with one J factors it
+    once; the result is the same bit for bit.  The solution is verified
+    against the backward-error bound
+    ||B s - rhs|| <= 1e-10 * (||B||_F * ||s|| + ||rhs||), B = J^T J + lam I,
+    evaluated without forming B; a non-positive lam, a non-finite J, a
+    shifted eigenvalue w + lam <= 0 or a violated bound raises
+    NumericalError so the caller can grow the regularization weight and
+    retry.  Products with J inside the solve are direct-solve work, like
+    the factorization, and are not charged.
     """
     if not lam > 0:
         raise NumericalError(f"regularization weight lam must be positive, got {lam!r}")
     J = np.asarray(J, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     m, n = J.shape
-    G = J @ J.T if m < n else J.T @ J
-    import scipy.linalg  # here, not at module level: only mlm's coarse solve needs scipy
-
-    try:
-        factor = scipy.linalg.cho_factor(G + lam * np.eye(len(G)), check_finite=True)
-        if m < n:
-            s = (rhs - J.T @ scipy.linalg.cho_solve(factor, J @ rhs)) / lam
-        else:
-            s = scipy.linalg.cho_solve(factor, rhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"dense Cholesky solve failed: {exc}") from exc
+    G, w, V = gram_eigen(J) if gram is None else gram
+    d = w + lam
+    if not np.all(d > 0):
+        raise NumericalError("shifted Gram matrix is not positive definite")
+    if m < n:
+        s = (rhs - J.T @ (V @ ((V.T @ (J @ rhs)) / d))) / lam
+    else:
+        s = V @ ((V.T @ rhs) / d)
     residual = J.T @ (J @ s) + lam * s - rhs
     scale = _shifted_gram_norm(G, lam, n) * float(np.linalg.norm(s)) + float(np.linalg.norm(rhs))
     if not np.all(np.isfinite(s)) or float(np.linalg.norm(residual)) > 1e-10 * scale:

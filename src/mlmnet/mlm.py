@@ -7,8 +7,10 @@ a linear term so its gradient at the restricted iterate equals the
 restricted fine gradient; a bounded run of damped Gauss-Newton
 iterations minimizes it, each step an exact direct solve, in the
 m-dimensional kernel space of the coarse Jacobian when that has fewer
-rows than columns.  The resulting coarse step is prolongated back and
-judged by the usual actual-over-predicted ratio on the fine loss.
+rows than columns.  Each coarse Jacobian is factored once, and every lam
+tried with it reuses that factor.  The resulting coarse step is
+prolongated back and judged by the usual actual-over-predicted ratio on
+the fine loss.
 
 The transfer operators and the coarse system they define are built once
 per run; each coarse attempt builds only its model, and each coarse
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amg import apply_blockwise
-from .linsolve import FlopCounter, NumericalError, direct_solve
+from .linsolve import FlopCounter, NumericalError, direct_solve, gram_eigen
 from .lm import LmConfig, evaluate_loss, minimize, update_lambda
 
 
@@ -137,11 +139,13 @@ def coarse_cycle(model, lam, cfg, counter):
     Returns (step, predicted_reduction, accepted_count) where the step is
     measured from the restricted iterate and the prediction is the model
     decrease achieved by the run; a zero step or zero prediction marks a
-    failed coarse attempt.
+    failed coarse attempt.  `gram`, the factor of the current J, is built
+    at its first solve and serves every lam until J is refreshed.
     """
     system, corr = model.system, model.correction
     y = model.x0.copy()
     F, J, g = model._residual0, model._jacobian0, model._grad0
+    gram = None
     model_value = model.f0
     accepted = 0
     stale = False
@@ -150,12 +154,15 @@ def coarse_cycle(model, lam, cfg, counter):
             J = system.jacobian(y)
             g = J.T @ F
             counter.add_matvec(*J.shape)
+            gram = None
             stale = False
         grad_model = g + corr
         if np.linalg.norm(grad_model) <= cfg.epsilon:
             break
         try:
-            s = direct_solve(J, lam, -grad_model)
+            if gram is None:
+                gram = gram_eigen(J)
+            s = direct_solve(J, lam, -grad_model, gram)
         except NumericalError:
             lam = cfg.gamma3 * lam
             continue

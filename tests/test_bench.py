@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlmnet import bench, cli, config, pde
+from mlmnet import bench, cli, config, fdref, pde
 from mlmnet.bench import Campaign, ComparisonRow, emit_report, initial_guess, run_campaign
 from mlmnet.linsolve import NumericalError
 
@@ -424,13 +424,14 @@ print(json.dumps([lm_layered_loaded, mlm_ran, mlm_loaded, scipy_loaded()]))
 
 
 def test_scipy_loads_only_in_the_functions_that_call_it():
-    # loading scipy takes longer than all the rest of a Poisson set-up; only
-    # mlm's coarse solve and the FD reference of a velocity varying along z2 need it
+    # loading scipy takes longer than all the rest of a Poisson set-up and adds
+    # its own BLAS to the process; only the FD reference of a velocity varying
+    # along z2 needs it
     lm_layered, mlm_ran, mlm_loaded, sine_loaded = json.loads(
         run_on_one_blas_thread(STARTUP_LOADS))
     assert lm_layered == []
-    assert mlm_ran and "scipy.linalg" in mlm_loaded
-    assert "scipy.sparse.linalg" not in mlm_loaded and "scipy.sparse.linalg" in sine_loaded
+    assert mlm_ran and mlm_loaded == []
+    assert "scipy.sparse.linalg" in sine_loaded
 
 
 def test_cli_run_and_determinism(tmp_path, capsys):
@@ -514,6 +515,46 @@ def test_cli_run_checks_its_paths_before_any_campaign_runs(
     assert captured.err.startswith(f"mlmnet run: {flag} {tmp_path / path}: ")
     assert message in captured.err and captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "taken"]
+
+
+def test_cli_run_checks_that_its_out_directory_takes_new_files(tmp_path, monkeypatch, capsys):
+    # tests may run as root, which mode bits do not stop, so the probe fails by injection
+    def refusing(*args, **kw):
+        raise PermissionError(13, "Permission denied")
+
+    def run_campaign_stub(campaign, **kw):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(cli.tempfile, "NamedTemporaryFile", refusing)
+    monkeypatch.setattr(bench, "run_campaign", run_campaign_stub)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG_TEXT)
+    out = tmp_path / "r.csv"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"mlmnet run: --out {out}: cannot create a file in {tmp_path}: Permission denied\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["split-inspect", "--nu", "2", "--r", "12", "--out", "missing/dir/x.txt"],
+     "split-inspect: --out missing/dir/x.txt: no directory missing/dir"),
+    (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "33", "--cache", "taken"],
+     "fd-ref: --cache taken: is not a directory"),
+], ids=["split-out-missing-dir", "fd-cache-file"])
+def test_cli_checks_its_paths_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    def work_stub(*args, **kw):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(pde.ResidualSystem, "jacobian", work_stub)
+    monkeypatch.setattr(fdref, "solve_helmholtz_fd", work_stub)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"mlmnet {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_cli_run_seed_solver_overrides(tmp_path):

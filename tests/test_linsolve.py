@@ -5,11 +5,13 @@ import scipy.linalg
 from mlmnet.activations import Activation
 from mlmnet.linsolve import (
     FlopCounter,
+    GramEigen,
     InnerSolveResult,
     NumericalError,
     _shifted_gram_norm,
     cgls_truncated,
     direct_solve,
+    gram_eigen,
     predicted_reduction,
 )
 from mlmnet.network import NetworkArch
@@ -361,13 +363,29 @@ def test_direct_solve_rejects_non_positive_lambda(lam):
 
 
 @pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
-def test_direct_solve_rejects_a_solution_past_the_backward_error_bound(rng, shape, monkeypatch):
+def test_direct_solve_rejects_a_solution_past_the_backward_error_bound(rng, shape):
     J = rng.normal(size=shape)
     rhs = rng.normal(size=shape[1])
     direct_solve(J, 0.05, rhs)  # the unperturbed solve meets the bound
-    real_cho_solve = scipy.linalg.cho_solve
-    monkeypatch.setattr(
-        scipy.linalg, "cho_solve", lambda *args, **kw: real_cho_solve(*args, **kw) * (1 + 1e-6)
-    )
     with pytest.raises(NumericalError, match="backward-error bound"):
-        direct_solve(J, 0.05, rhs)
+        direct_solve(J, 0.05, rhs, gram_eigen(J * (1 + 1e-6)))
+
+
+@pytest.mark.parametrize("lam", [1e-6, 0.05, 10.0])
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
+def test_direct_solve_gives_the_same_bits_with_its_own_factor(rng, shape, lam):
+    J = rng.normal(size=shape)
+    rhs = rng.normal(size=shape[1])
+    gram = gram_eigen(J)
+    assert direct_solve(J, lam, rhs).tobytes() == direct_solve(J, lam, rhs, gram).tobytes()
+
+
+@pytest.mark.parametrize("shift", [1.0, 2.0])
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
+def test_direct_solve_rejects_a_shifted_gram_matrix_that_is_not_positive(rng, shape, shift):
+    J = rng.normal(size=shape)
+    G, w, V = gram_eigen(J)
+    # the smallest shifted eigenvalue w + lam becomes 0 (shift 1) or -lam (shift 2)
+    gram = GramEigen(G, w - w[0] - shift * 0.05, V)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        direct_solve(J, 0.05, rng.normal(size=shape[1]), gram)

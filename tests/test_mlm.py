@@ -8,7 +8,7 @@ import scipy.linalg
 from mlmnet.activations import Activation
 from mlmnet.amg import apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
 from mlmnet import lm, mlm
-from mlmnet.linsolve import FlopCounter, NumericalError, direct_solve
+from mlmnet.linsolve import FlopCounter, GramEigen, NumericalError, direct_solve, gram_eigen
 from mlmnet.lm import lm_solve, update_lambda
 from mlmnet.mlm import (
     MlmConfig,
@@ -249,11 +249,11 @@ def test_a_failed_coarse_solve_grows_lambda_and_uses_up_an_iteration(rng, monkey
     model = coarse_model_at(system, x, ops)
     lams = []  # the lam of every coarse solve
 
-    def failing_first(J, lam, rhs):
+    def failing_first(J, lam, rhs, gram=None):
         lams.append(lam)
         if len(lams) == 1:
             raise NumericalError("injected coarse breakdown")
-        return direct_solve(J, lam, rhs)
+        return direct_solve(J, lam, rhs, gram)
 
     monkeypatch.setattr(mlm, "direct_solve", failing_first)
     cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=3)
@@ -264,6 +264,61 @@ def test_a_failed_coarse_solve_grows_lambda_and_uses_up_an_iteration(rng, monkey
     lams.clear()
     step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(max_coarse_iter=1), FlopCounter())
     assert lams == [0.05]
+    assert accepted == 0 and pred == 0.0 and not step.any()
+
+
+def test_coarse_cycle_factors_each_coarse_jacobian_once(rng, monkeypatch):
+    system = network_system(nu=3, r=12)
+    x = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x), system.arch)
+    model = coarse_model_at(system, x, ops)
+    factors = {}  # Jacobian bytes -> its factor, one entry per gram_eigen call
+    built = []
+    solved = []  # (Jacobian bytes, factor passed) of every coarse solve
+
+    def recording_gram_eigen(J):
+        built.append(J.tobytes())
+        factors[J.tobytes()] = gram_eigen(J)
+        return factors[J.tobytes()]
+
+    def recording_solve(J, lam, rhs, gram=None):
+        solved.append((J.tobytes(), gram))
+        return direct_solve(J, lam, rhs, gram)
+
+    monkeypatch.setattr(mlm, "gram_eigen", recording_gram_eigen)
+    monkeypatch.setattr(mlm, "direct_solve", recording_solve)
+    _, _, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-10), FlopCounter())
+    assert accepted > 0 and len(solved) > len(built)  # some Jacobian served several lam
+    assert len(built) == len(set(built)) == len({key for key, _ in solved})
+    assert all(gram is factors[key] for key, gram in solved)
+
+
+def test_a_shifted_gram_matrix_that_is_not_positive_grows_lambda(rng, monkeypatch):
+    system = network_system(nu=3, r=12)
+    x = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x), system.arch)
+    model = coarse_model_at(system, x, ops)
+    lams, errors = [], []
+
+    def indefinite_at_lam0(J):
+        # smallest eigenvalue moved to -0.05, so w + lam = 0 at the first lam
+        G, w, V = gram_eigen(J)
+        return GramEigen(G, w - w[0] - 0.05, V)
+
+    def recording_solve(J, lam, rhs, gram=None):
+        lams.append(lam)
+        try:
+            return direct_solve(J, lam, rhs, gram)
+        except NumericalError as exc:
+            errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(mlm, "gram_eigen", indefinite_at_lam0)
+    monkeypatch.setattr(mlm, "direct_solve", recording_solve)
+    cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=2)
+    step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter())
+    assert "not positive definite" in errors[0]
+    assert lams == [0.05, cfg.gamma3 * 0.05]
     assert accepted == 0 and pred == 0.0 and not step.any()
 
 
