@@ -47,11 +47,13 @@ def _input_error(where, exc):
 
 
 def _path_error(where, out=None, cache=None):
-    """Status 2 after one stderr line if `out` cannot be written or `cache` is a file, else None.
+    """Status 2 after one stderr line if `out` or `cache` cannot be written, else None.
 
     `out` is probed by creating and deleting a temporary file beside it, so
     a directory that refuses new files is caught before any work starts
-    and no empty output is left behind.
+    and no empty output is left behind.  `cache` is made only when a
+    reference is first stored, so its nearest existing ancestor, itself
+    included, must be a directory.
     """
     if out is not None:
         why = None
@@ -67,8 +69,11 @@ def _path_error(where, out=None, cache=None):
                 why = f"cannot create a file in {out.parent}: {exc.strerror or exc}"
         if why is not None:
             return _input_error(f"{where}: --out {out}", why)
-    if cache is not None and cache.exists() and not cache.is_dir():
-        return _input_error(f"{where}: --cache {cache}", "is not a directory")
+    if cache is not None:
+        existing = next((p for p in (cache, *cache.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            why = "is not a directory" if existing == cache else f"{existing} is not a directory"
+            return _input_error(f"{where}: --cache {cache}", why)
     return None
 
 

@@ -1,11 +1,12 @@
 """Inner solvers for the regularized model minimization.
 
-The fine-level systems (J^T J + lam I) s = -(J^T F + corr) are solved by a
-truncated conjugate-gradient iteration on these shifted normal equations,
-which applies the operator through two products with J per step and stops
-once the model gradient is small against the squared step norm, or at
-min(n, m + 1) iterations: in exact arithmetic CG ends within rank(J) <= m
-steps there, so every further step is driven by rounding alone.
+The fine-level systems (J^T J + lam I) s = -g, g the gradient of the
+model at s = 0, are solved by a truncated conjugate-gradient iteration on
+these shifted normal equations, which applies the operator through two
+products with J per step and stops once the model gradient is small
+against the squared step norm, or at min(n, m + 1) iterations: in exact
+arithmetic CG ends within rank(J) <= m steps there, so every further step
+is driven by rounding alone.
 Coarse-level systems are solved exactly through an eigendecomposition of
 the smaller Gram matrix G of J: the m-by-m J J^T (kernel form) when J has
 fewer rows than columns, J^T J otherwise.  G + lam I shares G's
@@ -17,16 +18,16 @@ Only genuine matrix-vector products are charged to the flop counter, at
 2*rows*cols apiece; the direct solve, J products of its kernel form
 included, is not matrix-vector work and is left out of the tally.  The
 conjugate-gradient loop charges its products, 2mn + 2nm flops per
-iteration, in one call when the solve ends (returns or raises); the
-gradient J^T F and each re-verification of the true residual are charged
-as they are made.
+iteration, in one call when the solve ends (returns or raises); each
+re-verification of the true residual is charged as it is made.  The
+gradient g is formed and charged by the caller.
 
 The module uses numpy alone: scipy would load a second BLAS library into
 every `mlm` process for these small dense solves.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,12 +57,11 @@ class InnerSolveResult:
     """
 
     step: np.ndarray
-    model_gradient_norm: float
     iterations: int
     satisfied: bool
     # residual of the linear system at the returned step, rhs - (B+lam I)s;
     # lets the caller form the predicted model decrease without extra products
-    linear_residual: np.ndarray = field(repr=False, default=None)
+    linear_residual: np.ndarray
 
 
 def predicted_reduction(step, rhs, linear_residual, lam):
@@ -79,25 +79,25 @@ def predicted_reduction(step, rhs, linear_residual, lam):
     return 0.5 * (step @ rhs + step @ linear_residual + lam * (step @ step))
 
 
-def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None, grad=None):
-    """Approximately solve (J^T J + lam I) s = -(J^T F + corr).
+def cgls_truncated(J, g, lam, theta=0.1, max_iter=None, counter=None):
+    """Approximately solve (J^T J + lam I) s = -g.
 
-    Plain conjugate gradients on the shifted normal equations (not CGLS:
-    the residual is kept in n-space), the operator applied via one product
-    with J and one with J^T per iteration, written into preallocated
-    vectors.  Iterations stop at the first step whose true system residual
-    satisfies
+    `g` is the gradient of the model at s = 0: J^T F, plus any linear
+    correction, formed and charged by the caller.  Plain conjugate
+    gradients on the shifted normal equations (not CGLS: the residual is
+    kept in n-space), the operator applied via one product with J and one
+    with J^T per iteration, written into preallocated vectors.  Iterations
+    stop at the first step whose true system residual satisfies
 
-        ||(J^T J + lam I) s + J^T F + corr|| <= theta * ||s||^2
+        ||(J^T J + lam I) s + g|| <= theta * ||s||^2
 
     (the stopping bound is re-verified against a freshly recomputed
-    residual before the result is flagged satisfied).  `grad` may carry a
-    precomputed J^T F whose cost was already charged by the caller.
+    residual before the result is flagged satisfied).
 
-    `max_iter` defaults to min(n, m + 1), the exact-arithmetic bound: the
-    right-hand side -J^T F lies in range(J^T), of dimension rank(J) <= m,
-    which the Krylov space exhausts within rank(J) steps; the `+ 1` covers
-    a `corr` with a component outside it.  A solve stopped at the cap
+    `max_iter` defaults to min(n, m + 1), the exact-arithmetic bound: a
+    gradient J^T F lies in range(J^T), of dimension rank(J) <= m, which
+    the Krylov space exhausts within rank(J) steps; the `+ 1` covers a
+    correction with a component outside it.  A solve stopped at the cap
     returns its iterate, flagged satisfied only if the re-verified residual
     meets the bound.
 
@@ -107,23 +107,17 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
     full-size poisson1d seed 0 (nu=20, r=512), and 0.67 of both solvers'
     on the benchmark's poisson1d-converge workload.
 
-    The `assert` that the CG model value decreases (up to rounding) checks
-    an invariant of the recurrence; a violation is a programming error,
-    not a solver failure, and propagates.
+    The check that the CG model value decreases (up to rounding) guards an
+    invariant of the recurrence; a violation is a programming error, not a
+    solver failure, and raises AssertionError, under `python -O` too.
     """
     if lam <= 0:
         raise ValueError("regularization weight lam must be positive")
     J = np.asarray(J, dtype=float)
-    F = np.asarray(F, dtype=float)
     m, n = J.shape
     if counter is None:
         counter = FlopCounter()
-    if grad is None:
-        if not np.all(np.isfinite(J)) or not np.all(np.isfinite(F)):
-            raise NumericalError("non-finite entries in the inner linear system")
-        grad = J.T @ F
-        counter.add_matvec(m, n)
-    rhs = -grad if corr is None else -(grad + corr)
+    rhs = -np.asarray(g, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise NumericalError("non-finite right-hand side in the inner linear system")
     if max_iter is None:
@@ -140,7 +134,7 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
 
     s = np.zeros(n)
     if not rhs.any():
-        return InnerSolveResult(s, 0.0, 0, True, linear_residual=rhs.copy())
+        return InnerSolveResult(s, 0, True, rhs.copy())
 
     r = rhs.copy()
     p = r.copy()
@@ -165,7 +159,8 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
             # 0.5 s^T (B+lam I) s - rhs^T s with (B+lam I) s = rhs - r
             new_model_value = -0.5 * (s.dot(rhs) + s.dot(r))
             # monotone up to rounding of magnitude ~eps * ||s|| * ||rhs||
-            assert new_model_value <= model_value + 1e-9 * (1.0 + rhs_norm * math.sqrt(ss))
+            if not new_model_value <= model_value + 1e-9 * (1.0 + rhs_norm * math.sqrt(ss)):
+                raise AssertionError("conjugate gradient model value increased")
             model_value = new_model_value
             rs_new = r.dot(r)
             bound = theta * ss
@@ -173,9 +168,9 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
                 true_residual = rhs - apply_operator(s)
                 true_norm = float(np.linalg.norm(true_residual))
                 if true_norm <= bound:
-                    return InnerSolveResult(s, true_norm, iteration, True, true_residual)
+                    return InnerSolveResult(s, iteration, True, true_residual)
                 if rs_new == 0.0:  # recurrence exhausted, nothing more to gain
-                    return InnerSolveResult(s, true_norm, iteration, False, true_residual)
+                    return InnerSolveResult(s, iteration, False, true_residual)
             p *= rs_new / rs
             p += r
             rs = rs_new
@@ -183,9 +178,8 @@ def cgls_truncated(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
         # the loop's products with J and J^T, 2mn + 2nm flops per iteration, in one charge
         counter.add_matvec(2 * m * iteration, n)
     true_residual = rhs - apply_operator(s)
-    true_norm = float(np.linalg.norm(true_residual))
-    satisfied = true_norm <= theta * float(s @ s)
-    return InnerSolveResult(s, true_norm, max_iter, satisfied, true_residual)
+    satisfied = float(np.linalg.norm(true_residual)) <= theta * float(s @ s)
+    return InnerSolveResult(s, max_iter, satisfied, true_residual)
 
 
 def _shifted_gram_norm(G, lam, n):

@@ -34,7 +34,6 @@ class LmConfig:
     epsilon: float = 1e-4
     theta: float = 0.1
     max_outer_iter: int = 2000
-    cg_max_iter: int = None  # default: min(n, m + 1), CG's exact-arithmetic bound
 
     def __post_init__(self):
         if not (0 < self.eta1 <= self.eta2 < 1):
@@ -47,8 +46,6 @@ class LmConfig:
             raise ValueError("epsilon and theta must be positive")
         if self.max_outer_iter < 0:
             raise ValueError("max_outer_iter must be nonnegative")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be at least 1")
 
 
 @dataclass
@@ -57,7 +54,6 @@ class SolveReport:
 
     iterations: int
     accepted_steps: int
-    rejected_steps: int
     final_gradient_norm: float
     loss_history: list
     matvec_flops: int
@@ -166,9 +162,7 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
             s, pred = offer
         else:
             try:
-                inner = cgls_truncated(
-                    J, F, lam, theta=cfg.theta, max_iter=cfg.cg_max_iter, counter=counter, grad=g
-                )
+                inner = cgls_truncated(J, g, lam, theta=cfg.theta, counter=counter)
             except NumericalError:
                 inner_failures += 1
                 if inner_failures >= _MAX_INNER_FAILURES:
@@ -199,7 +193,6 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     return SolveReport(
         iterations=iteration,
         accepted_steps=accepted,
-        rejected_steps=iteration - accepted,
         final_gradient_norm=grad_norm,
         loss_history=history,
         matvec_flops=counter.matvec_flops,

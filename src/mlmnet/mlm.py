@@ -110,8 +110,9 @@ def build_coarse_model(coarse, x, ops, restricted_grad, counter):
     `restricted_grad` the restriction of the fine gradient at `x`; the
     correction makes the model gradient at the restricted iterate equal
     `restricted_grad`.  Restriction and products are charged to `counter`.
-    The coherence assert bounds rounding on the scale of its operands; a
-    violation is a programming error, not a solver failure, and propagates.
+    The coherence check bounds rounding on the scale of its operands; a
+    violation is a programming error, not a solver failure, and raises
+    AssertionError, under `python -O` too.
     """
     x0 = apply_blockwise(ops, x, "restrict", counter)
     F0 = coarse.residual(x0)
@@ -120,7 +121,8 @@ def build_coarse_model(coarse, x, ops, restricted_grad, counter):
     counter.add_matvec(*J0.shape)
     correction = restricted_grad - g0
     coherence = float(np.linalg.norm((g0 + correction) - restricted_grad))
-    assert coherence <= 1e-10 * (1.0 + np.linalg.norm(g0) + np.linalg.norm(restricted_grad))
+    if not coherence <= 1e-10 * (1.0 + np.linalg.norm(g0) + np.linalg.norm(restricted_grad)):
+        raise AssertionError(f"coarse model is not first-order coherent: residual {coherence:.3e}")
     return CoarseModel(
         system=coarse,
         x0=x0,
@@ -164,7 +166,7 @@ def coarse_cycle(model, lam, cfg, counter):
                 gram = gram_eigen(J)
             s = direct_solve(J, lam, -grad_model, gram)
         except NumericalError:
-            lam = cfg.gamma3 * lam
+            lam = update_lambda(lam, None, cfg)
             continue
         Js = J @ s
         counter.add_matvec(*J.shape)

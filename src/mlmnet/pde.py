@@ -187,13 +187,23 @@ class ResidualSystem:
     # -- error metric ----------------------------------------------------------
 
     def test_grid(self, points_per_axis=100):
-        """Uniform interior test grid, excluding any training points."""
+        """Uniform interior test grid, excluding any training points.
+
+        Raises ValueError when no point is left, so no error metric is
+        taken over an empty grid.
+        """
         axis = np.linspace(0.0, 1.0, points_per_axis + 2)[1:-1]
         train_axis = np.linspace(0.0, 1.0, training_points_per_axis(self.problem.nu))
         # both are tensor grids: a test point is a training point when every coordinate is shared
         shared = (np.abs(axis[:, None] - train_axis) < 1e-12).any(axis=1)
         dim = self.problem.dim
-        return tensor_grid(axis, dim)[~tensor_grid(shared, dim).all(axis=1)]
+        pts = tensor_grid(axis, dim)[~tensor_grid(shared, dim).all(axis=1)]
+        if not len(pts):
+            raise ValueError(
+                f"the test grid of points_per_axis={points_per_axis} lies entirely on "
+                "training points; choose another points_per_axis"
+            )
+        return pts
 
     def rmse(self, p, points_per_axis=100, reference=None):
         """Root mean squared error of the network against the reference field.
@@ -212,11 +222,6 @@ class ResidualSystem:
         sample = reference.sample if hasattr(reference, "sample") else reference
         params = self.params_from(p)
         pts = self.test_grid(points_per_axis)
-        if not len(pts):
-            raise ValueError(
-                f"the test grid of points_per_axis={points_per_axis} lies entirely on "
-                "training points; choose another points_per_axis"
-            )
         err = network.eval_batch(self.arch, params, pts) - np.asarray(sample(pts), dtype=float)
         return float(np.sqrt(np.mean(err**2)))
 

@@ -59,11 +59,11 @@ def call_on_one_blas_thread(module, function):
     return run_on_one_blas_thread(f"import {module}; print({module}.{function}())")
 
 
-def run_on_one_blas_thread(source):
+def run_on_one_blas_thread(source, *options):
     """Standard output of the Python `source` run in a fresh child on one BLAS thread.
 
     The child imports mlmnet from the tested sources and test modules
-    from this directory.
+    from this directory; `options` go to the interpreter, such as "-O".
     """
     env = {
         **os.environ,
@@ -73,7 +73,7 @@ def run_on_one_blas_thread(source):
         ),
     }
     child = subprocess.run(
-        [sys.executable, "-c", source],
+        [sys.executable, *options, "-c", source],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr

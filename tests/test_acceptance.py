@@ -120,15 +120,14 @@ def test_criterion_4_inner_solver_contract():
             m = int(rng.integers(5, 30))
             n = int(rng.integers(2, m + 1))
             J = rng.normal(size=(m, n))
-            F = rng.normal(size=m)
-            corr = rng.normal(size=n) if trial % 3 == 0 else None
+            g = J.T @ rng.normal(size=m)
+            if trial % 3 == 0:
+                g = g + rng.normal(size=n)  # a linear correction
             lam = float(rng.uniform(1e-4, 1.0))
             theta = float(rng.uniform(0.01, 0.5))
-            res = cgls_truncated(J, F, lam, corr=corr, theta=theta, max_iter=4 * n)
+            res = cgls_truncated(J, g, lam, theta=theta, max_iter=4 * n)
             if res.satisfied:
-                lhs = J.T @ (J @ res.step) + lam * res.step + J.T @ F
-                if corr is not None:
-                    lhs = lhs + corr
+                lhs = J.T @ (J @ res.step) + lam * res.step + g
                 assert np.linalg.norm(lhs) <= theta * float(res.step @ res.step) * (1 + 1e-12)
                 checked += 1
         assert checked >= 20  # the contract must actually have been exercised

@@ -136,7 +136,8 @@ def test_a_failed_rmse_fails_its_seed(monkeypatch):
         raise ValueError("injected RMSE failure")
 
     monkeypatch.setattr(pde.ResidualSystem, "rmse", failing_rmse)
-    with pytest.warns(UserWarning, match="1 seed"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the row and the seed carry the failure, not a warning
         rows, (result,) = run_campaign(tiny_campaign())
     assert rows[0].failures == 1 and result.reports == {}
     assert result.errors == {"lm": "ValueError: injected RMSE failure"}
@@ -306,9 +307,10 @@ def test_parse_rejects_unknown_key(tmp_path):
     path.write_text("[campaign:x]\nproblem = poisson1d\nwarp = 9\n")
     with pytest.raises(ValueError):
         config.parse_campaign_file(path)
-    path.write_text("[campaign:x]\nproblem = poisson1d\nrebuild_operators = true\n")
-    with pytest.raises(ValueError, match="unknown key 'rebuild_operators'"):
-        config.parse_campaign_file(path)
+    for key in ("rebuild_operators", "cg_max_iter"):
+        path.write_text(f"[campaign:x]\nproblem = poisson1d\n{key} = 1\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            config.parse_campaign_file(path)
     path.write_text("[not-a-campaign]\nproblem = poisson1d\n")
     with pytest.raises(ValueError):
         config.parse_campaign_file(path)
@@ -318,7 +320,7 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "cg_max_iter = 0", "epsilon = -1", "penalty = 0", "penalty = -1", "nu = 2.3",
+    "max_coarse_iter = 0", "epsilon = -1", "penalty = 0", "penalty = -1", "nu = 2.3",
     "activation = relu",
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
     "test_points_per_axis = 0", "test_points_per_axis = -5", "test_points_per_axis = 7",
@@ -348,7 +350,7 @@ def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypat
     ("[campaign:x]\nproblem = poisson1d\nwarp = 9\n", "unknown key 'warp'"),
     ("[campaign:x]\nproblem = nope\n",
      "campaign 'x': unknown problem 'nope'; see mlmnet list-problems"),
-    ("[campaign:x]\nproblem = poisson1d\ncg_max_iter = 0\n", "campaign 'x'"),
+    ("[campaign:x]\nproblem = poisson1d\nmax_coarse_iter = 0\n", "campaign 'x'"),
     ("problem = poisson1d\n", "no section headers"),
     (None, "No such file or directory"),
 ], ids=["unknown-key", "unknown-problem", "out-of-range", "no-section", "missing-file"])
@@ -453,12 +455,16 @@ def test_cli_run_prints_each_seed_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench, "lm_solve", failing_solver)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG_TEXT)
-    with pytest.warns(UserWarning, match="2 seed"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # each failure is reported once, on its own line
         code = cli.main(["run", str(cfg), "--out", str(tmp_path / "r.csv")])
     assert code == 1
     err = capsys.readouterr().err
-    for seed in (0, 1):
-        assert f"quick lm seed {seed}: failed: NumericalError: injected failure" in err
+    failed = [line for line in err.splitlines() if "failed" in line]
+    assert failed == [
+        f"quick lm seed {seed}: failed: NumericalError: injected failure" for seed in (0, 1)
+    ]
+    assert [row["failures"] for row in parse_report_csv(tmp_path / "r.csv")] == ["2"]
 
 
 def test_a_programming_error_in_a_solver_propagates(monkeypatch):
@@ -496,7 +502,8 @@ def test_cli_run_has_no_workers_option(tmp_path, capsys):
     ("--out", ".", "is a directory"),
     ("--trace", "taken", "File exists"),
     ("--cache", "taken", "is not a directory"),
-], ids=["out-missing-dir", "out-directory", "trace-file", "cache-file"])
+    ("--cache", "taken/sub", "taken is not a directory"),
+], ids=["out-missing-dir", "out-directory", "trace-file", "cache-file", "cache-under-file"])
 def test_cli_run_checks_its_paths_before_any_campaign_runs(
     tmp_path, monkeypatch, capsys, flag, path, message
 ):
@@ -542,7 +549,10 @@ def test_cli_run_checks_that_its_out_directory_takes_new_files(tmp_path, monkeyp
      "split-inspect: --out missing/dir/x.txt: no directory missing/dir"),
     (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "33", "--cache", "taken"],
      "fd-ref: --cache taken: is not a directory"),
-], ids=["split-out-missing-dir", "fd-cache-file"])
+    (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "33",
+      "--cache", "taken/sub"],
+     "fd-ref: --cache taken/sub: taken is not a directory"),
+], ids=["split-out-missing-dir", "fd-cache-file", "fd-cache-under-file"])
 def test_cli_checks_its_paths_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
     def work_stub(*args, **kw):
         raise AssertionError("work started")

@@ -20,20 +20,17 @@ from mlmnet.pde import ResidualSystem, poisson_1d
 from conftest import call_on_one_blas_thread
 
 
-def verify_stopping(J, F, lam, result, theta, corr=None):
+def verify_stopping(J, g, lam, result, theta):
     """Recompute the inner stopping inequality from scratch."""
     s = result.step
-    lhs = J.T @ (J @ s) + lam * s + J.T @ F
-    if corr is not None:
-        lhs = lhs + corr
-    return np.linalg.norm(lhs) <= theta * float(s @ s)
+    return np.linalg.norm(J.T @ (J @ s) + lam * s + g) <= theta * float(s @ s)
 
 
 def test_identity_system():
     # (I + I) s = e1  =>  s = e1/2
     J = np.eye(4)
-    F = -np.eye(4)[:, 0]
-    res = cgls_truncated(J, F, lam=1.0, theta=1e-12)
+    g = -np.eye(4)[:, 0]
+    res = cgls_truncated(J, g, lam=1.0, theta=1e-12)
     assert np.allclose(res.step, np.array([0.5, 0, 0, 0]), atol=1e-10)
     assert res.satisfied
 
@@ -50,7 +47,7 @@ def test_agrees_with_dense_normal_equations(rng):
     F = rng.normal(size=20)
     lam = 0.3
     theta = 1e-10  # tight tolerance: agreement should be near machine level
-    res = cgls_truncated(J, F, lam, theta=theta, max_iter=200)
+    res = cgls_truncated(J, J.T @ F, lam, theta=theta, max_iter=200)
     exact = np.linalg.solve(J.T @ J + lam * np.eye(10), -J.T @ F)
     smallest_eig = np.linalg.eigvalsh(J.T @ J + lam * np.eye(10))[0]
     implied = theta * float(res.step @ res.step) / smallest_eig
@@ -61,18 +58,19 @@ def test_satisfied_flag_reverifies(rng):
     for trial in range(10):
         m, n = 15, 8
         J = rng.normal(size=(m, n))
-        F = rng.normal(size=m)
-        corr = rng.normal(size=n) if trial % 2 else None
-        res = cgls_truncated(J, F, lam=0.05, corr=corr, theta=0.1, max_iter=n)
+        g = J.T @ rng.normal(size=m)
+        if trial % 2:
+            g = g + rng.normal(size=n)  # a linear correction
+        res = cgls_truncated(J, g, lam=0.05, theta=0.1, max_iter=n)
         if res.satisfied:
-            assert verify_stopping(J, F, 0.05, res, 0.1, corr)
+            assert verify_stopping(J, g, 0.05, res, 0.1)
 
 
 def test_correction_shifts_right_hand_side(rng):
     J = rng.normal(size=(12, 6))
     F = rng.normal(size=12)
     corr = rng.normal(size=6)
-    res = cgls_truncated(J, F, lam=0.2, corr=corr, theta=1e-11, max_iter=100)
+    res = cgls_truncated(J, J.T @ F + corr, lam=0.2, theta=1e-11, max_iter=100)
     exact = np.linalg.solve(J.T @ J + 0.2 * np.eye(6), -(J.T @ F + corr))
     assert np.allclose(res.step, exact, atol=1e-7)
 
@@ -83,32 +81,30 @@ def test_invalid_lambda_rejected():
 
 
 def test_non_finite_inputs_raise():
-    J = np.eye(3)
-    F = np.array([1.0, np.nan, 0.0])
-    with pytest.raises(NumericalError):
-        cgls_truncated(J, F, lam=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match="non-finite right-hand side"):
+            cgls_truncated(np.eye(3), np.array([1.0, bad, 0.0]), lam=1.0)
 
 
 def test_flop_count_deterministic_and_positive(rng):
     J = rng.normal(size=(9, 5))
-    F = rng.normal(size=9)
+    g = J.T @ rng.normal(size=9)
     counts = []
     for _ in range(2):
         counter = FlopCounter()
-        cgls_truncated(J, F, lam=0.1, theta=0.1, counter=counter)
+        cgls_truncated(J, g, lam=0.1, theta=0.1, counter=counter)
         counts.append(counter.matvec_flops)
     assert counts[0] == counts[1] > 0
 
 
 def test_flop_count_formula(rng):
-    # one CG iteration costs two products with J plus the gradient build
+    # one CG iteration costs two products with J; the caller charged the gradient
     J = np.eye(4)
-    F = -np.ones(4)
     counter = FlopCounter()
-    res = cgls_truncated(J, F, lam=1.0, theta=1e-12, counter=counter)
+    res = cgls_truncated(J, -np.ones(4), lam=1.0, theta=1e-12, counter=counter)
     m, n = J.shape
-    # gradient (2mn) + per-iteration operator (4mn) + one verification (4mn)
-    assert counter.matvec_flops == 2 * m * n + res.iterations * 4 * m * n + 4 * m * n
+    # per-iteration operator (4mn) + one verification (4mn)
+    assert counter.matvec_flops == res.iterations * 4 * m * n + 4 * m * n
 
 
 def test_flop_charges_add_up_per_call(rng, monkeypatch):
@@ -123,11 +119,11 @@ def test_flop_charges_add_up_per_call(rng, monkeypatch):
     monkeypatch.setattr(FlopCounter, "add_matvec", recording_add_matvec)
     J = rng.normal(size=(9, 5))
     counter = FlopCounter()
-    res = cgls_truncated(J, rng.normal(size=9), lam=0.1, theta=1e-12, counter=counter)
+    res = cgls_truncated(J, J.T @ rng.normal(size=9), lam=0.1, theta=1e-12, counter=counter)
     assert res.iterations > 1
     assert sum(2 * rows * cols for rows, cols in calls) == counter.matvec_flops
-    # gradient, all loop products in one charge, and the two of the verification
-    assert len(calls) == 4
+    # all loop products in one charge, and the two of the verification
+    assert len(calls) == 3
 
 
 def breakdown_system(entry):
@@ -148,18 +144,21 @@ def breakdown_system(entry):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-@pytest.mark.parametrize("with_grad", [False, True], ids=["grad-built", "grad-given"])
-@pytest.mark.parametrize("entry, k", [(1e300, 1), (1e-100, 2), (1e-200, 10)])
-def test_breakdown_charges_the_products_made_before_it(entry, k, with_grad):
+@pytest.mark.parametrize("entry, k", [
+    pytest.param(1e300, 1, id="1e+300-1-grad-given"),
+    pytest.param(1e-100, 2, id="1e-100-2-grad-given"),
+    pytest.param(1e-200, 10, id="1e-200-10-grad-given"),
+])
+def test_breakdown_charges_the_products_made_before_it(entry, k):
     J, F = breakdown_system(entry)
     m, n = J.shape
-    grad = J.T @ F if with_grad else None
+    g = J.T @ F
     # k is the first iteration whose curvature is not finite
-    cgls_truncated(J, F, lam=1e-3, theta=1e-300, max_iter=k - 1, grad=grad)
+    cgls_truncated(J, g, lam=1e-3, theta=1e-300, max_iter=k - 1)
     counter = FlopCounter()
     with pytest.raises(NumericalError, match="positive definiteness"):
-        cgls_truncated(J, F, lam=1e-3, theta=1e-300, max_iter=k, counter=counter, grad=grad)
-    assert counter.matvec_flops == k * 4 * m * n + (0 if with_grad else 2 * m * n)
+        cgls_truncated(J, g, lam=1e-3, theta=1e-300, max_iter=k, counter=counter)
+    assert counter.matvec_flops == k * 4 * m * n
 
 
 def test_predicted_reduction_positive(rng):
@@ -167,7 +166,7 @@ def test_predicted_reduction_positive(rng):
         J = rng.normal(size=(10, 6))
         F = rng.normal(size=10)
         g = J.T @ F
-        res = cgls_truncated(J, F, lam=0.5, theta=0.1, grad=g)
+        res = cgls_truncated(J, g, lam=0.5, theta=0.1)
         if res.step.any():
             pred = predicted_reduction(res.step, -g, res.linear_residual, 0.5)
             assert pred > 0
@@ -186,18 +185,14 @@ def same_result(a, b):
     return (
         np.array_equal(a.step, b.step)
         and np.array_equal(a.linear_residual, b.linear_residual)
-        and (a.iterations, a.satisfied, a.model_gradient_norm)
-        == (b.iterations, b.satisfied, b.model_gradient_norm)
+        and (a.iterations, a.satisfied) == (b.iterations, b.satisfied)
     )
 
 
-def reference_cgls(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None, grad=None):
+def reference_cgls(J, g, lam, theta=0.1, max_iter=None, counter=None):
     """The conjugate-gradient loop before its per-iteration calls were trimmed: the reference."""
     m, n = J.shape
-    if grad is None:
-        grad = J.T @ F
-        counter.add_matvec(m, n)
-    rhs = -grad if corr is None else -(grad + corr)
+    rhs = -g
     max_iter = min(n, m + 1) if max_iter is None else max_iter
 
     def apply_operator(x):
@@ -222,15 +217,14 @@ def reference_cgls(J, F, lam, corr=None, theta=0.1, max_iter=None, counter=None,
             true_residual = rhs - apply_operator(s)
             true_norm = float(np.linalg.norm(true_residual))
             if true_norm <= bound:
-                return InnerSolveResult(s, true_norm, iteration, True, true_residual)
+                return InnerSolveResult(s, iteration, True, true_residual)
             if rs_new == 0.0:
-                return InnerSolveResult(s, true_norm, iteration, False, true_residual)
+                return InnerSolveResult(s, iteration, False, true_residual)
         p = r + (rs_new / rs) * p
         rs = rs_new
     true_residual = rhs - apply_operator(s)
-    true_norm = float(np.linalg.norm(true_residual))
-    satisfied = true_norm <= theta * float(s @ s)
-    return InnerSolveResult(s, true_norm, max_iter, satisfied, true_residual)
+    satisfied = float(np.linalg.norm(true_residual)) <= theta * float(s @ s)
+    return InnerSolveResult(s, max_iter, satisfied, true_residual)
 
 
 def cgls_mismatches():
@@ -249,12 +243,12 @@ def cgls_mismatches():
         for lam in (1e-6, 0.1):
             for theta in (0.1, 1e-12):
                 for corr in (None, rng.normal(size=n) * 1e-3):
+                    g = J.T @ F if corr is None else J.T @ F + corr
                     # max_iter = n keeps the loop beyond the default cap under comparison
-                    for max_iter, with_grad in ((None, False), (n, False), (5, True)):
-                        grad = J.T @ F if with_grad else None
+                    for max_iter in (None, n, 5):
                         counters = FlopCounter(), FlopCounter()
-                        got = cgls_truncated(J, F, lam, corr, theta, max_iter, counters[0], grad)
-                        ref = reference_cgls(J, F, lam, corr, theta, max_iter, counters[1], grad)
+                        got = cgls_truncated(J, g, lam, theta, max_iter, counters[0])
+                        ref = reference_cgls(J, g, lam, theta, max_iter, counters[1])
                         same_flops = counters[0].matvec_flops == counters[1].matvec_flops
                         if not (same_result(got, ref) and same_flops):
                             mismatches.append((name, lam, theta, corr is None, max_iter))
@@ -269,30 +263,33 @@ def test_cgls_is_bit_identical_to_the_reference_loop():
 def test_default_cap_stops_a_wide_solve_at_m_plus_one(rng, lam):
     J, F = graded_wide_system(rng)
     m, n = J.shape
-    uncapped = cgls_truncated(J, F, lam, theta=1e-12, max_iter=n)
+    g = J.T @ F
+    uncapped = cgls_truncated(J, g, lam, theta=1e-12, max_iter=n)
     assert uncapped.iterations > m + 1
     counter = FlopCounter()
-    res = cgls_truncated(J, F, lam, theta=1e-12, counter=counter)
+    res = cgls_truncated(J, g, lam, theta=1e-12, counter=counter)
     assert res.iterations == m + 1
     assert not res.satisfied
-    # gradient (2mn) + per-iteration operator (4mn) + one verification (4mn)
-    assert counter.matvec_flops == 2 * m * n + (m + 1) * 4 * m * n + 4 * m * n
-    assert same_result(res, cgls_truncated(J, F, lam, theta=1e-12, max_iter=m + 1))
+    # per-iteration operator (4mn) + one verification (4mn)
+    assert counter.matvec_flops == (m + 1) * 4 * m * n + 4 * m * n
+    assert same_result(res, cgls_truncated(J, g, lam, theta=1e-12, max_iter=m + 1))
 
 
 def test_default_cap_of_a_tall_solve_is_n(rng):
-    J, F = rng.normal(size=(30, 12)), rng.normal(size=30)
+    J = rng.normal(size=(30, 12))
+    g = J.T @ rng.normal(size=30)
     # a bound no iterate meets: the solve runs to its cap
-    res = cgls_truncated(J, F, 0.1, theta=1e-300)
+    res = cgls_truncated(J, g, 0.1, theta=1e-300)
     assert res.iterations == 12
-    assert same_result(res, cgls_truncated(J, F, 0.1, theta=1e-300, max_iter=12))
+    assert same_result(res, cgls_truncated(J, g, 0.1, theta=1e-300, max_iter=12))
 
 
 def test_default_cap_leaves_an_early_stop_unchanged(rng):
-    J, F = rng.normal(size=(20, 60)), rng.normal(size=20)
-    res = cgls_truncated(J, F, 1.0, theta=0.1)
+    J = rng.normal(size=(20, 60))
+    g = J.T @ rng.normal(size=20)
+    res = cgls_truncated(J, g, 1.0, theta=0.1)
     assert res.satisfied and res.iterations < 21
-    assert same_result(res, cgls_truncated(J, F, 1.0, theta=0.1, max_iter=60))
+    assert same_result(res, cgls_truncated(J, g, 1.0, theta=0.1, max_iter=60))
 
 
 def test_direct_solve_identity():
@@ -310,8 +307,8 @@ def test_direct_solve_agrees_with_cgls(rng):
     J = rng.normal(size=(5, 8))
     rhs = rng.normal(size=8)
     s_direct = direct_solve(J, 0.5, rhs)
-    # same system through the iterative path, rhs entering as the correction
-    res = cgls_truncated(J, np.zeros(5), 0.5, corr=-rhs, theta=1e-14, max_iter=400)
+    # same system through the iterative path, rhs entering as a pure correction
+    res = cgls_truncated(J, -rhs, 0.5, theta=1e-14, max_iter=400)
     B = J.T @ J + 0.5 * np.eye(8)
     assert np.linalg.norm(B @ s_direct - rhs) <= 1e-10 * (np.linalg.norm(B) * np.linalg.norm(s_direct) + np.linalg.norm(rhs))
     assert np.allclose(s_direct, res.step, atol=1e-8)

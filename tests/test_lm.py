@@ -37,9 +37,6 @@ def test_config_validation():
         LmConfig(lambda0=1e-7, lambda_min=1e-6)
     with pytest.raises(ValueError):
         LmConfig(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        LmConfig(cg_max_iter=0)  # no CG iteration would ever produce a step
-    assert LmConfig(cg_max_iter=1).cg_max_iter == 1
 
 
 def fine_solve_sizes(monkeypatch, system, x0, cfg):
@@ -62,15 +59,6 @@ def test_fine_solves_stop_at_the_exact_arithmetic_bound(monkeypatch, rng):
     x0 = rng.uniform(-1, 1, system.n)
     sizes = fine_solve_sizes(monkeypatch, system, x0, LmConfig(max_outer_iter=300))
     assert sizes and all(iterations <= m + 1 for iterations, m in sizes)
-
-
-def test_cg_max_iter_overrides_the_bound(monkeypatch, rng):
-    system = ResidualSystem(poisson_1d(nu=5), NetworkArch(16, 1, Activation("sigmoid")))
-    x0 = rng.uniform(-1, 1, system.n)
-    cfg = LmConfig(max_outer_iter=300, cg_max_iter=system.n)
-    sizes = fine_solve_sizes(monkeypatch, system, x0, cfg)
-    assert any(iterations > m + 1 for iterations, m in sizes)
-    assert all(iterations <= system.n for iterations, _ in sizes)
 
 
 def test_already_critical_start(rng):
@@ -105,7 +93,6 @@ def test_accepted_steps_strictly_decrease_loss(rng):
     assert np.all(np.diff(hist) <= 0.0)  # rejected steps keep the value, accepted lower it
     drops = np.diff(hist) < 0.0
     assert drops.sum() == report.accepted_steps
-    assert report.iterations == report.accepted_steps + report.rejected_steps
 
 
 def test_report_flops_match_counter(rng):

@@ -351,8 +351,12 @@ def test_rmse_grid_excludes_coinciding_2d_training_points():
 )
 def test_test_grid_matches_loop_exclusion(problem, points_per_axis):
     system = small_system(problem, r=2)
-    assert np.array_equal(system.test_grid(points_per_axis),
-                          loop_exclusion_grid(system, points_per_axis))
+    expected = loop_exclusion_grid(system, points_per_axis)
+    if not len(expected):
+        with pytest.raises(ValueError, match=f"points_per_axis={points_per_axis} lies entirely"):
+            system.test_grid(points_per_axis)
+    else:
+        assert np.array_equal(system.test_grid(points_per_axis), expected)
 
 
 @pytest.mark.parametrize(
@@ -365,7 +369,12 @@ def test_test_grid_matches_loop_exclusion(problem, points_per_axis):
 def test_test_grid_drops_a_point_only_when_every_coordinate_is_shared(
     problem, points_per_axis, size
 ):
-    assert small_system(problem, r=2).test_grid(points_per_axis).shape == (size, problem.dim)
+    system = small_system(problem, r=2)
+    if size == 0:
+        with pytest.raises(ValueError, match="lies entirely on training points"):
+            system.test_grid(points_per_axis)
+    else:
+        assert system.test_grid(points_per_axis).shape == (size, problem.dim)
 
 
 def test_tensor_grid_rows_are_the_reshape_and_meshgrid_rows():
@@ -389,7 +398,8 @@ def test_coarse_system_trains_on_the_fine_points(problem, rng):
 def test_rmse_rejects_an_empty_test_grid():
     # training spacing 1/40 contains every k/8, the whole 7-point test axis
     system = small_system(poisson_1d(nu=20), r=2)
-    assert system.test_grid(7).shape == (0, 1)
+    with pytest.raises(ValueError, match="points_per_axis=7"):
+        system.test_grid(7)
     with pytest.raises(ValueError, match="points_per_axis=7"):
         system.rmse(np.zeros(system.n), points_per_axis=7)
 
