@@ -21,7 +21,7 @@ from .bench import Campaign, ComparisonRow, emit_report, run_campaign
 from .fdref import FdGrid, solve_helmholtz_fd
 from .linsolve import FlopCounter, InnerSolveResult, NumericalError, cgls_truncated, direct_solve
 from .lm import LmConfig, SolveReport, lm_solve
-from .mlm import CoarseModel, MlmConfig, build_coarse_model, coarse_cycle, go_down, mlm_solve
+from .mlm import CoarseModel, build_coarse_model, coarse_cycle, go_down, mlm_solve
 from .network import NetworkArch, NetworkParams
 from .pde import (
     PdeProblem,

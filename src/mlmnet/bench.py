@@ -21,8 +21,8 @@ from . import pde
 from .activations import Activation
 from .amg import build_transfer_operators, check_eps_amg
 from .linsolve import FlopCounter, NumericalError
-from .lm import lm_solve
-from .mlm import MlmConfig, mlm_solve
+from .lm import LmConfig, lm_solve
+from .mlm import mlm_solve
 from .network import NetworkArch
 
 SOLVERS = ("lm", "mlm")
@@ -77,11 +77,12 @@ PROBLEMS = {
 class Campaign:
     """One benchmark configuration: problem, sizes, seeds, solvers.
 
-    `solver_config` is the one MlmConfig both solvers run: the overrides
-    on top of an epsilon of 1e-4 in 1D and 1e-3 in 2D.  The seeds must be
-    distinct non-negative integers.  Every setting is checked on
-    construction, by building the solver config, the residual system and
-    its test grid, so that a bad campaign fails before any campaign runs.
+    `solver_config` is the one LmConfig both solvers run: the overrides
+    of `epsilon` and `max_outer_iter` on top of an epsilon of 1e-4 in 1D
+    and 1e-3 in 2D.  The seeds must be distinct non-negative integers.
+    Every setting is checked on construction, by building the solver
+    config, the residual system and its test grid, so that a bad campaign
+    fails before any campaign runs.
     """
 
     name: str
@@ -96,7 +97,7 @@ class Campaign:
     penalty: float = None
     test_points_per_axis: int = 100
     fd_resolution: int = 201
-    solver_config: MlmConfig = field(init=False, repr=False)
+    solver_config: LmConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -119,12 +120,12 @@ class Campaign:
                 self.r = entry.default_r
             if "mlm" in self.solvers and self.r < 2:
                 raise ValueError("the two-level solver needs at least 2 hidden nodes to coarsen")
-            unknown = set(self.overrides) - set(MlmConfig.__dataclass_fields__)
+            unknown = set(self.overrides) - set(LmConfig.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown config overrides {sorted(unknown)}")
             settings = dict(self.overrides)
             settings.setdefault("epsilon", 1e-4 if entry.dim == 1 else 1e-3)
-            self.solver_config = MlmConfig(**settings)
+            self.solver_config = LmConfig(**settings)
             check_eps_amg(self.eps_amg)
             if entry.velocity_name is not None and self.fd_resolution < 3:
                 raise ValueError(

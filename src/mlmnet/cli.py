@@ -28,8 +28,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, config, fdref, pde
 from .activations import Activation
 from .amg import (

@@ -15,15 +15,17 @@ Example::
 The keys follow the two dataclasses, so each setting is named once.
 `seeds` and `solvers` take space-separated lists; every other str, int or
 float field of `bench.Campaign` but `name` is a key of that type, of
-which `problem` is required; and every field of `MlmConfig` may be set as
-an override of the one config both solvers run.
+which `problem` is required; and the two fields of `LmConfig`, `epsilon`
+and `max_outer_iter`, may be set as overrides of the one config both
+solvers run.  The paper's other solver values are module constants of
+`lm` and `mlm`, not keys.
 """
 
 import configparser
 from dataclasses import fields
 
 from .bench import Campaign
-from .mlm import MlmConfig
+from .lm import LmConfig
 
 _CAMPAIGN_KEYS = {
     f.name: f.type
@@ -31,7 +33,7 @@ _CAMPAIGN_KEYS = {
     if f.type in (str, int, float) and f.name != "name"
 }
 
-_OVERRIDE_TYPES = {f.name: int if f.type is int else float for f in fields(MlmConfig)}
+_OVERRIDE_TYPES = {f.name: int if f.type is int else float for f in fields(LmConfig)}
 
 
 def parse_campaign_file(path):

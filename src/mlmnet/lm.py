@@ -19,31 +19,25 @@ from .linsolve import FlopCounter, NumericalError, cgls_truncated, predicted_red
 # consecutive inner-solver breakdowns tolerated before giving up
 _MAX_INNER_FAILURES = 50
 
+# The paper's acceptance test and regularization schedule: a step is taken
+# when rho >= ETA1; lam falls by GAMMA2 when rho >= ETA2, by GAMMA1 otherwise,
+# never below LAMBDA_MIN, and grows by GAMMA3 after a rejection.  Read at
+# call time, so a side script may patch one.
+ETA1, ETA2 = 0.1, 0.75
+GAMMA1, GAMMA2, GAMMA3 = 0.85, 0.5, 1.5
+LAMBDA0, LAMBDA_MIN = 0.05, 1e-6
+
 
 @dataclass
 class LmConfig:
-    """Parameters of the acceptance test and regularization schedule."""
+    """The two solver settings: gradient tolerance and iteration cap."""
 
-    eta1: float = 0.1
-    eta2: float = 0.75
-    gamma1: float = 0.85
-    gamma2: float = 0.5
-    gamma3: float = 1.5
-    lambda0: float = 0.05
-    lambda_min: float = 1e-6
     epsilon: float = 1e-4
-    theta: float = 0.1
     max_outer_iter: int = 2000
 
     def __post_init__(self):
-        if not (0 < self.eta1 <= self.eta2 < 1):
-            raise ValueError("need 0 < eta1 <= eta2 < 1")
-        if not (0 < self.gamma2 <= self.gamma1 < 1 < self.gamma3):
-            raise ValueError("need 0 < gamma2 <= gamma1 < 1 < gamma3")
-        if self.lambda_min <= 0 or self.lambda0 <= self.lambda_min:
-            raise ValueError("need lambda0 > lambda_min > 0")
-        if self.epsilon <= 0 or self.theta <= 0:
-            raise ValueError("epsilon and theta must be positive")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
         if self.max_outer_iter < 0:
             raise ValueError("max_outer_iter must be nonnegative")
 
@@ -89,12 +83,12 @@ class TraceWriter:
         self._writer.writerow(rec)
 
 
-def update_lambda(lam, rho, cfg):
+def update_lambda(lam, rho):
     """Three-branch regularization update driven by the acceptance ratio."""
-    if rho is not None and rho >= cfg.eta1:
-        gamma = cfg.gamma2 if rho >= cfg.eta2 else cfg.gamma1
-        return max(cfg.lambda_min, gamma * lam)
-    return cfg.gamma3 * lam
+    if rho is not None and rho >= ETA1:
+        gamma = GAMMA2 if rho >= ETA2 else GAMMA1
+        return max(LAMBDA_MIN, gamma * lam)
+    return GAMMA3 * lam
 
 
 def lm_solve(system, x0, cfg=None, counter=None, trace=None):
@@ -136,7 +130,7 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     if not np.isfinite(f):
         raise NumericalError("loss is not finite at the starting point")
 
-    lam = cfg.lambda0
+    lam = LAMBDA0
     history = [f]
     accepted = 0
     inner_failures = 0
@@ -162,12 +156,12 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
             s, pred = offer
         else:
             try:
-                inner = cgls_truncated(J, g, lam, theta=cfg.theta, counter=counter)
+                inner = cgls_truncated(J, g, lam, counter=counter)
             except NumericalError:
                 inner_failures += 1
                 if inner_failures >= _MAX_INNER_FAILURES:
                     raise
-                s = None  # rejected like a failed step: lam grows by gamma3
+                s = None  # rejected like a failed step: lam grows by GAMMA3
             else:
                 inner_failures = 0
                 s = inner.step
@@ -178,13 +172,13 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
             F_trial, f_trial = evaluate_loss(system, x + s)
             if np.isfinite(f_trial):
                 rho = (f - f_trial) / pred
-        took_step = rho is not None and rho >= cfg.eta1
+        took_step = rho is not None and rho >= ETA1
         if took_step:
             x = x + s
             F, f = F_trial, f_trial
             accepted += 1
             stale = True
-        lam = update_lambda(lam, rho, cfg)
+        lam = update_lambda(lam, rho)
         history.append(f)
         if writer:
             writer.row(iteration, f, grad_norm, lam, rho, took_step, counter.matvec_flops,

@@ -21,38 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lm
 from .amg import apply_blockwise
 from .linsolve import FlopCounter, NumericalError, direct_solve, gram_eigen
-from .lm import LmConfig, evaluate_loss, minimize, update_lambda
+from .lm import evaluate_loss, minimize, update_lambda
 
 
-@dataclass
-class MlmConfig(LmConfig):
-    """LmConfig plus the coarse-level controls.
-
-    kappa_h and epsilon_h gate the descent to the coarse level (relative
-    and absolute size of the restricted gradient), tested after every
-    fine iteration; the coarse run itself stops at the fine gradient
-    tolerance or after max_coarse_iter iterations.  The transfer
-    operators are the ones passed to `mlm_solve`, built once at the
-    starting point.  A campaign hands one MlmConfig to both solvers;
-    `lm_solve` reads only its LmConfig fields.
-    """
-
-    kappa_h: float = 0.1
-    epsilon_h: float = None  # default: the fine gradient tolerance
-    max_coarse_iter: int = 10
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0 < self.kappa_h < 1):
-            raise ValueError("kappa_h must lie in (0, 1)")
-        if self.epsilon_h is None:
-            self.epsilon_h = self.epsilon
-        if self.epsilon_h <= 0:
-            raise ValueError("epsilon_h must be positive")
-        if self.max_coarse_iter < 1:
-            raise ValueError("max_coarse_iter must be at least 1")
+# The paper's coarse-level controls: the descent test's relative threshold
+# (read through `effective_kappa`) and the cap on coarse iterations per
+# attempt.  Read at call time, so a side script may patch one.
+KAPPA_H = 0.1
+MAX_COARSE_ITER = 10
 
 
 @dataclass
@@ -80,8 +59,9 @@ class CoarseModel:
 def go_down(grad_fine, ops, kappa, epsilon_h, counter=None):
     """Descent test: the restricted gradient if it justifies a coarse step, else None.
 
-    `kappa` is the relative threshold, `effective_kappa(cfg, ops)` in the
-    solver; the restriction is charged to `counter`.
+    `kappa` is the relative threshold, `effective_kappa(ops)` in the
+    solver, and `epsilon_h` the absolute one, the fine gradient tolerance
+    in the solver; the restriction is charged to `counter`.
     """
     restricted = apply_blockwise(ops, grad_fine, "restrict", counter)
     rnorm = float(np.linalg.norm(restricted))
@@ -90,17 +70,17 @@ def go_down(grad_fine, ops, kappa, epsilon_h, counter=None):
     return None
 
 
-def effective_kappa(cfg, ops):
+def effective_kappa(ops):
     """Descent threshold calibrated to the restriction operator.
 
     No restricted gradient can exceed ||R|| times the fine gradient, so a
     meaningful relative threshold must stay below the norm of R (the
     infinity-norm scaling of the operators makes that norm well below one
-    on dense coupling matrices).  The configured kappa_h in (0,1) is
-    therefore read as a fraction of the achievable ratio.
+    on dense coupling matrices).  KAPPA_H in (0,1) is therefore read as a
+    fraction of the achievable ratio.
     """
     spectral = float(np.linalg.norm(ops.restrict, 2))
-    return cfg.kappa_h * min(1.0, spectral)
+    return KAPPA_H * min(1.0, spectral)
 
 
 def build_coarse_model(coarse, x, ops, restricted_grad, counter):
@@ -138,10 +118,12 @@ def build_coarse_model(coarse, x, ops, restricted_grad, counter):
 def coarse_cycle(model, lam, cfg, counter):
     """Bounded damped Gauss-Newton run on the corrected coarse objective.
 
-    Returns (step, predicted_reduction, accepted_count) where the step is
-    measured from the restricted iterate and the prediction is the model
-    decrease achieved by the run; a zero step or zero prediction marks a
-    failed coarse attempt.  `gram`, the factor of the current J, is built
+    The run stops after MAX_COARSE_ITER iterations, or earlier once the
+    model gradient is within the fine tolerance `cfg.epsilon`.  Returns
+    (step, predicted_reduction, accepted_count) where the step is measured
+    from the restricted iterate and the prediction is the model decrease
+    achieved by the run; a zero step or zero prediction marks a failed
+    coarse attempt.  `gram`, the factor of the current J, is built
     at its first solve and serves every lam until J is refreshed.
     """
     system, corr = model.system, model.correction
@@ -151,7 +133,7 @@ def coarse_cycle(model, lam, cfg, counter):
     model_value = model.f0
     accepted = 0
     stale = False
-    for _ in range(cfg.max_coarse_iter):
+    for _ in range(MAX_COARSE_ITER):
         if stale:
             J = system.jacobian(y)
             g = J.T @ F
@@ -166,7 +148,7 @@ def coarse_cycle(model, lam, cfg, counter):
                 gram = gram_eigen(J)
             s = direct_solve(J, lam, -grad_model, gram)
         except NumericalError:
-            lam = update_lambda(lam, None, cfg)
+            lam = update_lambda(lam, None)
             continue
         Js = J @ s
         counter.add_matvec(*J.shape)
@@ -178,12 +160,12 @@ def coarse_cycle(model, lam, cfg, counter):
             trial_value += float(corr @ (y_trial - model.x0))
             if np.isfinite(trial_value):
                 rho = (model_value - trial_value) / pred
-        if rho is not None and rho >= cfg.eta1:
+        if rho is not None and rho >= lm.ETA1:
             y, F = y_trial, F_trial
             model_value = trial_value
             accepted += 1
             stale = True
-        lam = update_lambda(lam, rho, cfg)
+        lam = update_lambda(lam, rho)
     return y - model.x0, model.f0 - model_value, accepted
 
 
@@ -198,12 +180,12 @@ def mlm_solve(system, x0, cfg, ops, counter=None, trace=None):
     the restricted gradient passes the descent test.
     """
     counter = counter if counter is not None else FlopCounter()
-    kappa = effective_kappa(cfg, ops)
+    kappa = effective_kappa(ops)
     coarse = system.coarsen(ops)
     coherence_log = []
 
     def coarse_step(x, g, grad_norm, lam):
-        restricted = go_down(g, ops, kappa, cfg.epsilon_h, counter)
+        restricted = go_down(g, ops, kappa, cfg.epsilon, counter)
         if restricted is None:
             return None
         model = build_coarse_model(coarse, x, ops, restricted, counter)

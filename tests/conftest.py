@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,11 +8,24 @@ import numpy as np
 import pytest
 
 import mlmnet
+from mlmnet import mlm
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_coarse_descents(monkeypatch):
+    """`mlm.go_down` with an infinite absolute threshold: no restricted
+    gradient passes, but each test still restricts and charges it."""
+    real_go_down = mlm.go_down
+
+    def never_down(grad_fine, ops, kappa, epsilon_h, counter=None):
+        return real_go_down(grad_fine, ops, kappa, math.inf, counter)
+
+    monkeypatch.setattr(mlm, "go_down", never_down)
 
 
 def central_difference(f, x, h):

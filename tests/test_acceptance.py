@@ -17,7 +17,7 @@ from mlmnet.bench import Campaign, emit_report, initial_guess, run_campaign
 from mlmnet.fdref import solve_helmholtz_fd
 from mlmnet.linsolve import cgls_truncated
 from mlmnet.lm import LmConfig, lm_solve
-from mlmnet.mlm import MlmConfig, mlm_solve
+from mlmnet.mlm import mlm_solve
 from mlmnet.network import NetworkArch
 from mlmnet.pde import (
     ResidualSystem,
@@ -70,7 +70,7 @@ def test_criterion_2_first_order_coherence():
         system = ResidualSystem(poisson_1d(nu=5), NetworkArch(64, 1, Activation("sigmoid")))
         p0 = initial_guess(0, system.n)
         ops = build_transfer_operators(system.jacobian(p0), system.arch)
-        report = mlm_solve(system, p0, MlmConfig(epsilon=1e-4), ops)
+        report = mlm_solve(system, p0, LmConfig(epsilon=1e-4), ops)
         assert report.coherence_residuals, "the run never built a coarse model"
         for coherence, grad_norm in report.coherence_residuals:
             assert coherence <= 1e-10 * (1.0 + grad_norm)
@@ -136,14 +136,13 @@ def test_criterion_4_inner_solver_contract():
 def test_criterion_5_desk_scale_convergence():
     with criterion(5, "desk-scale convergence (1D Poisson, nu=5, r=64)"):
         system = ResidualSystem(poisson_1d(nu=5), NetworkArch(64, 1, Activation("sigmoid")))
-        cfg_lm = LmConfig(epsilon=1e-4, max_outer_iter=2000)
-        cfg_mlm = MlmConfig(epsilon=1e-4, max_outer_iter=2000)
+        cfg = LmConfig(epsilon=1e-4, max_outer_iter=2000)
         for seed in (0, 1, 2):
             p0 = initial_guess(seed, system.n)
             ops = build_transfer_operators(system.jacobian(p0), system.arch)
             for name, report in (
-                ("lm", lm_solve(system, p0.copy(), cfg_lm)),
-                ("mlm", mlm_solve(system, p0.copy(), cfg_mlm, ops)),
+                ("lm", lm_solve(system, p0.copy(), cfg)),
+                ("mlm", mlm_solve(system, p0.copy(), cfg, ops)),
             ):
                 assert report.converged, f"{name} seed {seed} did not converge"
                 assert report.final_gradient_norm <= 1e-4

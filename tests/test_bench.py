@@ -94,7 +94,7 @@ def test_campaign_determinism(tmp_path):
     assert filecmp.cmp(*paths, shallow=False)
 
 
-def test_flop_parity_without_coarse_descents(monkeypatch):
+def test_flop_parity_without_coarse_descents(monkeypatch, no_coarse_descents):
     # with the descent test disabled, the two-level solver is the one-level
     # solver: the same iterates, plus the restriction of each descent test
     built = []
@@ -106,7 +106,7 @@ def test_flop_parity_without_coarse_descents(monkeypatch):
 
     monkeypatch.setattr(bench, "build_transfer_operators", recording_build)
     campaign = tiny_campaign(
-        solvers=("lm", "mlm"), seeds=(0, 1, 2), overrides={"epsilon": 1e-3, "epsilon_h": 1e12}
+        solvers=("lm", "mlm"), seeds=(0, 1, 2), overrides={"epsilon": 1e-3}
     )
     rows, seeds = run_campaign(campaign)
     save = [r for r in rows if r.solver == "mlm"][0].save_mean
@@ -302,12 +302,26 @@ def test_parse_campaign_file(tmp_path):
     assert c.overrides == {"epsilon": 1e-3, "max_outer_iter": 300}
 
 
+def test_readme_campaign_example_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Campaign files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "c.cfg"
+    path.write_text(example)
+    [campaign] = config.parse_campaign_file(path)
+    assert campaign.problem == "poisson1d" and campaign.solvers == ("lm", "mlm")
+    assert campaign.overrides == {"epsilon": 1e-4, "max_outer_iter": 2000}
+
+
 def test_parse_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[campaign:x]\nproblem = poisson1d\nwarp = 9\n")
     with pytest.raises(ValueError):
         config.parse_campaign_file(path)
-    for key in ("rebuild_operators", "cg_max_iter"):
+    removed = (
+        "rebuild_operators", "cg_max_iter", "eta1", "eta2", "gamma1", "gamma2", "gamma3",
+        "lambda0", "lambda_min", "theta", "kappa_h", "epsilon_h", "max_coarse_iter",
+    )
+    for key in removed:
         path.write_text(f"[campaign:x]\nproblem = poisson1d\n{key} = 1\n")
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             config.parse_campaign_file(path)
@@ -320,8 +334,8 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "max_coarse_iter = 0", "epsilon = -1", "penalty = 0", "penalty = -1", "nu = 2.3",
-    "activation = relu",
+    "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "penalty = 0", "penalty = -1",
+    "nu = 2.3", "activation = relu",
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
     "test_points_per_axis = 0", "test_points_per_axis = -5", "test_points_per_axis = 7",
     "eps_amg = 1.5", "eps_amg = nan", "eps_amg = 0", "eps_amg = -1",
@@ -350,7 +364,7 @@ def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypat
     ("[campaign:x]\nproblem = poisson1d\nwarp = 9\n", "unknown key 'warp'"),
     ("[campaign:x]\nproblem = nope\n",
      "campaign 'x': unknown problem 'nope'; see mlmnet list-problems"),
-    ("[campaign:x]\nproblem = poisson1d\nmax_coarse_iter = 0\n", "campaign 'x'"),
+    ("[campaign:x]\nproblem = poisson1d\nmax_outer_iter = -1\n", "campaign 'x'"),
     ("problem = poisson1d\n", "no section headers"),
     (None, "No such file or directory"),
 ], ids=["unknown-key", "unknown-problem", "out-of-range", "no-section", "missing-file"])

@@ -30,13 +30,11 @@ class LinearLeastSquares:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LmConfig(eta1=0.8, eta2=0.5)
-    with pytest.raises(ValueError):
-        LmConfig(gamma3=0.9)
-    with pytest.raises(ValueError):
-        LmConfig(lambda0=1e-7, lambda_min=1e-6)
-    with pytest.raises(ValueError):
         LmConfig(epsilon=-1.0)
+    with pytest.raises(ValueError):
+        LmConfig(epsilon=float("nan"))
+    with pytest.raises(ValueError):
+        LmConfig(max_outer_iter=-1)
 
 
 def fine_solve_sizes(monkeypatch, system, x0, cfg):

@@ -9,9 +9,8 @@ from mlmnet.activations import Activation
 from mlmnet.amg import apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
 from mlmnet import lm, mlm
 from mlmnet.linsolve import FlopCounter, GramEigen, NumericalError, direct_solve, gram_eigen
-from mlmnet.lm import lm_solve, update_lambda
+from mlmnet.lm import LmConfig, lm_solve, update_lambda
 from mlmnet.mlm import (
-    MlmConfig,
     build_coarse_model,
     coarse_cycle,
     effective_kappa,
@@ -48,22 +47,13 @@ def coarse_model_at(system, x, ops):
     return build_coarse_model(system.coarsen(ops), x, ops, restricted, FlopCounter())
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        MlmConfig(kappa_h=1.5)
-    with pytest.raises(ValueError):
-        MlmConfig(max_coarse_iter=0)
-    cfg = MlmConfig(epsilon=1e-3)
-    assert cfg.epsilon_h == 1e-3  # defaults to the fine tolerance
-
-
 # -- go_down -----------------------------------------------------------------------
 
 
 def test_go_down_zero_gradient_false(rng):
     ops = random_ops(rng, 6)
     grad = np.zeros(3 * 6 + 1)
-    assert go_down(grad, ops, effective_kappa(MlmConfig(), ops), epsilon_h=1e-4) is None
+    assert go_down(grad, ops, effective_kappa(ops), epsilon_h=1e-4) is None
 
 
 def test_go_down_identity_true():
@@ -71,7 +61,7 @@ def test_go_down_identity_true():
     grad = np.zeros(16)
     grad[0] = 1.0
     counter = FlopCounter()
-    restricted = go_down(grad, ops, effective_kappa(MlmConfig(), ops), 1e-4, counter)
+    restricted = go_down(grad, ops, effective_kappa(ops), 1e-4, counter)
     assert np.array_equal(restricted, grad)
     assert counter.matvec_flops == 3 * 2 * 5 * 5  # three blockwise restrictions
 
@@ -84,7 +74,7 @@ def test_go_down_null_space_false(rng):
     assert np.linalg.norm(R @ null_vec) < 1e-12
     grad = np.zeros(3 * 8 + 1)
     grad[:8] = null_vec  # output-weight block only, output-bias zero
-    assert go_down(grad, ops, effective_kappa(MlmConfig(), ops), epsilon_h=1e-4) is None
+    assert go_down(grad, ops, effective_kappa(ops), epsilon_h=1e-4) is None
 
 
 # -- coarse model -------------------------------------------------------------------
@@ -188,7 +178,7 @@ def test_critical_start_returns_zero_step(rng):
     system = LinearLeastSquares(A, A @ x_star)
     ops = identity_ops(3)  # layout 3*3+1 = 10
     model = coarse_model_at(system, x_star, ops)
-    step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-8), FlopCounter())
+    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-8), FlopCounter())
     assert not step.any()
     assert pred == 0.0
     assert accepted == 0
@@ -203,7 +193,7 @@ def replay_coarse_cycle(model, lam, cfg, solve):
     J = system.jacobian(y)
     value0 = value = 0.5 * float(F @ F)
     n_acc = 0
-    for _ in range(cfg.max_coarse_iter):
+    for _ in range(mlm.MAX_COARSE_ITER):
         g = J.T @ F + corr
         if np.linalg.norm(g) <= cfg.epsilon:
             break
@@ -215,11 +205,11 @@ def replay_coarse_cycle(model, lam, cfg, solve):
             F_t = system.residual(y + s)
             value_t = 0.5 * float(F_t @ F_t) + float(corr @ (y + s - model.x0))
             rho = (value - value_t) / pred
-        if rho is not None and rho >= cfg.eta1:
+        if rho is not None and rho >= lm.ETA1:
             y, F, value = y + s, F_t, value_t
             J = system.jacobian(y)
             n_acc += 1
-        lam = update_lambda(lam, rho, cfg)
+        lam = update_lambda(lam, rho)
     return y - model.x0, value0 - value, n_acc
 
 
@@ -231,10 +221,10 @@ def test_coarse_cycle_matches_reference_loop(rng):
     system = LinearLeastSquares(A, c)
     x0 = rng.normal(size=10)
     ops = identity_ops(3)
-    cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=10)
+    cfg = LmConfig(epsilon=1e-10)
     model = coarse_model_at(system, x0, ops)
-    step, pred, accepted = coarse_cycle(model, cfg.lambda0, cfg, FlopCounter())
-    ref_step, ref_pred, n_acc = replay_coarse_cycle(model, cfg.lambda0, cfg, direct_solve)
+    step, pred, accepted = coarse_cycle(model, lm.LAMBDA0, cfg, FlopCounter())
+    ref_step, ref_pred, n_acc = replay_coarse_cycle(model, lm.LAMBDA0, cfg, direct_solve)
     assert accepted == n_acc
     assert np.allclose(step, ref_step, rtol=0, atol=1e-14)
     assert pred == pytest.approx(ref_pred, rel=1e-12)
@@ -248,7 +238,7 @@ def test_coarse_cycle_kernel_solve_matches_dense_reference(rng):
     ops = build_transfer_operators(system.jacobian(x), system.arch)
     model = coarse_model_at(system, x, ops)
     assert len(model._residual0) < model.x0.size
-    cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=10)
+    cfg = LmConfig(epsilon=1e-10)
     step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter())
 
     def dense_solve(J, lam, rhs):
@@ -275,7 +265,7 @@ def test_coarse_cycle_evaluates_each_coarse_point_once(rng, monkeypatch):
 
     monkeypatch.setattr(ResidualSystem, "residual", recording_residual)
     model = coarse_model_at(system, x, ops)
-    _, _, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-10), FlopCounter())
+    _, _, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter())
     assert accepted > 0 and len(points) > accepted
     assert len(points) == len(set(points))
 
@@ -294,13 +284,14 @@ def test_a_failed_coarse_solve_grows_lambda_and_uses_up_an_iteration(rng, monkey
         return direct_solve(J, lam, rhs, gram)
 
     monkeypatch.setattr(mlm, "direct_solve", failing_first)
-    cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=3)
-    coarse_cycle(model, 0.05, cfg, FlopCounter())
-    assert len(lams) == cfg.max_coarse_iter
-    assert lams[1] == cfg.gamma3 * 0.05
+    monkeypatch.setattr(mlm, "MAX_COARSE_ITER", 3)
+    coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter())
+    assert len(lams) == 3
+    assert lams[1] == lm.GAMMA3 * 0.05
 
     lams.clear()
-    step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(max_coarse_iter=1), FlopCounter())
+    monkeypatch.setattr(mlm, "MAX_COARSE_ITER", 1)
+    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(), FlopCounter())
     assert lams == [0.05]
     assert accepted == 0 and pred == 0.0 and not step.any()
 
@@ -325,7 +316,7 @@ def test_coarse_cycle_factors_each_coarse_jacobian_once(rng, monkeypatch):
 
     monkeypatch.setattr(mlm, "gram_eigen", recording_gram_eigen)
     monkeypatch.setattr(mlm, "direct_solve", recording_solve)
-    _, _, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-10), FlopCounter())
+    _, _, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter())
     assert accepted > 0 and len(solved) > len(built)  # some Jacobian served several lam
     assert len(built) == len(set(built)) == len({key for key, _ in solved})
     assert all(gram is factors[key] for key, gram in solved)
@@ -353,10 +344,10 @@ def test_a_shifted_gram_matrix_that_is_not_positive_grows_lambda(rng, monkeypatc
 
     monkeypatch.setattr(mlm, "gram_eigen", indefinite_at_lam0)
     monkeypatch.setattr(mlm, "direct_solve", recording_solve)
-    cfg = MlmConfig(epsilon=1e-10, max_coarse_iter=2)
-    step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter())
+    monkeypatch.setattr(mlm, "MAX_COARSE_ITER", 2)
+    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter())
     assert "not positive definite" in errors[0]
-    assert lams == [0.05, cfg.gamma3 * 0.05]
+    assert lams == [0.05, lm.GAMMA3 * 0.05]
     assert accepted == 0 and pred == 0.0 and not step.any()
 
 
@@ -365,7 +356,7 @@ def test_pred_positive_when_step_accepted(rng):
     x = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x), system.arch)
     model = coarse_model_at(system, x, ops)
-    step, pred, accepted = coarse_cycle(model, 0.05, MlmConfig(epsilon=1e-6), FlopCounter())
+    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-6), FlopCounter())
     if accepted > 0:
         assert step.any()
         assert pred > 0
@@ -379,7 +370,7 @@ def test_identity_ops_converge_on_linear_surrogate(rng):
     c = rng.normal(size=20)
     system = LinearLeastSquares(A, c)
     ops = identity_ops(4)  # 3*4+1 = 13
-    report = mlm_solve(system, np.zeros(13), MlmConfig(epsilon=1e-8), ops)
+    report = mlm_solve(system, np.zeros(13), LmConfig(epsilon=1e-8), ops)
     oracle = np.linalg.solve(A.T @ A, A.T @ c)
     assert report.converged
     assert np.linalg.norm(report.final_params - oracle) < 1e-6
@@ -398,18 +389,18 @@ def test_coarse_system_is_built_once_per_run(rng, monkeypatch):
         return real_coarsen(self, ops)
 
     monkeypatch.setattr(ResidualSystem, "coarsen", counting_coarsen)
-    report = mlm_solve(system, x0, MlmConfig(epsilon=1e-5, max_outer_iter=200), ops)
+    report = mlm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops)
     assert report.coarse_steps > 1
     assert len(built) == 1 and built[0] is ops
 
 
-def test_fine_branch_when_go_down_impossible(rng):
-    # epsilon_h above any gradient magnitude: every iteration must stay fine
+def test_fine_branch_when_go_down_impossible(rng, no_coarse_descents):
+    # no restricted gradient passes the descent test: every iteration must stay fine
     system = network_system(nu=3, r=8)
     x0 = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
     stream = io.StringIO()
-    cfg = MlmConfig(epsilon=1e-3, max_outer_iter=40, epsilon_h=1e12)
+    cfg = LmConfig(epsilon=1e-3, max_outer_iter=40)
     report = mlm_solve(system, x0, cfg, ops, trace=stream)
     lines = stream.getvalue().strip().splitlines()[1:]
     levels = [line.split(",")[1] for line in lines]
@@ -423,7 +414,7 @@ def test_alternation_never_two_coarse_in_a_row(rng):
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
     stream = io.StringIO()
     report = mlm_solve(
-        system, x0, MlmConfig(epsilon=1e-5, max_outer_iter=200), ops, trace=stream
+        system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops, trace=stream
     )
     lines = stream.getvalue().strip().splitlines()[1:]
     levels = [line.split(",")[1] for line in lines]
@@ -436,7 +427,7 @@ def test_coherence_residuals_collected(rng):
     system = network_system(nu=3, r=12)
     x0 = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
-    report = mlm_solve(system, x0, MlmConfig(epsilon=1e-5, max_outer_iter=200), ops)
+    report = mlm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops)
     assert len(report.coherence_residuals) == report.coarse_steps
     for coherence, grad_norm in report.coherence_residuals:
         assert coherence <= 1e-10 * (1.0 + grad_norm)
@@ -446,14 +437,15 @@ def test_accepted_steps_strictly_decrease_loss(rng):
     system = network_system(nu=3, r=12)
     x0 = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
-    report = mlm_solve(system, x0, MlmConfig(epsilon=1e-5, max_outer_iter=300), ops)
+    report = mlm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=300), ops)
     hist = np.asarray(report.loss_history)
     assert np.all(np.diff(hist) <= 0.0)
     assert (np.diff(hist) < 0.0).sum() == report.accepted_steps
 
 
 @pytest.mark.parametrize("solver", ["lm", "mlm"])
-def test_inner_solver_breakdowns_are_rejected_fine_steps(rng, monkeypatch, solver):
+def test_inner_solver_breakdowns_are_rejected_fine_steps(rng, monkeypatch, no_coarse_descents,
+                                                         solver):
     # both solvers run the loop of lm.py, so one patch reaches both
     system = network_system(nu=3, r=8)
     x0 = rng.uniform(-1, 1, system.n)
@@ -471,21 +463,21 @@ def test_inner_solver_breakdowns_are_rejected_fine_steps(rng, monkeypatch, solve
             return real_cgls(*args, **kwargs)
 
         monkeypatch.setattr(lm, "cgls_truncated", flaky_cgls)
-        cfg = MlmConfig(epsilon=1e-3, max_outer_iter=max_outer_iter, epsilon_h=1e12)
+        cfg = LmConfig(epsilon=1e-3, max_outer_iter=max_outer_iter)
         if solver == "lm":
-            return lm_solve(system, x0, cfg, trace=stream), cfg
-        return mlm_solve(system, x0, cfg, ops, trace=stream), cfg
+            return lm_solve(system, x0, cfg, trace=stream)
+        return mlm_solve(system, x0, cfg, ops, trace=stream)
 
     def rows_of(stream):
         return list(csv.DictReader(io.StringIO(stream.getvalue())))
 
     failing = 5
     stream = io.StringIO()
-    report, cfg = solve(lambda call: call <= failing, 40, stream)
+    report = solve(lambda call: call <= failing, 40, stream)
     rows = rows_of(stream)
-    lam = cfg.lambda0
+    lam = lm.LAMBDA0
     for i, row in enumerate(rows[:failing], start=1):
-        lam = cfg.gamma3 * lam
+        lam = lm.GAMMA3 * lam
         assert row["iteration"] == str(i)
         assert row["rho"] == "" and row["accepted"] == "0"
         assert row["lambda"] == f"{lam:.12g}"
@@ -498,7 +490,7 @@ def test_inner_solver_breakdowns_are_rejected_fine_steps(rng, monkeypatch, solve
     # a success in between resets the count of consecutive breakdowns
     limit = lm._MAX_INNER_FAILURES
     stream = io.StringIO()
-    report, _ = solve(lambda call: call % limit != 0, 2 * limit + 10, stream)
+    report = solve(lambda call: call % limit != 0, 2 * limit + 10, stream)
     assert report.iterations == len(rows_of(stream)) == 2 * limit + 10
 
     # the limit-th consecutive breakdown propagates; the earlier ones are traced
