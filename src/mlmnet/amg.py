@@ -102,17 +102,6 @@ def _strength(A, eps_amg):
     return sets[0], sets[1] & (off > 0)
 
 
-def check_eps_amg(eps_amg):
-    """Raise ValueError unless the strength threshold eps_amg lies in (0, 1].
-
-    Above 1 (or NaN) no coupling is strong, so every node stays coarse and
-    the coarse level is the fine level; at 0 or below even zero couplings
-    count as strong.
-    """
-    if not 0.0 < eps_amg <= 1.0:
-        raise ValueError(f"eps_amg must lie in (0, 1], got {eps_amg!r}")
-
-
 def ruge_stuben_split(A, eps_amg=0.9):
     """Classical two-pass coarse/fine splitting of the coupling matrix.
 
@@ -121,7 +110,8 @@ def ruge_stuben_split(A, eps_amg=0.9):
     fine and bump the measure of their remaining strong neighbours; ties
     go to the lowest index.  Isolated nodes end up coarse.  Second pass:
     one sweep over the fine nodes promotes, for each strong positive
-    fine/fine coupling, the largest such neighbour.
+    fine/fine coupling, the largest such neighbour.  The strength
+    threshold `eps_amg` is the paper's 0.9 wherever the solver splits.
     """
     A = np.asarray(A, dtype=float)
     r = A.shape[0]

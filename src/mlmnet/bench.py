@@ -13,13 +13,13 @@ which it sums.
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pde
 from .activations import Activation
-from .amg import build_transfer_operators, check_eps_amg
+from .amg import build_transfer_operators
 from .linsolve import FlopCounter, NumericalError
 from .lm import LmConfig, lm_solve
 from .mlm import mlm_solve
@@ -33,7 +33,6 @@ class ProblemEntry:
     """Registry row: how to build a benchmark problem and its defaults."""
 
     factory: callable
-    dim: int
     default_nu: float
     default_r: int
     description: str
@@ -46,29 +45,29 @@ class ProblemEntry:
 
 
 PROBLEMS = {
-    "poisson1d": ProblemEntry(pde.poisson_1d, 1, 20, 512, "-u'' = g1, solution cos(nu z)"),
-    "poisson2d": ProblemEntry(pde.poisson_2d, 2, 5, 1024, "-Lap u = g1, solution cos(nu (z1+z2))"),
+    "poisson1d": ProblemEntry(pde.poisson_1d, 20, 512, "-u'' = g1, solution cos(nu z)"),
+    "poisson2d": ProblemEntry(pde.poisson_2d, 5, 1024, "-Lap u = g1, solution cos(nu (z1+z2))"),
     "helmholtz1d": ProblemEntry(
-        pde.helmholtz_1d, 1, 5, 1024, "-u'' - nu^2 u = 0, solution sin(nu z)+cos(nu z)"
+        pde.helmholtz_1d, 5, 1024, "-u'' - nu^2 u = 0, solution sin(nu z)+cos(nu z)"
     ),
     "helmholtz2d-const": ProblemEntry(
-        pde.helmholtz_2d, 2, 1, 512, "2D Helmholtz, constant velocity 40", "constant"
+        pde.helmholtz_2d, 1, 512, "2D Helmholtz, constant velocity 40", "constant"
     ),
     "helmholtz2d-two-layers": ProblemEntry(
-        pde.helmholtz_2d, 2, 2, 512, "2D Helmholtz, two-layer velocity 20/40", "two-layers"
+        pde.helmholtz_2d, 2, 512, "2D Helmholtz, two-layer velocity 20/40", "two-layers"
     ),
     "helmholtz2d-four-layers": ProblemEntry(
-        pde.helmholtz_2d, 2, 2, 512, "2D Helmholtz, four-layer velocity 20..80", "four-layers"
+        pde.helmholtz_2d, 2, 512, "2D Helmholtz, four-layer velocity 20..80", "four-layers"
     ),
     "helmholtz2d-sine": ProblemEntry(
-        pde.helmholtz_2d, 2, 2, 512,
+        pde.helmholtz_2d, 2, 512,
         "2D Helmholtz, velocity 0.1 sin(z1+z2) (extreme zero-order coefficient)", "sine",
     ),
     "sine1d": ProblemEntry(
-        pde.sine_nonlinear_1d, 1, 20, 512, "u'' + sin(u) = g1, solution 0.1 cos(nu z)"
+        pde.sine_nonlinear_1d, 20, 512, "u'' + sin(u) = g1, solution 0.1 cos(nu z)"
     ),
     "exp2d": ProblemEntry(
-        pde.exp_nonlinear_2d, 2, 1, 512, "Lap u + e^u = g1, solution log(nu/(z1+z2+10))"
+        pde.exp_nonlinear_2d, 1, 512, "Lap u + e^u = g1, solution log(nu/(z1+z2+10))"
     ),
 }
 
@@ -79,9 +78,12 @@ class Campaign:
 
     `solver_config` is the one LmConfig both solvers run: the overrides
     of `epsilon` and `max_outer_iter` on top of an epsilon of 1e-4 in 1D
-    and 1e-3 in 2D.  The seeds must be distinct non-negative integers.
-    Every setting is checked on construction, by building the solver
-    config, the residual system and its test grid, so that a bad campaign
+    and 1e-3 in 2D.  The seeds must be distinct non-negative integers, and
+    the solvers distinct names from SOLVERS, at least one of each.  The
+    rest is fixed: the boundary penalty 0.1 * t of `pde.PdeProblem`, the
+    AMG strength threshold 0.9 and the RMSE grid of 100 points per axis.
+    Every setting is checked on construction, by building the residual
+    system, its test grid and the solver config, so that a bad campaign
     fails before any campaign runs.
     """
 
@@ -93,9 +95,6 @@ class Campaign:
     seeds: tuple = (0,)
     solvers: tuple = ("lm", "mlm")
     overrides: dict = field(default_factory=dict)
-    eps_amg: float = 0.9
-    penalty: float = None
-    test_points_per_axis: int = 100
     fd_resolution: int = 201
     solver_config: LmConfig = field(init=False, repr=False)
 
@@ -110,9 +109,14 @@ class Campaign:
                 if seed in self.seeds[:k]:
                     # a repeat would overwrite its own trace and count twice in the means
                     raise ValueError(f"seeds must be distinct; seed {seed} repeats")
-            unknown = set(self.solvers) - set(SOLVERS)
-            if unknown:
-                raise ValueError(f"unknown solvers {sorted(unknown)}")
+            if not self.solvers:
+                raise ValueError("campaign needs at least one solver")
+            for k, solver in enumerate(self.solvers):
+                if solver not in SOLVERS:
+                    raise ValueError(f"unknown solver {solver!r}")
+                if solver in self.solvers[:k]:
+                    # a repeat would overwrite its own trace and write its row twice
+                    raise ValueError(f"solvers must be distinct; {solver} repeats")
             entry = PROBLEMS[self.problem]
             if self.nu is None:
                 self.nu = entry.default_nu
@@ -123,19 +127,15 @@ class Campaign:
             unknown = set(self.overrides) - set(LmConfig.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown config overrides {sorted(unknown)}")
+            system = _residual_system(self)
             settings = dict(self.overrides)
-            settings.setdefault("epsilon", 1e-4 if entry.dim == 1 else 1e-3)
+            settings.setdefault("epsilon", 1e-4 if system.problem.dim == 1 else 1e-3)
             self.solver_config = LmConfig(**settings)
-            check_eps_amg(self.eps_amg)
             if entry.velocity_name is not None and self.fd_resolution < 3:
                 raise ValueError(
                     f"fd_resolution must be at least 3 points per axis, got {self.fd_resolution}"
                 )
-            if self.test_points_per_axis < 1:
-                raise ValueError(
-                    f"test_points_per_axis must be at least 1, got {self.test_points_per_axis}"
-                )
-            _residual_system(self).test_grid(self.test_points_per_axis)
+            system.test_grid()
         except ValueError as exc:
             raise ValueError(f"campaign {self.name!r}: {exc}") from exc
 
@@ -187,8 +187,6 @@ def _residual_system(campaign):
     # attributes to a run, are only the builds made inside run_campaign.
     entry = PROBLEMS[campaign.problem]
     problem = entry.build(campaign.nu)
-    if campaign.penalty is not None:
-        problem = replace(problem, penalty=campaign.penalty)
     arch = NetworkArch(campaign.r, problem.dim, Activation(campaign.activation))
     return pde.ResidualSystem(problem, arch)
 
@@ -228,13 +226,9 @@ def run_seed(campaign, system, seed, reference, trace_dir=None):
             if solver == "lm":
                 report = lm_solve(system, x0, cfg, FlopCounter(), trace=trace)
             else:
-                ops = build_transfer_operators(
-                    system.jacobian(p0), system.arch, eps_amg=campaign.eps_amg
-                )
+                ops = build_transfer_operators(system.jacobian(p0), system.arch)
                 report = mlm_solve(system, x0, cfg, ops, FlopCounter(), trace=trace)
-            rmse[solver] = system.rmse(
-                report.final_params, campaign.test_points_per_axis, reference
-            )
+            rmse[solver] = system.rmse(report.final_params, reference=reference)
             reports[solver] = report  # only with its RMSE: aggregate reads both
         except (NumericalError, ValueError) as exc:
             # a declared solver failure (a numerical breakdown, a non-finite

@@ -30,9 +30,7 @@ from pathlib import Path
 
 from . import bench, config, fdref, pde
 from .activations import Activation
-from .amg import (
-    build_coupling_matrix, build_interpolation, check_eps_amg, dump_coarsening, ruge_stuben_split,
-)
+from .amg import build_coupling_matrix, build_interpolation, dump_coarsening, ruge_stuben_split
 from .bench import PROBLEMS
 from .network import NetworkArch
 
@@ -169,8 +167,6 @@ def _cmd_split_inspect(args):
             raise ValueError("coarsening needs at least 2 hidden nodes")
         flag = f"--activation {args.activation}"
         arch = NetworkArch(r, problem.dim, Activation(args.activation))
-        flag = f"--eps-amg {args.eps_amg:g}"
-        check_eps_amg(args.eps_amg)
         flag = f"--seed {args.seed}"
         bench.check_seed(args.seed)
     except ValueError as exc:
@@ -181,7 +177,7 @@ def _cmd_split_inspect(args):
     system = pde.ResidualSystem(problem, arch)
     p0 = bench.initial_guess(args.seed, system.n)
     A = build_coupling_matrix(system.jacobian(p0), system.arch)
-    split = ruge_stuben_split(A, eps_amg=args.eps_amg)
+    split = ruge_stuben_split(A)
     ops = build_interpolation(A, split)
     with open(args.out, "w") as stream:
         dump_coarsening(stream, A, split, ops)
@@ -227,7 +223,6 @@ def build_parser():
     si.add_argument("--nu", type=float, default=None)
     si.add_argument("--r", type=int, default=None)
     si.add_argument("--seed", type=int, default=0)
-    si.add_argument("--eps-amg", type=float, default=0.9)
     si.add_argument("--activation", default="sigmoid")
     si.add_argument("--out", default="coarsening.txt")
     si.set_defaults(func=_cmd_split_inspect)

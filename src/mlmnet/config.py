@@ -64,8 +64,8 @@ def _parse_section(name, section):
         elif key in _OVERRIDE_TYPES:
             overrides[key] = _OVERRIDE_TYPES[key](raw)
         else:
-            raise ValueError(f"unknown key {key!r} in [campaign:{name}]")
+            raise ValueError(f"campaign {name!r}: unknown key {key!r}")
     if "problem" not in kwargs:
-        raise ValueError(f"[campaign:{name}] is missing the required 'problem' key")
+        raise ValueError(f"campaign {name!r}: missing the required 'problem' key")
     kwargs["overrides"] = overrides
     return Campaign(**kwargs)

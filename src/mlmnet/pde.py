@@ -48,6 +48,8 @@ class PdeProblem:
     true_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        if not np.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu!r}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.lap_sign not in (1, -1):
@@ -201,14 +203,15 @@ class ResidualSystem:
         if not len(pts):
             raise ValueError(
                 f"the test grid of points_per_axis={points_per_axis} lies entirely on "
-                "training points; choose another points_per_axis"
+                f"training points when nu={self.problem.nu:g}"
             )
         return pts
 
-    def rmse(self, p, points_per_axis=100, reference=None):
+    def rmse(self, p, reference=None):
         """Root mean squared error of the network against the reference field.
 
-        The reference is the problem's true solution unless an explicit
+        It is taken over the default test grid of 100 points per axis.  The
+        reference is the problem's true solution unless an explicit
         `reference` is given (a callable on point rows, or an object with a
         .sample(points) method such as a finite-difference grid).
         """
@@ -221,7 +224,7 @@ class ResidualSystem:
             )
         sample = reference.sample if hasattr(reference, "sample") else reference
         params = self.params_from(p)
-        pts = self.test_grid(points_per_axis)
+        pts = self.test_grid()
         err = network.eval_batch(self.arch, params, pts) - np.asarray(sample(pts), dtype=float)
         return float(np.sqrt(np.mean(err**2)))
 

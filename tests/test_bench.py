@@ -320,6 +320,7 @@ def test_parse_rejects_unknown_key(tmp_path):
     removed = (
         "rebuild_operators", "cg_max_iter", "eta1", "eta2", "gamma1", "gamma2", "gamma3",
         "lambda0", "lambda_min", "theta", "kappa_h", "epsilon_h", "max_coarse_iter",
+        "eps_amg", "penalty", "test_points_per_axis",
     )
     for key in removed:
         path.write_text(f"[campaign:x]\nproblem = poisson1d\n{key} = 1\n")
@@ -334,16 +335,18 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "penalty = 0", "penalty = -1",
-    "nu = 2.3", "activation = relu",
+    "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "nu = 2.3", "nu = inf",
+    "activation = relu",
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
-    "test_points_per_axis = 0", "test_points_per_axis = -5", "test_points_per_axis = 7",
+    # the training spacing 1/101 holds every point k/101 of the 100-point test axis
+    "nu = 50.5",
+    "seeds = -1", "seeds = 0 0", "solvers = lm lm", pytest.param("solvers = ", id="solvers ="),
+    # fixed values: a campaign that sets one stops on its unknown key
+    "penalty = 0", "penalty = -1", "test_points_per_axis = 0", "test_points_per_axis = -5",
     "eps_amg = 1.5", "eps_amg = nan", "eps_amg = 0", "eps_amg = -1",
-    "seeds = -1", "seeds = 0 0",
 ])
 def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, capsys, setting):
-    # the bad campaign takes the registry's nu unless its setting gives one: at
-    # nu = 20 the training spacing 1/40 holds every test point k/8
+    # the bad campaign takes the registry's nu unless its setting gives one
     bad = {"problem": "poisson1d", "r": "4", "solvers": "lm"}
     bad.update(line.split(" = ") for line in setting.split("\n"))
     path = tmp_path / "c.cfg"
@@ -610,14 +613,15 @@ def test_cli_split_inspect(tmp_path, capsys):
     (["split-inspect", "--r", "1"], "--r 1: coarsening needs at least 2 hidden nodes"),
     (["split-inspect", "--nu", "2.3"], "--nu 2.3: 2*nu must be an integer"),
     (["split-inspect", "--activation", "relu"], "--activation relu: unknown activation"),
-    (["split-inspect", "--eps-amg", "1.5"], "--eps-amg 1.5: eps_amg must lie in (0, 1]"),
+    (["split-inspect", "--nu", "inf"], "--nu inf: nu must be finite"),
     (["split-inspect", "--seed", "-1"], "--seed -1: a seed must be a non-negative integer"),
     (["fd-ref", "--resolution", "2"], "at least 3 points per axis"),
+    (["fd-ref", "--nu", "inf"], "nu must be finite"),
     # nu puts (2 pi nu / 40)^2 on the lowest eigenvalue of the 17-point Laplacian
     (["fd-ref", "--nu", "28.238857824564523", "--resolution", "17"],
      "discrete Helmholtz operator is singular"),
-], ids=["split-r", "split-nu", "split-activation", "split-eps-amg", "split-seed",
-        "fd-resolution", "fd-resonance"])
+], ids=["split-r", "split-nu", "split-activation", "split-nu-inf", "split-seed",
+        "fd-resolution", "fd-nu-inf", "fd-resonance"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
         "--cache", str(tmp_path)]

@@ -396,12 +396,12 @@ def test_coarse_system_trains_on_the_fine_points(problem, rng):
 
 
 def test_rmse_rejects_an_empty_test_grid():
-    # training spacing 1/40 contains every k/8, the whole 7-point test axis
-    system = small_system(poisson_1d(nu=20), r=2)
-    with pytest.raises(ValueError, match="points_per_axis=7"):
-        system.test_grid(7)
-    with pytest.raises(ValueError, match="points_per_axis=7"):
-        system.rmse(np.zeros(system.n), points_per_axis=7)
+    # training spacing 1/101 contains every k/101, the whole 100-point test axis
+    system = small_system(poisson_1d(nu=50.5), r=2)
+    with pytest.raises(ValueError, match="points_per_axis=100 .* when nu=50.5"):
+        system.test_grid()
+    with pytest.raises(ValueError, match="points_per_axis=100 .* when nu=50.5"):
+        system.rmse(np.zeros(system.n))
 
 
 def test_rmse_requires_reference_for_helmholtz2d(rng):
@@ -423,6 +423,7 @@ def test_invalid_operator_dim_combinations_rejected():
     base = dict(name="bad", dim=2, nu=2, rhs_interior=zero, rhs_boundary=zero, penalty=1.0)
     for bad in (
         dict(dim=3),  # the training and test grids are 1D or 2D
+        dict(nu=float("inf")),  # no training grid
         dict(lap_sign=2),
         dict(reaction=lambda z, u: np.sin(u)),  # without its derivative
     ):
