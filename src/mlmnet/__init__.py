@@ -7,7 +7,6 @@ through a Ruge-Stuben split of a node-coupling matrix assembled from the
 Gauss-Newton blocks at the starting point.
 """
 
-from .activations import Activation
 from .amg import (
     Splitting,
     TransferOperators,

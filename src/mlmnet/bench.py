@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pde
-from .activations import Activation
 from .amg import build_transfer_operators
 from .linsolve import FlopCounter, NumericalError
 from .lm import LmConfig, lm_solve
@@ -80,8 +79,9 @@ class Campaign:
     of `epsilon` and `max_outer_iter` on top of an epsilon of 1e-4 in 1D
     and 1e-3 in 2D.  The seeds must be distinct non-negative integers, and
     the solvers distinct names from SOLVERS, at least one of each.  The
-    rest is fixed: the boundary penalty 0.1 * t of `pde.PdeProblem`, the
-    AMG strength threshold 0.9 and the RMSE grid of 100 points per axis.
+    rest is fixed: the sigmoid activation, the boundary penalty 0.1 * t of
+    `pde.PdeProblem`, the AMG strength threshold 0.9 and the RMSE grid of
+    100 points per axis.
     Every setting is checked on construction, by building the residual
     system, its test grid and the solver config, so that a bad campaign
     fails before any campaign runs.
@@ -91,7 +91,6 @@ class Campaign:
     problem: str
     nu: float = None
     r: int = None
-    activation: str = "sigmoid"
     seeds: tuple = (0,)
     solvers: tuple = ("lm", "mlm")
     overrides: dict = field(default_factory=dict)
@@ -187,7 +186,7 @@ def _residual_system(campaign):
     # attributes to a run, are only the builds made inside run_campaign.
     entry = PROBLEMS[campaign.problem]
     problem = entry.build(campaign.nu)
-    arch = NetworkArch(campaign.r, problem.dim, Activation(campaign.activation))
+    arch = NetworkArch(campaign.r, problem.dim)
     return pde.ResidualSystem(problem, arch)
 
 

@@ -29,7 +29,6 @@ import tempfile
 from pathlib import Path
 
 from . import bench, config, fdref, pde
-from .activations import Activation
 from .amg import build_coupling_matrix, build_interpolation, dump_coarsening, ruge_stuben_split
 from .bench import PROBLEMS
 from .network import NetworkArch
@@ -165,8 +164,7 @@ def _cmd_split_inspect(args):
         flag = f"--r {r}"
         if r < 2:
             raise ValueError("coarsening needs at least 2 hidden nodes")
-        flag = f"--activation {args.activation}"
-        arch = NetworkArch(r, problem.dim, Activation(args.activation))
+        system = pde.ResidualSystem(problem, NetworkArch(r, problem.dim))
         flag = f"--seed {args.seed}"
         bench.check_seed(args.seed)
     except ValueError as exc:
@@ -174,7 +172,6 @@ def _cmd_split_inspect(args):
     status = _path_error("split-inspect", out=Path(args.out))
     if status is not None:
         return status
-    system = pde.ResidualSystem(problem, arch)
     p0 = bench.initial_guess(args.seed, system.n)
     A = build_coupling_matrix(system.jacobian(p0), system.arch)
     split = ruge_stuben_split(A)
@@ -223,7 +220,6 @@ def build_parser():
     si.add_argument("--nu", type=float, default=None)
     si.add_argument("--r", type=int, default=None)
     si.add_argument("--seed", type=int, default=0)
-    si.add_argument("--activation", default="sigmoid")
     si.add_argument("--out", default="coarsening.txt")
     si.set_defaults(func=_cmd_split_inspect)
     return parser

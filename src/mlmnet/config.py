@@ -6,7 +6,6 @@ Example::
     problem = poisson1d
     nu = 5
     r = 64
-    activation = sigmoid
     seeds = 0 1 2
     solvers = lm mlm
     epsilon = 1e-4
@@ -18,7 +17,7 @@ float field of `bench.Campaign` but `name` is a key of that type, of
 which `problem` is required; and the two fields of `LmConfig`, `epsilon`
 and `max_outer_iter`, may be set as overrides of the one config both
 solvers run.  The paper's other solver values are module constants of
-`lm` and `mlm`, not keys.
+`lm` and `mlm`, and its activation the sigmoid of `activations`, not keys.
 """
 
 import configparser

@@ -2,7 +2,7 @@
 
 The network maps a point z in R^dim to
 
-    u(z) = sum_i out_weights[i] * act(<in_weights[:, i], z> + hidden_bias[i]) + out_bias
+    u(z) = sum_i out_weights[i] * sigmoid(<in_weights[:, i], z> + hidden_bias[i]) + out_bias
 
 and exposes closed-form derivatives with respect to both the input point
 (gradient, Laplacian) and the stacked parameter vector.  The flat
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation
+from .activations import SIGMOID
 
 # Hidden activations eval_batch holds at once: 32768 doubles, 256 KiB, so
 # a block's pre-activations and activations stay in a 4 MiB L2 cache
@@ -28,11 +28,10 @@ BLOCK_ELEMENTS = 32768
 
 @dataclass(frozen=True)
 class NetworkArch:
-    """Shape of the network: hidden width, input dimension, nonlinearity."""
+    """Shape of the network: hidden width and input dimension."""
 
     n_hidden: int
     dim: int
-    activation: Activation
 
     def __post_init__(self):
         if self.n_hidden < 1:
@@ -129,7 +128,7 @@ def hidden_activations(arch, params, points, orders):
     """Activation derivatives of the given orders at the hidden nodes, each (t, n_hidden)."""
     _check_match(arch, params)
     pre = points @ params.in_weights + params.hidden_bias
-    return arch.activation.derivatives(pre, orders)
+    return SIGMOID.derivatives(pre, orders)
 
 
 def output(params, s0):
@@ -180,7 +179,7 @@ def eval_batch(arch, params, points):
     out = np.empty(points.shape[0])
     for rows in row_blocks(points.shape[0], arch.n_hidden):
         pre = points[rows] @ params.in_weights + params.hidden_bias
-        out[rows] = output(params, arch.activation(pre, 0))
+        out[rows] = output(params, SIGMOID(pre, 0))
     return out
 
 

@@ -22,6 +22,10 @@ import numpy as np
 from . import network
 from .network import NetworkArch, NetworkParams
 
+# The largest Jacobian, in bytes, a ResidualSystem may ask for: its m x n
+# doubles, m training points by n network parameters.
+MAX_JACOBIAN_BYTES = 2**30
+
 
 @dataclass
 class PdeProblem:
@@ -56,6 +60,16 @@ class PdeProblem:
             raise ValueError(f"lap_sign must be +1 or -1, got {self.lap_sign!r}")
         if (self.reaction is None) != (self.reaction_du is None):
             raise ValueError("reaction and reaction_du must be given together")
+        # t = (2 nu + 1)^dim in integers, as one Jacobian column must fit the
+        # limit; |nu| is bounded first so that 2 nu stays a finite float
+        if (
+            abs(self.nu) > MAX_JACOBIAN_BYTES
+            or 8 * training_points_per_axis(self.nu) ** self.dim > MAX_JACOBIAN_BYTES
+        ):
+            raise ValueError(
+                f"nu={self.nu:g} asks for more than {MAX_JACOBIAN_BYTES // 8} training points, "
+                f"so one Jacobian column alone exceeds MAX_JACOBIAN_BYTES = {MAX_JACOBIAN_BYTES}"
+            )
         if self.penalty is None:
             self.penalty = 0.1 * training_points_per_axis(self.nu) ** self.dim
         if not self.penalty > 0:
@@ -107,6 +121,12 @@ class ResidualSystem:
     def __init__(self, problem, arch):
         if problem.dim != arch.dim:
             raise ValueError("problem and architecture disagree on the spatial dimension")
+        t = training_points_per_axis(problem.nu) ** problem.dim
+        if 8 * t * arch.n_params > MAX_JACOBIAN_BYTES:
+            raise ValueError(
+                f"the Jacobian of nu={problem.nu:g} and r={arch.n_hidden}, {t} rows by "
+                f"{arch.n_params} columns, exceeds MAX_JACOBIAN_BYTES = {MAX_JACOBIAN_BYTES}"
+            )
         self.problem = problem
         self.arch = arch
         self.training = build_training_set(problem)
@@ -131,7 +151,7 @@ class ResidualSystem:
 
     def coarsen(self, ops):
         """The same problem and training set on the sub-network of ops.r_coarse hidden nodes."""
-        arch = NetworkArch(ops.r_coarse, self.arch.dim, self.arch.activation)
+        arch = NetworkArch(ops.r_coarse, self.arch.dim)
         return ResidualSystem(self.problem, arch)
 
     # -- residual / Jacobian ---------------------------------------------------

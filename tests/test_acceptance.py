@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mlmnet import cli
-from mlmnet.activations import Activation
 from mlmnet.amg import build_interpolation, build_transfer_operators, ruge_stuben_split
 from mlmnet.bench import Campaign, emit_report, initial_guess, run_campaign
 from mlmnet.fdref import solve_helmholtz_fd
@@ -57,7 +56,7 @@ def test_criterion_1_derivative_correctness():
     with criterion(1, "derivative correctness"):
         rng = np.random.default_rng(2024)
         for problem in problems:
-            system = ResidualSystem(problem, NetworkArch(8, problem.dim, Activation("sigmoid")))
+            system = ResidualSystem(problem, NetworkArch(8, problem.dim))
             worst = 0.0
             for _ in range(20):
                 x = rng.uniform(-1, 1, system.n)
@@ -67,7 +66,7 @@ def test_criterion_1_derivative_correctness():
 
 def test_criterion_2_first_order_coherence():
     with criterion(2, "first-order coherence"):
-        system = ResidualSystem(poisson_1d(nu=5), NetworkArch(64, 1, Activation("sigmoid")))
+        system = ResidualSystem(poisson_1d(nu=5), NetworkArch(64, 1))
         p0 = initial_guess(0, system.n)
         ops = build_transfer_operators(system.jacobian(p0), system.arch)
         report = mlm_solve(system, p0, LmConfig(epsilon=1e-4), ops)
@@ -135,7 +134,7 @@ def test_criterion_4_inner_solver_contract():
 
 def test_criterion_5_desk_scale_convergence():
     with criterion(5, "desk-scale convergence (1D Poisson, nu=5, r=64)"):
-        system = ResidualSystem(poisson_1d(nu=5), NetworkArch(64, 1, Activation("sigmoid")))
+        system = ResidualSystem(poisson_1d(nu=5), NetworkArch(64, 1))
         cfg = LmConfig(epsilon=1e-4, max_outer_iter=2000)
         for seed in (0, 1, 2):
             p0 = initial_guess(seed, system.n)
@@ -185,7 +184,7 @@ def test_criterion_6_table2_order_reproduction():
 def test_criterion_7_nonlinear_operator_coverage():
     with criterion(7, "nonlinear operator convergence (sine, nu=5, r=64)"):
         system = ResidualSystem(
-            sine_nonlinear_1d(nu=5), NetworkArch(64, 1, Activation("sigmoid"))
+            sine_nonlinear_1d(nu=5), NetworkArch(64, 1)
         )
         report = lm_solve(system, initial_guess(0, system.n), LmConfig(epsilon=1e-4))
         assert report.converged

@@ -3,7 +3,6 @@ import io
 import numpy as np
 import pytest
 
-from mlmnet.activations import Activation
 from mlmnet.amg import (
     apply_blockwise,
     build_coupling_matrix,
@@ -31,7 +30,7 @@ def random_spd(rng, r):
 
 def test_coupling_matrix_identity_block():
     # only the output-weight block is nonzero and has unit Gram
-    arch = NetworkArch(3, 1, Activation("tanh"))
+    arch = NetworkArch(3, 1)
     J = np.zeros((3, 10))
     J[:, :3] = np.eye(3)
     A = build_coupling_matrix(J, arch)
@@ -39,7 +38,7 @@ def test_coupling_matrix_identity_block():
 
 
 def test_coupling_matrix_symmetric(rng):
-    arch = NetworkArch(6, 2, Activation("tanh"))
+    arch = NetworkArch(6, 2)
     J = rng.normal(size=(15, arch.n_params))
     A = build_coupling_matrix(J, arch)
     assert np.abs(A - A.T).max() < 1e-14
@@ -47,7 +46,7 @@ def test_coupling_matrix_symmetric(rng):
 
 def test_coupling_matrix_hand_case():
     # r=3, dim=1: blocks chosen so the sum is computable by hand
-    arch = NetworkArch(3, 1, Activation("tanh"))
+    arch = NetworkArch(3, 1)
     J = np.zeros((3, 10))
     J[:, 0:3] = np.diag([1.0, 2.0, 0.0])         # output-weight block
     J[:, 3:6] = np.array([[0.0, 1.0, 0.0],       # input-weight block
@@ -66,7 +65,7 @@ def test_coupling_matrix_hand_case():
 
 
 def test_coupling_matrix_excludes_zero_blocks(rng):
-    arch = NetworkArch(4, 1, Activation("tanh"))
+    arch = NetworkArch(4, 1)
     J = np.zeros((5, arch.n_params))
     J[:, 8:12] = rng.normal(size=(5, 4))  # only the bias block is active
     A = build_coupling_matrix(J, arch)
@@ -243,7 +242,7 @@ def test_layout_mismatch_rejected(rng):
 
 
 def test_build_transfer_operators_from_jacobian(rng):
-    arch = NetworkArch(10, 1, Activation("sigmoid"))
+    arch = NetworkArch(10, 1)
     J = rng.normal(size=(12, arch.n_params))
     ops = build_transfer_operators(J, arch)
     assert ops.prolong.shape == (10, ops.r_coarse)

@@ -283,7 +283,6 @@ CONFIG_TEXT = """
 problem = poisson1d
 nu = 2
 r = 16
-activation = sigmoid
 seeds = 0 1
 solvers = lm
 epsilon = 1e-3
@@ -320,7 +319,7 @@ def test_parse_rejects_unknown_key(tmp_path):
     removed = (
         "rebuild_operators", "cg_max_iter", "eta1", "eta2", "gamma1", "gamma2", "gamma3",
         "lambda0", "lambda_min", "theta", "kappa_h", "epsilon_h", "max_coarse_iter",
-        "eps_amg", "penalty", "test_points_per_axis",
+        "eps_amg", "penalty", "test_points_per_axis", "activation",
     )
     for key in removed:
         path.write_text(f"[campaign:x]\nproblem = poisson1d\n{key} = 1\n")
@@ -336,14 +335,16 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 @pytest.mark.parametrize("setting", [
     "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "nu = 2.3", "nu = inf",
-    "activation = relu",
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
     # the training spacing 1/101 holds every point k/101 of the 100-point test axis
     "nu = 50.5",
+    # above pde.MAX_JACOBIAN_BYTES: refused before the grid or the start is built
+    pytest.param("problem = poisson2d\nnu = 1e300", id="poisson2d nu = 1e300"),
+    "r = 1000000000",
     "seeds = -1", "seeds = 0 0", "solvers = lm lm", pytest.param("solvers = ", id="solvers ="),
     # fixed values: a campaign that sets one stops on its unknown key
     "penalty = 0", "penalty = -1", "test_points_per_axis = 0", "test_points_per_axis = -5",
-    "eps_amg = 1.5", "eps_amg = nan", "eps_amg = 0", "eps_amg = -1",
+    "eps_amg = 1.5", "eps_amg = nan", "eps_amg = 0", "eps_amg = -1", "activation = relu",
 ])
 def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, capsys, setting):
     # the bad campaign takes the registry's nu unless its setting gives one
@@ -612,25 +613,37 @@ def test_cli_split_inspect(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["split-inspect", "--r", "1"], "--r 1: coarsening needs at least 2 hidden nodes"),
     (["split-inspect", "--nu", "2.3"], "--nu 2.3: 2*nu must be an integer"),
-    (["split-inspect", "--activation", "relu"], "--activation relu: unknown activation"),
+    # a flag that is gone: argparse prints its usage and the error, with status 2
+    (["split-inspect", "--activation", "sigmoid"], "unrecognized arguments: --activation sigmoid"),
     (["split-inspect", "--nu", "inf"], "--nu inf: nu must be finite"),
+    (["split-inspect", "--problem", "poisson2d", "--nu", "1e300"],
+     "--nu 1e+300: nu=1e+300 asks for more than 134217728 training points"),
+    (["split-inspect", "--r", "1000000000"],
+     "--r 1000000000: the Jacobian of nu=20 and r=1000000000, 41 rows by 3000000001 columns"),
     (["split-inspect", "--seed", "-1"], "--seed -1: a seed must be a non-negative integer"),
     (["fd-ref", "--resolution", "2"], "at least 3 points per axis"),
     (["fd-ref", "--nu", "inf"], "nu must be finite"),
+    (["fd-ref", "--nu", "1e300"], "nu=1e+300 asks for more than 134217728 training points"),
     # nu puts (2 pi nu / 40)^2 on the lowest eigenvalue of the 17-point Laplacian
     (["fd-ref", "--nu", "28.238857824564523", "--resolution", "17"],
      "discrete Helmholtz operator is singular"),
-], ids=["split-r", "split-nu", "split-activation", "split-nu-inf", "split-seed",
-        "fd-resolution", "fd-nu-inf", "fd-resonance"])
+], ids=["split-r", "split-nu", "split-activation", "split-nu-inf", "split-nu-1e300",
+        "split-r-1e9", "split-seed", "fd-resolution", "fd-nu-inf", "fd-nu-1e300",
+        "fd-resonance"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
         "--cache", str(tmp_path)]
-    assert cli.main(argv + target) == 2
+    try:
+        status = cli.main(argv + target)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err.startswith(f"mlmnet {argv[0]}: ") and "campaign" not in captured.err
-    assert message in captured.err and captured.err.count("\n") == 1
-    assert not list(tmp_path.iterdir())
+    assert message in captured.err and not list(tmp_path.iterdir())
+    if "unrecognized" not in message:
+        assert captured.err.startswith(f"mlmnet {argv[0]}: ") and "campaign" not in captured.err
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_fd_ref_cache(tmp_path, capsys):

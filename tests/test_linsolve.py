@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mlmnet.activations import Activation
 from mlmnet.linsolve import (
     FlopCounter,
     GramEigen,
@@ -230,7 +229,7 @@ def reference_cgls(J, g, lam, theta=0.1, max_iter=None, counter=None):
 def cgls_mismatches():
     """Cases where cgls_truncated's result or flops differ from the reference loop."""
     rng = np.random.default_rng(11)
-    system = ResidualSystem(poisson_1d(nu=10), NetworkArch(256, 1, Activation("sigmoid")))
+    system = ResidualSystem(poisson_1d(nu=10), NetworkArch(256, 1))
     x = rng.uniform(-1, 1, system.n)
     systems = [
         ("network", system.jacobian(x), system.residual(x)),

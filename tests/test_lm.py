@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mlmnet import lm
-from mlmnet.activations import Activation
 from mlmnet.linsolve import FlopCounter, NumericalError
 from mlmnet.lm import LmConfig, lm_solve
 from mlmnet.network import NetworkArch
@@ -53,7 +52,7 @@ def fine_solve_sizes(monkeypatch, system, x0, cfg):
 
 
 def test_fine_solves_stop_at_the_exact_arithmetic_bound(monkeypatch, rng):
-    system = ResidualSystem(poisson_1d(nu=5), NetworkArch(16, 1, Activation("sigmoid")))
+    system = ResidualSystem(poisson_1d(nu=5), NetworkArch(16, 1))
     x0 = rng.uniform(-1, 1, system.n)
     sizes = fine_solve_sizes(monkeypatch, system, x0, LmConfig(max_outer_iter=300))
     assert sizes and all(iterations <= m + 1 for iterations, m in sizes)
@@ -83,7 +82,7 @@ def test_linear_least_squares_reaches_normal_equations(rng):
 
 def test_accepted_steps_strictly_decrease_loss(rng):
     system = ResidualSystem(
-        poisson_1d(nu=3), NetworkArch(8, 1, Activation("sigmoid"))
+        poisson_1d(nu=3), NetworkArch(8, 1)
     )
     x0 = rng.uniform(-1, 1, system.n)
     report = lm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=300))
@@ -120,7 +119,7 @@ def test_non_finite_start_rejected():
 
 def test_iteration_cap_reported_as_not_converged(rng):
     system = ResidualSystem(
-        poisson_1d(nu=3), NetworkArch(6, 1, Activation("tanh"))
+        poisson_1d(nu=3), NetworkArch(6, 1)
     )
     x0 = rng.uniform(-1, 1, system.n)
     report = lm_solve(system, x0, LmConfig(epsilon=1e-12, max_outer_iter=3))

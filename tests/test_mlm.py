@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mlmnet.activations import Activation
 from mlmnet.amg import apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
 from mlmnet import lm, mlm
 from mlmnet.linsolve import FlopCounter, GramEigen, NumericalError, direct_solve, gram_eigen
@@ -36,7 +35,7 @@ def random_ops(rng, r):
 
 
 def network_system(nu=3, r=8):
-    return ResidualSystem(poisson_1d(nu=nu), NetworkArch(r, 1, Activation("sigmoid")))
+    return ResidualSystem(poisson_1d(nu=nu), NetworkArch(r, 1))
 
 
 def coarse_model_at(system, x, ops):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mlmnet import network
-from mlmnet.activations import KINDS, Activation
 from mlmnet.amg import build_transfer_operators
 from mlmnet.network import NetworkArch, NetworkParams
 from mlmnet.pde import (
@@ -62,8 +61,8 @@ ALL_PROBLEMS = [
 ]
 
 
-def small_system(problem, r=8, kind="sigmoid"):
-    return ResidualSystem(problem, NetworkArch(r, problem.dim, Activation(kind)))
+def small_system(problem, r=8):
+    return ResidualSystem(problem, NetworkArch(r, problem.dim))
 
 
 def constant_network(system, value):
@@ -164,7 +163,7 @@ def test_loss_identity_against_direct_formula(rng):
 def test_boundary_entries_scale_with_sqrt_penalty(rng):
     base = replace(poisson_1d(nu=3), penalty=2.0)
     doubled = replace(poisson_1d(nu=3), penalty=4.0)
-    arch = NetworkArch(4, 1, Activation("tanh"))
+    arch = NetworkArch(4, 1)
     s1, s2 = ResidualSystem(base, arch), ResidualSystem(doubled, arch)
     x = rng.uniform(-1, 1, s1.n)
     r1, r2 = s1.residual(x), s2.residual(x)
@@ -257,7 +256,7 @@ def reference_jacobian(system, p):
 
 
 def fused_evaluation_mismatches():
-    """(problem, kind, seed, quantity) cases where residual or jacobian differ from the reference."""
+    """(problem, seed, quantity) cases where residual or jacobian differ from the reference."""
     rng = np.random.default_rng(7)
     # poisson2d at r=1024 spans several eval_batch row blocks per point set
     problems = [
@@ -267,14 +266,13 @@ def fused_evaluation_mismatches():
     ]
     mismatches = []
     for problem, r in problems:
-        for kind in KINDS:
-            system = small_system(problem, r=r, kind=kind)
-            for seed in range(2):
-                x = rng.uniform(-1, 1, system.n)
-                if not np.array_equal(system.residual(x), reference_residual(system, x)):
-                    mismatches.append((problem.name, kind, seed, "residual"))
-                if not np.array_equal(system.jacobian(x), reference_jacobian(system, x)):
-                    mismatches.append((problem.name, kind, seed, "jacobian"))
+        system = small_system(problem, r=r)
+        for seed in range(2):
+            x = rng.uniform(-1, 1, system.n)
+            if not np.array_equal(system.residual(x), reference_residual(system, x)):
+                mismatches.append((problem.name, seed, "residual"))
+            if not np.array_equal(system.jacobian(x), reference_jacobian(system, x)):
+                mismatches.append((problem.name, seed, "jacobian"))
     return mismatches
 
 
