@@ -201,31 +201,24 @@ def build_transfer_operators(J, arch, eps_amg=0.9):
     return build_interpolation(A, split)
 
 
-def apply_blockwise(ops, x, direction, counter=None):
-    """Apply the transfer operator to a stacked parameter-layout vector.
+def apply_blockwise(op, x, counter):
+    """Apply a transfer operator, `ops.restrict` or `ops.prolong`, to a parameter-layout vector.
 
-    The restriction (or prolongation) acts independently on the output
-    weights, each input-weight group and the hidden biases; the trailing
-    output-bias entry is copied through unchanged.  The number of weight
-    groups is inferred from the vector length.
+    The operator acts on each block of `op.shape[1]` entries (the output
+    weights, each input-weight group, the hidden biases) and is charged to
+    `counter` per block; the trailing output-bias entry is copied through.
     """
     x = np.asarray(x, dtype=float)
-    if direction == "restrict":
-        op, size_in = ops.restrict, ops.r
-    elif direction == "prolong":
-        op, size_in = ops.prolong, ops.r_coarse
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    size_out, size_in = op.shape
     blocks, rem = divmod(x.size - 1, size_in)
     if rem != 0 or blocks < 3:
         raise ValueError(
-            f"vector of length {x.size} does not have the expected block layout for {direction}"
+            f"vector of length {x.size} does not fit the blocks of a {size_in}-column operator"
         )
-    out = np.empty(blocks * op.shape[0] + 1)
+    out = np.empty(blocks * size_out + 1)
     for k in range(blocks):
-        out[k * op.shape[0] : (k + 1) * op.shape[0]] = op @ x[k * size_in : (k + 1) * size_in]
-        if counter is not None:
-            counter.add_matvec(*op.shape)
+        out[k * size_out : (k + 1) * size_out] = op @ x[k * size_in : (k + 1) * size_in]
+        counter.add_matvec(size_out, size_in)
     out[-1] = x[-1]
     return out
 

@@ -122,7 +122,9 @@ class Campaign:
             if self.r is None:
                 self.r = entry.default_r
             if "mlm" in self.solvers and self.r < 2:
-                raise ValueError("the two-level solver needs at least 2 hidden nodes to coarsen")
+                raise ValueError(
+                    f"the two-level solver needs at least 2 hidden nodes to coarsen, got r={self.r}"
+                )
             unknown = set(self.overrides) - set(LmConfig.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown config overrides {sorted(unknown)}")

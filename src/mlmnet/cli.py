@@ -16,9 +16,10 @@ that refuses new files counts as one that cannot be written.  `fd-ref`
 and `split-inspect` treat settings that define no problem or grid, and
 their --cache and --out paths, the same way, before any solve or build
 (for `fd-ref`, also a resonant wavenumber, whose discrete operator
-cannot be solved), and `split-inspect` names the flag at fault.  On
-standard error, `run` names every failed run with its error, and every
-run that stopped at its iteration cap without converging.
+cannot be solved), and `split-inspect` checks its settings as `run`
+checks a one-seed `mlm` campaign.  On standard error, `run` names every
+failed run with its error, and every run that stopped at its iteration
+cap without converging.
 """
 
 import argparse
@@ -28,10 +29,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import bench, config, fdref, pde
+from . import bench, config, fdref
 from .amg import build_coupling_matrix, build_interpolation, dump_coarsening, ruge_stuben_split
 from .bench import PROBLEMS
-from .network import NetworkArch
 
 
 def _input_error(where, exc):
@@ -154,24 +154,15 @@ def _cmd_fd_ref(args):
 
 
 def _cmd_split_inspect(args):
-    entry = PROBLEMS[args.problem]
-    nu = entry.default_nu if args.nu is None else args.nu
-    r = entry.default_r if args.r is None else args.r
-    flag = f"--nu {nu:g}"
     try:
-        problem = entry.build(nu)
-        pde.build_training_set(problem)
-        flag = f"--r {r}"
-        if r < 2:
-            raise ValueError("coarsening needs at least 2 hidden nodes")
-        system = pde.ResidualSystem(problem, NetworkArch(r, problem.dim))
-        flag = f"--seed {args.seed}"
-        bench.check_seed(args.seed)
+        campaign = bench.Campaign(name=args.problem, problem=args.problem, nu=args.nu, r=args.r,
+                                  seeds=(args.seed,), solvers=("mlm",))
     except ValueError as exc:
-        return _input_error("split-inspect", f"{flag}: {exc}")
+        return _input_error("split-inspect", exc)
     status = _path_error("split-inspect", out=Path(args.out))
     if status is not None:
         return status
+    system = bench.build_system(campaign)
     p0 = bench.initial_guess(args.seed, system.n)
     A = build_coupling_matrix(system.jacobian(p0), system.arch)
     split = ruge_stuben_split(A)

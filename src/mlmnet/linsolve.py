@@ -32,6 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# The paper's fine CG stopping constant (see cgls_truncated).  Read at call
+# time, so a side script may patch it.
+THETA = 0.1
+
 
 class NumericalError(RuntimeError):
     """Raised when a solve breaks down numerically (caller may raise lam)."""
@@ -79,7 +83,7 @@ def predicted_reduction(step, rhs, linear_residual, lam):
     return 0.5 * (step @ rhs + step @ linear_residual + lam * (step @ step))
 
 
-def cgls_truncated(J, g, lam, theta=0.1, max_iter=None, counter=None):
+def cgls_truncated(J, g, lam, counter):
     """Approximately solve (J^T J + lam I) s = -g.
 
     `g` is the gradient of the model at s = 0: J^T F, plus any linear
@@ -89,23 +93,22 @@ def cgls_truncated(J, g, lam, theta=0.1, max_iter=None, counter=None):
     with J^T per iteration, written into preallocated vectors.  Iterations
     stop at the first step whose true system residual satisfies
 
-        ||(J^T J + lam I) s + g|| <= theta * ||s||^2
+        ||(J^T J + lam I) s + g|| <= THETA * ||s||^2
 
     (the stopping bound is re-verified against a freshly recomputed
-    residual before the result is flagged satisfied).
+    residual before the result is flagged satisfied), or at min(n, m + 1)
+    iterations, the exact-arithmetic bound: a gradient J^T F lies in
+    range(J^T), of dimension rank(J) <= m, which the Krylov space exhausts
+    within rank(J) steps; the `+ 1` covers a correction with a component
+    outside it.  A solve stopped at the cap returns its iterate, flagged
+    satisfied only if the re-verified residual meets the bound.  Products
+    are charged to `counter`.
 
-    `max_iter` defaults to min(n, m + 1), the exact-arithmetic bound: a
-    gradient J^T F lies in range(J^T), of dimension rank(J) <= m, which
-    the Krylov space exhausts within rank(J) steps; the `+ 1` covers a
-    correction with a component outside it.  A solve stopped at the cap
-    returns its iterate, flagged satisfied only if the re-verified residual
-    meets the bound.
-
-    The theta test is a stopping rule, not an acceptance condition: the
+    The THETA test is a stopping rule, not an acceptance condition: the
     iterate is returned either way, and lm.minimize judges every step by
-    rho.  With the default cap, 0.148 of lm's fine solves end satisfied on
-    full-size poisson1d seed 0 (nu=20, r=512), and 0.67 of both solvers'
-    on the benchmark's poisson1d-converge workload.
+    rho.  0.148 of lm's fine solves end satisfied on full-size poisson1d
+    seed 0 (nu=20, r=512), and 0.67 of both solvers' on the benchmark's
+    poisson1d-converge workload.
 
     The check that the CG model value decreases (up to rounding) guards an
     invariant of the recurrence; a violation is a programming error, not a
@@ -115,13 +118,10 @@ def cgls_truncated(J, g, lam, theta=0.1, max_iter=None, counter=None):
         raise ValueError("regularization weight lam must be positive")
     J = np.asarray(J, dtype=float)
     m, n = J.shape
-    if counter is None:
-        counter = FlopCounter()
     rhs = -np.asarray(g, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise NumericalError("non-finite right-hand side in the inner linear system")
-    if max_iter is None:
-        max_iter = min(n, m + 1)
+    theta, max_iter = THETA, min(n, m + 1)
 
     JT = J.T
 
@@ -214,29 +214,28 @@ def gram_eigen(J):
     return GramEigen(G, w, V)
 
 
-def direct_solve(J, lam, rhs, gram=None):
-    """Solve (J^T J + lam I) s = rhs for J of shape (m, n) through `gram_eigen(J)`.
+def direct_solve(J, lam, rhs, gram):
+    """Solve (J^T J + lam I) s = rhs for J of shape (m, n) through `gram = gram_eigen(J)`.
 
     With m < n the Woodbury identity reduces it to the m-by-m kernel system
     (J J^T + lam I) y = J rhs, s = (rhs - J^T y) / lam; otherwise the n-by-n
     system is solved.  Either way the shifted Gram matrix is inverted
-    through its eigenvalues w + lam.  `gram`, when given, must be
-    `gram_eigen(J)`, so a caller trying several lam with one J factors it
-    once; the result is the same bit for bit.  The solution is verified
-    against the backward-error bound
+    through its eigenvalues w + lam, so a caller trying several lam with
+    one J factors it once.  The solution is verified against the
+    backward-error bound
     ||B s - rhs|| <= 1e-10 * (||B||_F * ||s|| + ||rhs||), B = J^T J + lam I,
-    evaluated without forming B; a non-positive lam, a non-finite J, a
-    shifted eigenvalue w + lam <= 0 or a violated bound raises
-    NumericalError so the caller can grow the regularization weight and
-    retry.  Products with J inside the solve are direct-solve work, like
-    the factorization, and are not charged.
+    evaluated without forming B; a non-positive lam, a shifted eigenvalue
+    w + lam <= 0 or a violated bound raises NumericalError (as `gram_eigen`
+    does on a non-finite J) so the caller can grow the regularization
+    weight and retry.  Products with J inside the solve are direct-solve
+    work, like the factorization, and are not charged.
     """
     if not lam > 0:
         raise NumericalError(f"regularization weight lam must be positive, got {lam!r}")
     J = np.asarray(J, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     m, n = J.shape
-    G, w, V = gram_eigen(J) if gram is None else gram
+    G, w, V = gram
     d = w + lam
     if not np.all(d > 0):
         raise NumericalError("shifted Gram matrix is not positive definite")

@@ -156,7 +156,7 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
             s, pred = offer
         else:
             try:
-                inner = cgls_truncated(J, g, lam, counter=counter)
+                inner = cgls_truncated(J, g, lam, counter)
             except NumericalError:
                 inner_failures += 1
                 if inner_failures >= _MAX_INNER_FAILURES:

@@ -56,14 +56,14 @@ class CoarseModel:
     _grad0: np.ndarray
 
 
-def go_down(grad_fine, ops, kappa, epsilon_h, counter=None):
+def go_down(grad_fine, ops, kappa, epsilon_h, counter):
     """Descent test: the restricted gradient if it justifies a coarse step, else None.
 
     `kappa` is the relative threshold, `effective_kappa(ops)` in the
     solver, and `epsilon_h` the absolute one, the fine gradient tolerance
     in the solver; the restriction is charged to `counter`.
     """
-    restricted = apply_blockwise(ops, grad_fine, "restrict", counter)
+    restricted = apply_blockwise(ops.restrict, grad_fine, counter)
     rnorm = float(np.linalg.norm(restricted))
     if rnorm >= kappa * float(np.linalg.norm(grad_fine)) and rnorm > epsilon_h:
         return restricted
@@ -94,7 +94,7 @@ def build_coarse_model(coarse, x, ops, restricted_grad, counter):
     violation is a programming error, not a solver failure, and raises
     AssertionError, under `python -O` too.
     """
-    x0 = apply_blockwise(ops, x, "restrict", counter)
+    x0 = apply_blockwise(ops.restrict, x, counter)
     F0 = coarse.residual(x0)
     J0 = coarse.jacobian(x0)
     g0 = J0.T @ F0
@@ -192,7 +192,7 @@ def mlm_solve(system, x0, cfg, ops, counter=None, trace=None):
         coherence_log.append((model.coherence_residual, grad_norm))
         step_coarse, pred, n_accepted = coarse_cycle(model, lam, cfg, counter)
         if n_accepted > 0 and pred > 0 and step_coarse.any():
-            return apply_blockwise(ops, step_coarse, "prolong", counter), pred
+            return apply_blockwise(ops.prolong, step_coarse, counter), pred
         return None, pred
 
     report = minimize(system, x0, cfg, counter, trace, coarse_step)

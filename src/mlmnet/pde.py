@@ -54,6 +54,8 @@ class PdeProblem:
     def __post_init__(self):
         if not np.isfinite(self.nu):
             raise ValueError(f"nu must be finite, got {self.nu!r}")
+        if self.nu < 0:
+            raise ValueError(f"nu must be non-negative, got {self.nu!r}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.lap_sign not in (1, -1):
@@ -61,9 +63,9 @@ class PdeProblem:
         if (self.reaction is None) != (self.reaction_du is None):
             raise ValueError("reaction and reaction_du must be given together")
         # t = (2 nu + 1)^dim in integers, as one Jacobian column must fit the
-        # limit; |nu| is bounded first so that 2 nu stays a finite float
+        # limit; nu is bounded first so that 2 nu stays a finite float
         if (
-            abs(self.nu) > MAX_JACOBIAN_BYTES
+            self.nu > MAX_JACOBIAN_BYTES
             or 8 * training_points_per_axis(self.nu) ** self.dim > MAX_JACOBIAN_BYTES
         ):
             raise ValueError(

@@ -10,11 +10,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from mlmnet import cli
+from mlmnet import cli, linsolve
 from mlmnet.amg import build_interpolation, build_transfer_operators, ruge_stuben_split
 from mlmnet.bench import Campaign, emit_report, initial_guess, run_campaign
 from mlmnet.fdref import solve_helmholtz_fd
-from mlmnet.linsolve import cgls_truncated
+from mlmnet.linsolve import FlopCounter, cgls_truncated
 from mlmnet.lm import LmConfig, lm_solve
 from mlmnet.mlm import mlm_solve
 from mlmnet.network import NetworkArch
@@ -111,7 +111,7 @@ def test_criterion_3_amg_structural_invariants():
         assert col[2] == pytest.approx(0.5) and col[3] == 1.0 and col[4] == pytest.approx(0.5)
 
 
-def test_criterion_4_inner_solver_contract():
+def test_criterion_4_inner_solver_contract(monkeypatch):
     with criterion(4, "inner solver stopping contract"):
         rng = np.random.default_rng(11)
         checked = 0
@@ -124,7 +124,8 @@ def test_criterion_4_inner_solver_contract():
                 g = g + rng.normal(size=n)  # a linear correction
             lam = float(rng.uniform(1e-4, 1.0))
             theta = float(rng.uniform(0.01, 0.5))
-            res = cgls_truncated(J, g, lam, theta=theta, max_iter=4 * n)
+            monkeypatch.setattr(linsolve, "THETA", theta)
+            res = cgls_truncated(J, g, lam, FlopCounter())
             if res.satisfied:
                 lhs = J.T @ (J @ res.step) + lam * res.step + g
                 assert np.linalg.norm(lhs) <= theta * float(res.step @ res.step) * (1 + 1e-12)

@@ -11,6 +11,7 @@ from mlmnet.amg import (
     dump_coarsening,
     ruge_stuben_split,
 )
+from mlmnet.linsolve import FlopCounter
 from mlmnet.network import NetworkArch
 
 
@@ -200,16 +201,16 @@ def test_identity_operators_round_trip(rng):
     A = np.eye(4)
     ops = build_interpolation(A, ruge_stuben_split(A, 0.5))
     x = rng.normal(size=3 * 4 + 1)
-    assert np.allclose(apply_blockwise(ops, x, "restrict"), x)
-    assert np.allclose(apply_blockwise(ops, x, "prolong"), x)
+    assert np.allclose(apply_blockwise(ops.restrict, x, FlopCounter()), x)
+    assert np.allclose(apply_blockwise(ops.prolong, x, FlopCounter()), x)
 
 
 def test_output_bias_untouched(rng):
     A = random_spd(rng, 8)
     ops = build_interpolation(A, ruge_stuben_split(A, 0.9))
     x = rng.normal(size=3 * 8 + 1)
-    down = apply_blockwise(ops, x, "restrict")
-    up = apply_blockwise(ops, down, "prolong")
+    down = apply_blockwise(ops.restrict, x, FlopCounter())
+    up = apply_blockwise(ops.prolong, down, FlopCounter())
     assert down[-1] == x[-1]
     assert up[-1] == x[-1]
 
@@ -225,17 +226,18 @@ def test_blockwise_matches_dense_blockdiag(rng):
     for b, blk in enumerate(blocks):
         dense[b * 6 : (b + 1) * 6, b * 6 : (b + 1) * 6] = blk
     dense[-1, -1] = 1.0
-    via_ops = apply_blockwise(ops, apply_blockwise(ops, x, "restrict"), "prolong")
+    counter = FlopCounter()
+    via_ops = apply_blockwise(ops.prolong, apply_blockwise(ops.restrict, x, counter), counter)
     assert np.allclose(via_ops, dense @ x, atol=1e-13)
+    # each of the dim + 2 blocks charged once per direction, 2 * 6 * r_coarse flops apiece
+    assert counter.matvec_flops == 2 * (dim + 2) * 2 * 6 * ops.r_coarse
 
 
 def test_layout_mismatch_rejected(rng):
     A = random_spd(rng, 5)
     ops = build_interpolation(A, ruge_stuben_split(A, 0.9))
-    with pytest.raises(ValueError):
-        apply_blockwise(ops, np.zeros(12), "restrict")  # (12-1) not divisible by 5
-    with pytest.raises(ValueError):
-        apply_blockwise(ops, np.zeros(16), "sideways")
+    with pytest.raises(ValueError, match="length 12 does not fit the blocks of a 5-column"):
+        apply_blockwise(ops.restrict, np.zeros(12), FlopCounter())  # (12-1) not divisible by 5
 
 
 # -- end-to-end + dump -------------------------------------------------------------

@@ -334,7 +334,7 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "nu = 2.3", "nu = inf",
+    "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "nu = 2.3", "nu = inf", "nu = -5",
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
     # the training spacing 1/101 holds every point k/101 of the 100-point test axis
     "nu = 50.5",
@@ -369,9 +369,13 @@ def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypat
     ("[campaign:x]\nproblem = nope\n",
      "campaign 'x': unknown problem 'nope'; see mlmnet list-problems"),
     ("[campaign:x]\nproblem = poisson1d\nmax_outer_iter = -1\n", "campaign 'x'"),
+    # named as nu, not as the negative default boundary penalty it would give
+    ("[campaign:x]\nproblem = poisson1d\nnu = -5\n",
+     "campaign 'x': nu must be non-negative, got -5.0"),
     ("problem = poisson1d\n", "no section headers"),
     (None, "No such file or directory"),
-], ids=["unknown-key", "unknown-problem", "out-of-range", "no-section", "missing-file"])
+], ids=["unknown-key", "unknown-problem", "out-of-range", "negative-nu", "no-section",
+        "missing-file"])
 def test_cli_run_reports_a_malformed_file_in_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "c.cfg"
     if text is not None:
@@ -611,24 +615,37 @@ def test_cli_split_inspect(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["split-inspect", "--r", "1"], "--r 1: coarsening needs at least 2 hidden nodes"),
-    (["split-inspect", "--nu", "2.3"], "--nu 2.3: 2*nu must be an integer"),
+    # split-inspect checks its settings as the one-seed mlm campaign they define
+    (["split-inspect", "--r", "1"],
+     "campaign 'poisson1d': the two-level solver needs at least 2 hidden nodes to coarsen, "
+     "got r=1"),
+    (["split-inspect", "--nu", "2.3"], "campaign 'poisson1d': 2*nu must be an integer"),
     # a flag that is gone: argparse prints its usage and the error, with status 2
     (["split-inspect", "--activation", "sigmoid"], "unrecognized arguments: --activation sigmoid"),
-    (["split-inspect", "--nu", "inf"], "--nu inf: nu must be finite"),
+    (["split-inspect", "--nu", "inf"], "campaign 'poisson1d': nu must be finite"),
     (["split-inspect", "--problem", "poisson2d", "--nu", "1e300"],
-     "--nu 1e+300: nu=1e+300 asks for more than 134217728 training points"),
+     "campaign 'poisson2d': nu=1e+300 asks for more than 134217728 training points"),
     (["split-inspect", "--r", "1000000000"],
-     "--r 1000000000: the Jacobian of nu=20 and r=1000000000, 41 rows by 3000000001 columns"),
-    (["split-inspect", "--seed", "-1"], "--seed -1: a seed must be a non-negative integer"),
+     "campaign 'poisson1d': the Jacobian of nu=20 and r=1000000000, 41 rows by 3000000001 columns"),
+    (["split-inspect", "--seed", "-1"],
+     "campaign 'poisson1d': a seed must be a non-negative integer, got -1"),
+    # before the default boundary penalty 0.1 (2 nu + 1), which a negative nu makes negative
+    (["split-inspect", "--nu", "-5"], "campaign 'poisson1d': nu must be non-negative, got -5.0"),
+    (["split-inspect", "--nu", "-0.5"], "campaign 'poisson1d': nu must be non-negative, got -0.5"),
+    # the training spacing 1/101 holds every point k/101 of the 100-point RMSE test axis
+    (["split-inspect", "--nu", "50.5"],
+     "campaign 'poisson1d': the test grid of points_per_axis=100 lies entirely on training"),
     (["fd-ref", "--resolution", "2"], "at least 3 points per axis"),
     (["fd-ref", "--nu", "inf"], "nu must be finite"),
     (["fd-ref", "--nu", "1e300"], "nu=1e+300 asks for more than 134217728 training points"),
+    # refused before any field is solved or cached
+    (["fd-ref", "--nu", "-5"], "nu must be non-negative, got -5.0"),
     # nu puts (2 pi nu / 40)^2 on the lowest eigenvalue of the 17-point Laplacian
     (["fd-ref", "--nu", "28.238857824564523", "--resolution", "17"],
      "discrete Helmholtz operator is singular"),
 ], ids=["split-r", "split-nu", "split-activation", "split-nu-inf", "split-nu-1e300",
-        "split-r-1e9", "split-seed", "fd-resolution", "fd-nu-inf", "fd-nu-1e300",
+        "split-r-1e9", "split-seed", "split-nu-negative", "split-nu-negative-half",
+        "split-nu-50.5", "fd-resolution", "fd-nu-inf", "fd-nu-1e300", "fd-nu-negative",
         "fd-resonance"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
@@ -642,8 +659,8 @@ def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     assert captured.out == "" and "Traceback" not in captured.err
     assert message in captured.err and not list(tmp_path.iterdir())
     if "unrecognized" not in message:
-        assert captured.err.startswith(f"mlmnet {argv[0]}: ") and "campaign" not in captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"mlmnet {argv[0]}: ") and captured.err.count("\n") == 1
+        assert ("campaign" in captured.err) == (argv[0] == "split-inspect")
 
 
 def test_cli_fd_ref_cache(tmp_path, capsys):

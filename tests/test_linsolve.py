@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mlmnet import linsolve
 from mlmnet.linsolve import (
     FlopCounter,
     GramEigen,
@@ -25,28 +26,30 @@ def verify_stopping(J, g, lam, result, theta):
     return np.linalg.norm(J.T @ (J @ s) + lam * s + g) <= theta * float(s @ s)
 
 
-def test_identity_system():
+def test_identity_system(monkeypatch):
     # (I + I) s = e1  =>  s = e1/2
+    monkeypatch.setattr(linsolve, "THETA", 1e-12)
     J = np.eye(4)
     g = -np.eye(4)[:, 0]
-    res = cgls_truncated(J, g, lam=1.0, theta=1e-12)
+    res = cgls_truncated(J, g, 1.0, FlopCounter())
     assert np.allclose(res.step, np.array([0.5, 0, 0, 0]), atol=1e-10)
     assert res.satisfied
 
 
 def test_zero_rhs_returns_zero_without_iterating():
-    res = cgls_truncated(np.eye(3), np.zeros(3), lam=0.5)
+    res = cgls_truncated(np.eye(3), np.zeros(3), 0.5, FlopCounter())
     assert res.iterations == 0
     assert res.satisfied
     assert np.all(res.step == 0.0)
 
 
-def test_agrees_with_dense_normal_equations(rng):
+def test_agrees_with_dense_normal_equations(rng, monkeypatch):
     J = rng.normal(size=(20, 10))
     F = rng.normal(size=20)
     lam = 0.3
     theta = 1e-10  # tight tolerance: agreement should be near machine level
-    res = cgls_truncated(J, J.T @ F, lam, theta=theta, max_iter=200)
+    monkeypatch.setattr(linsolve, "THETA", theta)
+    res = cgls_truncated(J, J.T @ F, lam, FlopCounter())
     exact = np.linalg.solve(J.T @ J + lam * np.eye(10), -J.T @ F)
     smallest_eig = np.linalg.eigvalsh(J.T @ J + lam * np.eye(10))[0]
     implied = theta * float(res.step @ res.step) / smallest_eig
@@ -60,29 +63,30 @@ def test_satisfied_flag_reverifies(rng):
         g = J.T @ rng.normal(size=m)
         if trial % 2:
             g = g + rng.normal(size=n)  # a linear correction
-        res = cgls_truncated(J, g, lam=0.05, theta=0.1, max_iter=n)
+        res = cgls_truncated(J, g, 0.05, FlopCounter())
         if res.satisfied:
             assert verify_stopping(J, g, 0.05, res, 0.1)
 
 
-def test_correction_shifts_right_hand_side(rng):
+def test_correction_shifts_right_hand_side(rng, monkeypatch):
+    monkeypatch.setattr(linsolve, "THETA", 1e-11)
     J = rng.normal(size=(12, 6))
     F = rng.normal(size=12)
     corr = rng.normal(size=6)
-    res = cgls_truncated(J, J.T @ F + corr, lam=0.2, theta=1e-11, max_iter=100)
+    res = cgls_truncated(J, J.T @ F + corr, 0.2, FlopCounter())
     exact = np.linalg.solve(J.T @ J + 0.2 * np.eye(6), -(J.T @ F + corr))
     assert np.allclose(res.step, exact, atol=1e-7)
 
 
 def test_invalid_lambda_rejected():
     with pytest.raises(ValueError):
-        cgls_truncated(np.eye(2), np.ones(2), lam=0.0)
+        cgls_truncated(np.eye(2), np.ones(2), 0.0, FlopCounter())
 
 
 def test_non_finite_inputs_raise():
     for bad in (np.nan, np.inf):
         with pytest.raises(NumericalError, match="non-finite right-hand side"):
-            cgls_truncated(np.eye(3), np.array([1.0, bad, 0.0]), lam=1.0)
+            cgls_truncated(np.eye(3), np.array([1.0, bad, 0.0]), 1.0, FlopCounter())
 
 
 def test_flop_count_deterministic_and_positive(rng):
@@ -91,16 +95,17 @@ def test_flop_count_deterministic_and_positive(rng):
     counts = []
     for _ in range(2):
         counter = FlopCounter()
-        cgls_truncated(J, g, lam=0.1, theta=0.1, counter=counter)
+        cgls_truncated(J, g, 0.1, counter)
         counts.append(counter.matvec_flops)
     assert counts[0] == counts[1] > 0
 
 
-def test_flop_count_formula(rng):
+def test_flop_count_formula(rng, monkeypatch):
     # one CG iteration costs two products with J; the caller charged the gradient
+    monkeypatch.setattr(linsolve, "THETA", 1e-12)
     J = np.eye(4)
     counter = FlopCounter()
-    res = cgls_truncated(J, -np.ones(4), lam=1.0, theta=1e-12, counter=counter)
+    res = cgls_truncated(J, -np.ones(4), 1.0, counter)
     m, n = J.shape
     # per-iteration operator (4mn) + one verification (4mn)
     assert counter.matvec_flops == res.iterations * 4 * m * n + 4 * m * n
@@ -116,9 +121,10 @@ def test_flop_charges_add_up_per_call(rng, monkeypatch):
         add_matvec(counter, rows, cols)
 
     monkeypatch.setattr(FlopCounter, "add_matvec", recording_add_matvec)
+    monkeypatch.setattr(linsolve, "THETA", 1e-12)
     J = rng.normal(size=(9, 5))
     counter = FlopCounter()
-    res = cgls_truncated(J, J.T @ rng.normal(size=9), lam=0.1, theta=1e-12, counter=counter)
+    res = cgls_truncated(J, J.T @ rng.normal(size=9), 0.1, counter)
     assert res.iterations > 1
     assert sum(2 * rows * cols for rows, cols in calls) == counter.matvec_flops
     # all loop products in one charge, and the two of the verification
@@ -128,17 +134,18 @@ def test_flop_charges_add_up_per_call(rng, monkeypatch):
 def breakdown_system(entry):
     """A system whose CG curvature overflows mid-solve.
 
-    One column is scaled by 1e100 and its right-hand side entry set to
-    `entry`; that direction's share of the residual grows each iteration
-    until p^T (J^T J + lam I) p is no longer finite.
+    Five columns carry the diagonal 1..5; a sixth is scaled by 1e100 and
+    its right-hand side entry set to `entry`; that direction's share of
+    the residual grows each iteration until p^T (J^T J + lam I) p is no
+    longer finite.  Zero rows and columns, which CG never enters, pad J to
+    11 x 10, so the cap min(n, m + 1) = 10 lets the solve reach iteration 10.
     """
-    m, n = 7, 6
-    J = np.zeros((m, n))
-    J[np.arange(n - 1), np.arange(n - 1)] = np.arange(1.0, n)
-    J[n - 1, n - 1] = 1e100
-    F = -np.ones(m)
-    F[n - 1] = -entry / 1e100
-    F[n] = 0.0
+    J = np.zeros((11, 10))
+    J[np.arange(5), np.arange(5)] = np.arange(1.0, 6)
+    J[5, 5] = 1e100
+    F = np.zeros(11)
+    F[:5] = -1.0
+    F[5] = -entry / 1e100
     return J, F
 
 
@@ -148,15 +155,14 @@ def breakdown_system(entry):
     pytest.param(1e-100, 2, id="1e-100-2-grad-given"),
     pytest.param(1e-200, 10, id="1e-200-10-grad-given"),
 ])
-def test_breakdown_charges_the_products_made_before_it(entry, k):
+def test_breakdown_charges_the_products_made_before_it(entry, k, monkeypatch):
+    monkeypatch.setattr(linsolve, "THETA", 1e-300)
     J, F = breakdown_system(entry)
     m, n = J.shape
-    g = J.T @ F
-    # k is the first iteration whose curvature is not finite
-    cgls_truncated(J, g, lam=1e-3, theta=1e-300, max_iter=k - 1)
     counter = FlopCounter()
     with pytest.raises(NumericalError, match="positive definiteness"):
-        cgls_truncated(J, g, lam=1e-3, theta=1e-300, max_iter=k, counter=counter)
+        cgls_truncated(J, J.T @ F, 1e-3, counter)
+    # k iterations charged: k is the first iteration whose curvature is not finite
     assert counter.matvec_flops == k * 4 * m * n
 
 
@@ -165,7 +171,7 @@ def test_predicted_reduction_positive(rng):
         J = rng.normal(size=(10, 6))
         F = rng.normal(size=10)
         g = J.T @ F
-        res = cgls_truncated(J, g, lam=0.5, theta=0.1)
+        res = cgls_truncated(J, g, 0.5, FlopCounter())
         if res.step.any():
             pred = predicted_reduction(res.step, -g, res.linear_residual, 0.5)
             assert pred > 0
@@ -176,7 +182,7 @@ def test_predicted_reduction_positive(rng):
 
 
 def graded_wide_system(rng):
-    """Graded columns: at theta = 1e-12 and max_iter = n, CG runs past m + 1 = 42 iterations."""
+    """Graded columns: at THETA = 1e-12, CG stops at its cap m + 1 = 42, short of the bound."""
     return rng.normal(size=(41, 300)) * np.logspace(0, -6, 300), rng.normal(size=41)
 
 
@@ -188,7 +194,7 @@ def same_result(a, b):
     )
 
 
-def reference_cgls(J, g, lam, theta=0.1, max_iter=None, counter=None):
+def reference_cgls(J, g, lam, theta, counter, max_iter=None):
     """The conjugate-gradient loop before its per-iteration calls were trimmed: the reference."""
     m, n = J.shape
     rhs = -g
@@ -237,20 +243,23 @@ def cgls_mismatches():
         ("tall", rng.normal(size=(30, 12)), rng.normal(size=30)),
     ]
     mismatches = []
-    for name, J, F in systems:
-        n = J.shape[1]
-        for lam in (1e-6, 0.1):
-            for theta in (0.1, 1e-12):
-                for corr in (None, rng.normal(size=n) * 1e-3):
-                    g = J.T @ F if corr is None else J.T @ F + corr
-                    # max_iter = n keeps the loop beyond the default cap under comparison
-                    for max_iter in (None, n, 5):
+    default_theta = linsolve.THETA
+    try:
+        for name, J, F in systems:
+            n = J.shape[1]
+            for lam in (1e-6, 0.1):
+                for theta in (0.1, 1e-12):
+                    linsolve.THETA = theta
+                    for corr in (None, rng.normal(size=n) * 1e-3):
+                        g = J.T @ F if corr is None else J.T @ F + corr
                         counters = FlopCounter(), FlopCounter()
-                        got = cgls_truncated(J, g, lam, theta, max_iter, counters[0])
-                        ref = reference_cgls(J, g, lam, theta, max_iter, counters[1])
+                        got = cgls_truncated(J, g, lam, counters[0])
+                        ref = reference_cgls(J, g, lam, theta, counters[1])
                         same_flops = counters[0].matvec_flops == counters[1].matvec_flops
                         if not (same_result(got, ref) and same_flops):
-                            mismatches.append((name, lam, theta, corr is None, max_iter))
+                            mismatches.append((name, lam, theta, corr is None))
+    finally:
+        linsolve.THETA = default_theta
     return mismatches
 
 
@@ -259,55 +268,67 @@ def test_cgls_is_bit_identical_to_the_reference_loop():
 
 
 @pytest.mark.parametrize("lam", [1e-6, 0.1])
-def test_default_cap_stops_a_wide_solve_at_m_plus_one(rng, lam):
+def test_default_cap_stops_a_wide_solve_at_m_plus_one(rng, lam, monkeypatch):
+    monkeypatch.setattr(linsolve, "THETA", 1e-12)
     J, F = graded_wide_system(rng)
     m, n = J.shape
-    g = J.T @ F
-    uncapped = cgls_truncated(J, g, lam, theta=1e-12, max_iter=n)
-    assert uncapped.iterations > m + 1
     counter = FlopCounter()
-    res = cgls_truncated(J, g, lam, theta=1e-12, counter=counter)
-    assert res.iterations == m + 1
+    res = cgls_truncated(J, J.T @ F, lam, counter)
+    assert res.iterations == m + 1 < n
     assert not res.satisfied
     # per-iteration operator (4mn) + one verification (4mn)
     assert counter.matvec_flops == (m + 1) * 4 * m * n + 4 * m * n
-    assert same_result(res, cgls_truncated(J, g, lam, theta=1e-12, max_iter=m + 1))
 
 
-def test_default_cap_of_a_tall_solve_is_n(rng):
+def test_default_cap_of_a_tall_solve_is_n(rng, monkeypatch):
+    monkeypatch.setattr(linsolve, "THETA", 1e-300)
     J = rng.normal(size=(30, 12))
     g = J.T @ rng.normal(size=30)
     # a bound no iterate meets: the solve runs to its cap
-    res = cgls_truncated(J, g, 0.1, theta=1e-300)
+    res = cgls_truncated(J, g, 0.1, FlopCounter())
     assert res.iterations == 12
-    assert same_result(res, cgls_truncated(J, g, 0.1, theta=1e-300, max_iter=12))
+    assert not res.satisfied
 
 
 def test_default_cap_leaves_an_early_stop_unchanged(rng):
     J = rng.normal(size=(20, 60))
     g = J.T @ rng.normal(size=20)
-    res = cgls_truncated(J, g, 1.0, theta=0.1)
+    res = cgls_truncated(J, g, 1.0, FlopCounter())
     assert res.satisfied and res.iterations < 21
-    assert same_result(res, cgls_truncated(J, g, 1.0, theta=0.1, max_iter=60))
+    # the reference loop run to n = 60 iterations stops at the same step
+    assert same_result(res, reference_cgls(J, g, 1.0, 0.1, FlopCounter(), max_iter=60))
+
+
+def test_theta_is_read_at_call_time(rng, monkeypatch):
+    J = rng.normal(size=(20, 60))
+    g = J.T @ rng.normal(size=20)
+    loose = cgls_truncated(J, g, 1.0, FlopCounter())
+    monkeypatch.setattr(linsolve, "THETA", 1e-12)
+    tight = cgls_truncated(J, g, 1.0, FlopCounter())
+    assert loose.satisfied and tight.iterations > loose.iterations
+    assert np.linalg.norm(tight.linear_residual) < np.linalg.norm(loose.linear_residual)
 
 
 def test_direct_solve_identity():
     # (I^T I + 1 I) s = e1  =>  s = e1/2
-    assert np.allclose(direct_solve(np.eye(3), 1.0, np.eye(3)[:, 0]), 0.5 * np.eye(3)[:, 0])
+    J = np.eye(3)
+    assert np.allclose(direct_solve(J, 1.0, J[:, 0], gram_eigen(J)), 0.5 * J[:, 0])
 
 
 def test_direct_solve_diagonal():
     # J^T J + I = diag(2, 4)
-    s = direct_solve(np.diag([1.0, np.sqrt(3.0)]), 1.0, np.array([2.0, 4.0]))
+    J = np.diag([1.0, np.sqrt(3.0)])
+    s = direct_solve(J, 1.0, np.array([2.0, 4.0]), gram_eigen(J))
     assert np.allclose(s, [1.0, 1.0])
 
 
-def test_direct_solve_agrees_with_cgls(rng):
+def test_direct_solve_agrees_with_cgls(rng, monkeypatch):
     J = rng.normal(size=(5, 8))
     rhs = rng.normal(size=8)
-    s_direct = direct_solve(J, 0.5, rhs)
+    s_direct = direct_solve(J, 0.5, rhs, gram_eigen(J))
     # same system through the iterative path, rhs entering as a pure correction
-    res = cgls_truncated(J, -rhs, 0.5, theta=1e-14, max_iter=400)
+    monkeypatch.setattr(linsolve, "THETA", 1e-14)
+    res = cgls_truncated(J, -rhs, 0.5, FlopCounter())
     B = J.T @ J + 0.5 * np.eye(8)
     assert np.linalg.norm(B @ s_direct - rhs) <= 1e-10 * (np.linalg.norm(B) * np.linalg.norm(s_direct) + np.linalg.norm(rhs))
     assert np.allclose(s_direct, res.step, atol=1e-8)
@@ -319,7 +340,7 @@ def test_direct_solve_agrees_with_dense_solve(rng, shape, lam):
     J = rng.normal(size=shape)
     n = shape[1]
     rhs = rng.normal(size=n)
-    s = direct_solve(J, lam, rhs)
+    s = direct_solve(J, lam, rhs, gram_eigen(J))
     # spectral solution, accurate to a few ulps whatever the conditioning
     _, sv, Vt = np.linalg.svd(J)
     d = np.zeros(n)
@@ -348,32 +369,23 @@ def test_shifted_gram_norm_is_the_frobenius_norm(rng, shape):
 def test_direct_solve_rejects_non_finite_jacobian(shape, bad):
     J = np.ones(shape)
     J[1, 2] = bad
-    with pytest.raises(NumericalError):
-        direct_solve(J, 0.1, np.ones(shape[1]))
+    with pytest.raises(NumericalError):  # raised by the factor the solve needs
+        direct_solve(J, 0.1, np.ones(shape[1]), gram_eigen(J))
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
 def test_direct_solve_rejects_non_positive_lambda(lam):
     with pytest.raises(NumericalError):
-        direct_solve(np.eye(2, 3), lam, np.ones(3))
+        direct_solve(np.eye(2, 3), lam, np.ones(3), gram_eigen(np.eye(2, 3)))
 
 
 @pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
 def test_direct_solve_rejects_a_solution_past_the_backward_error_bound(rng, shape):
     J = rng.normal(size=shape)
     rhs = rng.normal(size=shape[1])
-    direct_solve(J, 0.05, rhs)  # the unperturbed solve meets the bound
+    direct_solve(J, 0.05, rhs, gram_eigen(J))  # the unperturbed solve meets the bound
     with pytest.raises(NumericalError, match="backward-error bound"):
         direct_solve(J, 0.05, rhs, gram_eigen(J * (1 + 1e-6)))
-
-
-@pytest.mark.parametrize("lam", [1e-6, 0.05, 10.0])
-@pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
-def test_direct_solve_gives_the_same_bits_with_its_own_factor(rng, shape, lam):
-    J = rng.normal(size=shape)
-    rhs = rng.normal(size=shape[1])
-    gram = gram_eigen(J)
-    assert direct_solve(J, lam, rhs).tobytes() == direct_solve(J, lam, rhs, gram).tobytes()
 
 
 @pytest.mark.parametrize("shift", [1.0, 2.0])

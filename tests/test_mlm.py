@@ -42,7 +42,7 @@ def coarse_model_at(system, x, ops):
     """The coarse model `mlm_solve` builds at x, from the restriction of the
     fine gradient and the coarse system."""
     grad = system.jacobian(x).T @ system.residual(x)
-    restricted = apply_blockwise(ops, grad, "restrict")
+    restricted = apply_blockwise(ops.restrict, grad, FlopCounter())
     return build_coarse_model(system.coarsen(ops), x, ops, restricted, FlopCounter())
 
 
@@ -52,7 +52,7 @@ def coarse_model_at(system, x, ops):
 def test_go_down_zero_gradient_false(rng):
     ops = random_ops(rng, 6)
     grad = np.zeros(3 * 6 + 1)
-    assert go_down(grad, ops, effective_kappa(ops), epsilon_h=1e-4) is None
+    assert go_down(grad, ops, effective_kappa(ops), 1e-4, FlopCounter()) is None
 
 
 def test_go_down_identity_true():
@@ -73,7 +73,7 @@ def test_go_down_null_space_false(rng):
     assert np.linalg.norm(R @ null_vec) < 1e-12
     grad = np.zeros(3 * 8 + 1)
     grad[:8] = null_vec  # output-weight block only, output-bias zero
-    assert go_down(grad, ops, effective_kappa(ops), epsilon_h=1e-4) is None
+    assert go_down(grad, ops, effective_kappa(ops), 1e-4, FlopCounter()) is None
 
 
 # -- coarse model -------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_coherence_enforced_by_construction(rng):
     model = coarse_model_at(system, x, ops)
     F = system.residual(x)
     grad = system.jacobian(x).T @ F
-    restricted = apply_blockwise(ops, grad, "restrict")
+    restricted = apply_blockwise(ops.restrict, grad, FlopCounter())
     grad_model = model.system.jacobian(model.x0).T @ model.system.residual(model.x0)
     grad_model = grad_model + model.correction
     assert np.linalg.norm(grad_model - restricted) <= 1e-12 * (1.0 + np.linalg.norm(grad))
@@ -109,7 +109,7 @@ import math, types
 from mlmnet import linsolve
 # a NaN tolerance stands in for a recurrence whose model value grows
 linsolve.math = types.SimpleNamespace(sqrt=lambda value: math.nan, isfinite=math.isfinite)
-linsolve.cgls_truncated(np.eye(3), np.ones(3), lam=1.0)
+linsolve.cgls_truncated(np.eye(3), np.ones(3), 1.0, linsolve.FlopCounter())
 """
 
 
@@ -151,12 +151,12 @@ def test_first_order_coherence_along_prolongated_directions(rng):
     model = coarse_model_at(system, x, ops)
     F = system.residual(x)
     grad = system.jacobian(x).T @ F
-    grad_model0 = apply_blockwise(ops, grad, "restrict")  # == grad of the model at x0
+    grad_model0 = apply_blockwise(ops.restrict, grad, FlopCounter())  # == grad of the model at x0
     sigma = ops.prolong_scale / ops.restrict_scale
     for _ in range(10):
         s_coarse = rng.normal(size=model.x0.size)
         s_coarse[-1] = 0.0
-        lhs = float(grad @ apply_blockwise(ops, s_coarse, "prolong"))
+        lhs = float(grad @ apply_blockwise(ops.prolong, s_coarse, FlopCounter()))
         rhs = float(grad_model0 @ s_coarse) / sigma
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
@@ -164,7 +164,7 @@ def test_first_order_coherence_along_prolongated_directions(rng):
 def test_output_bias_restriction_is_exact(rng):
     ops = random_ops(rng, 7)
     x = rng.normal(size=3 * 7 + 1)
-    assert apply_blockwise(ops, x, "restrict")[-1] == x[-1]
+    assert apply_blockwise(ops.restrict, x, FlopCounter())[-1] == x[-1]
 
 
 # -- coarse cycle -------------------------------------------------------------------
@@ -223,7 +223,10 @@ def test_coarse_cycle_matches_reference_loop(rng):
     cfg = LmConfig(epsilon=1e-10)
     model = coarse_model_at(system, x0, ops)
     step, pred, accepted = coarse_cycle(model, lm.LAMBDA0, cfg, FlopCounter())
-    ref_step, ref_pred, n_acc = replay_coarse_cycle(model, lm.LAMBDA0, cfg, direct_solve)
+    def solve(J, lam, rhs):
+        return direct_solve(J, lam, rhs, gram_eigen(J))
+
+    ref_step, ref_pred, n_acc = replay_coarse_cycle(model, lm.LAMBDA0, cfg, solve)
     assert accepted == n_acc
     assert np.allclose(step, ref_step, rtol=0, atol=1e-14)
     assert pred == pytest.approx(ref_pred, rel=1e-12)

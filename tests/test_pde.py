@@ -422,6 +422,7 @@ def test_invalid_operator_dim_combinations_rejected():
     for bad in (
         dict(dim=3),  # the training and test grids are 1D or 2D
         dict(nu=float("inf")),  # no training grid
+        dict(nu=-5.0),  # no training grid either, whatever the penalty
         dict(lap_sign=2),
         dict(reaction=lambda z, u: np.sin(u)),  # without its derivative
     ):
