@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pde
+from . import fdref, pde
 from .amg import build_transfer_operators
 from .linsolve import FlopCounter, NumericalError
 from .lm import LmConfig, lm_solve
@@ -79,12 +79,13 @@ class Campaign:
     of `epsilon` and `max_outer_iter` on top of an epsilon of 1e-4 in 1D
     and 1e-3 in 2D.  The seeds must be distinct non-negative integers, and
     the solvers distinct names from SOLVERS, at least one of each.  The
-    rest is fixed: the sigmoid activation, the boundary penalty 0.1 * t of
-    `pde.PdeProblem`, the AMG strength threshold 0.9 and the RMSE grid of
-    100 points per axis.
+    rest is fixed: the sigmoid activation, the boundary penalty
+    `pde.PENALTY_FACTOR * t`, the AMG strength threshold 0.9 and the RMSE
+    grid of `pde.TEST_POINTS_PER_AXIS` points per axis.
     Every setting is checked on construction, by building the residual
     system, its test grid and the solver config, so that a bad campaign
-    fails before any campaign runs.
+    fails before any campaign runs.  The residual system is kept as
+    `system`, the one every run of the campaign works on.
     """
 
     name: str
@@ -94,8 +95,9 @@ class Campaign:
     seeds: tuple = (0,)
     solvers: tuple = ("lm", "mlm")
     overrides: dict = field(default_factory=dict)
-    fd_resolution: int = 201
+    fd_resolution: int = fdref.RESOLUTION
     solver_config: LmConfig = field(init=False, repr=False)
+    system: pde.ResidualSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -128,15 +130,14 @@ class Campaign:
             unknown = set(self.overrides) - set(LmConfig.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown config overrides {sorted(unknown)}")
-            system = _residual_system(self)
+            problem = entry.build(self.nu)
+            self.system = pde.ResidualSystem(problem, NetworkArch(self.r, problem.dim))
             settings = dict(self.overrides)
-            settings.setdefault("epsilon", 1e-4 if system.problem.dim == 1 else 1e-3)
+            settings.setdefault("epsilon", 1e-4 if problem.dim == 1 else 1e-3)
             self.solver_config = LmConfig(**settings)
-            if entry.velocity_name is not None and self.fd_resolution < 3:
-                raise ValueError(
-                    f"fd_resolution must be at least 3 points per axis, got {self.fd_resolution}"
-                )
-            system.test_grid()
+            if entry.velocity_name is not None:
+                fdref.check_resolution(self.fd_resolution, "fd_resolution")
+            self.system.test_grid()
         except ValueError as exc:
             raise ValueError(f"campaign {self.name!r}: {exc}") from exc
 
@@ -178,26 +179,17 @@ def initial_guess(seed, n_params):
 
 
 def build_system(campaign):
-    """Residual system for a campaign (problem, grid and architecture)."""
-    return _residual_system(campaign)
+    """The campaign's residual system (problem, grid and architecture), built on construction."""
+    return campaign.system
 
 
-def _residual_system(campaign):
-    # The body of build_system.  Campaign validation calls it directly, so
-    # that the benchmark's traced bench.build_system spans, which it
-    # attributes to a run, are only the builds made inside run_campaign.
-    entry = PROBLEMS[campaign.problem]
-    problem = entry.build(campaign.nu)
-    arch = NetworkArch(campaign.r, problem.dim)
-    return pde.ResidualSystem(problem, arch)
+def reference_for(campaign, system, cache_dir):
+    """Error-metric reference: the true solution, or an FD field for Helmholtz.
 
-
-def reference_for(campaign, system, cache_dir=None):
-    """Error-metric reference: the true solution, or an FD field for Helmholtz."""
+    The FD field is cached under `cache_dir`, or solved afresh when it is None.
+    """
     if system.problem.true_solution is not None:
         return None  # rmse() falls back to the true solution
-    from . import fdref
-
     entry = PROBLEMS[campaign.problem]
     if cache_dir is not None:
         return fdref.cached_reference(
@@ -210,8 +202,11 @@ def reference_for(campaign, system, cache_dir=None):
     )
 
 
-def run_seed(campaign, system, seed, reference, trace_dir=None):
-    """Run every requested solver from the seed's starting point."""
+def run_seed(campaign, system, seed, reference, trace_dir):
+    """Run every requested solver from the seed's starting point.
+
+    Each run writes its trace into `trace_dir`, unless that is None.
+    """
     p0 = initial_guess(seed, system.n)
     digest = hashlib.sha256(p0.tobytes()).hexdigest()
     reports, rmse, errors = {}, {}, {}
@@ -225,10 +220,10 @@ def run_seed(campaign, system, seed, reference, trace_dir=None):
             trace = open(trace_path, "w", newline="")
         try:
             if solver == "lm":
-                report = lm_solve(system, x0, cfg, FlopCounter(), trace=trace)
+                report = lm_solve(system, x0, cfg, FlopCounter(), trace)
             else:
                 ops = build_transfer_operators(system.jacobian(p0), system.arch)
-                report = mlm_solve(system, x0, cfg, ops, FlopCounter(), trace=trace)
+                report = mlm_solve(system, x0, cfg, ops, FlopCounter(), trace)
             rmse[solver] = system.rmse(report.final_params, reference=reference)
             reports[solver] = report  # only with its RMSE: aggregate reads both
         except (NumericalError, ValueError) as exc:

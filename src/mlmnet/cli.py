@@ -79,11 +79,10 @@ def _cmd_run(args):
     if args.solver:
         replaced["solvers"] = tuple(args.solver)
     try:
-        # rebuilt, not assigned, so the overridden campaign is validated again
-        campaigns = [
-            dataclasses.replace(campaign, **replaced)
-            for campaign in config.parse_campaign_file(args.config)
-        ]
+        campaigns = config.parse_campaign_file(args.config)
+        if replaced:
+            # rebuilt, not assigned, so the overridden campaign is validated again
+            campaigns = [dataclasses.replace(campaign, **replaced) for campaign in campaigns]
     except (OSError, ValueError, configparser.Error) as exc:
         return _input_error(f"run: {args.config}", exc)
     status = _path_error("run", out=Path(args.out), cache=Path(args.cache))
@@ -141,6 +140,7 @@ def _cmd_fd_ref(args):
     if status is not None:
         return status
     try:
+        fdref.check_resolution(args.resolution, "--resolution")
         problem = entry.build(nu)
         grid = fdref.cached_reference(
             args.cache, nu, problem.velocity, entry.velocity_name,
@@ -162,7 +162,7 @@ def _cmd_split_inspect(args):
     status = _path_error("split-inspect", out=Path(args.out))
     if status is not None:
         return status
-    system = bench.build_system(campaign)
+    system = campaign.system
     p0 = bench.initial_guess(args.seed, system.n)
     A = build_coupling_matrix(system.jacobian(p0), system.arch)
     split = ruge_stuben_split(A)
@@ -201,7 +201,7 @@ def build_parser():
     fd.add_argument("--problem", default="helmholtz2d-const",
                     choices=[n for n, e in PROBLEMS.items() if e.velocity_name is not None])
     fd.add_argument("--nu", type=float, default=None)
-    fd.add_argument("--resolution", type=int, default=201)
+    fd.add_argument("--resolution", type=int, default=fdref.RESOLUTION)
     fd.add_argument("--cache", default=".mlmnet-cache")
     fd.set_defaults(func=_cmd_fd_ref)
 

@@ -20,7 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .pde import tensor_grid
+from . import pde
+
+# The points per axis of a campaign's reference field and of `mlmnet fd-ref`.
+RESOLUTION = 201
 
 
 class FdSolveError(RuntimeError):
@@ -63,23 +66,42 @@ class FdGrid:
         )
 
 
-def solve_helmholtz_fd(nu, velocity, rhs, points_per_axis=201):
+def check_resolution(points_per_axis, name):
+    """Raise ValueError naming the setting `name` unless M = points_per_axis is solvable.
+
+    The grid needs 3 points per axis for one interior node, and each dense
+    (M-2) x (M-2) matrix of doubles of the layered solve must fit the
+    Jacobian's limit pde.MAX_JACOBIAN_BYTES.  The count is taken in
+    integers, before any array is built.
+    """
+    if points_per_axis < 3:
+        raise ValueError(f"{name} must be at least 3 points per axis, got {points_per_axis}")
+    inner = points_per_axis - 2
+    if 8 * inner**2 > pde.MAX_JACOBIAN_BYTES:
+        raise ValueError(
+            f"{name}={points_per_axis} asks for {inner} x {inner} matrices of doubles, "
+            f"above MAX_JACOBIAN_BYTES = {pde.MAX_JACOBIAN_BYTES}"
+        )
+
+
+def solve_helmholtz_fd(nu, velocity, rhs, points_per_axis):
     """Solve the discrete Helmholtz problem on a points_per_axis^2 grid.
 
     `velocity` and `rhs` take rows of points; the zero-order coefficient
-    is k^2 = (2*pi*nu/velocity)^2.  Where k^2 is equal along z2 on every
-    grid row (a velocity layered in z1, or constant) the system is solved
-    by separation of variables; otherwise by a sparse direct solve.  Either
-    way the five-point residual is verified, and a singular or unreliable
-    solve (resonance of the discrete operator) raises FdSolveError.
+    is k^2 = (2*pi*nu/velocity)^2.  `points_per_axis` must pass
+    `check_resolution`, checked first.  Where k^2 is equal along z2 on
+    every grid row (a velocity layered in z1, or constant) the system is
+    solved by separation of variables; otherwise by a sparse direct solve.
+    Either way the five-point residual is verified, and a singular or
+    unreliable solve (resonance of the discrete operator) raises
+    FdSolveError.
     """
-    if points_per_axis < 3:
-        raise ValueError("need at least 3 points per axis")
+    check_resolution(points_per_axis, "points_per_axis")
     M = points_per_axis
     axis = np.linspace(0.0, 1.0, M)
     h = axis[1] - axis[0]
     inner = M - 2
-    pts = tensor_grid(axis[1:-1], 2)
+    pts = pde.tensor_grid(axis[1:-1], 2)
     ksq = ((2.0 * np.pi * nu / np.asarray(velocity(pts), dtype=float)) ** 2).reshape(inner, inner)
     b = np.asarray(rhs(pts), dtype=float).reshape(inner, inner)
     if np.all(ksq == ksq[:, :1]):
@@ -175,7 +197,7 @@ def load_reference(path):
     return FdGrid(axis=data["axis"], values=data["values"])
 
 
-def cached_reference(cache_dir, nu, velocity, velocity_name, rhs, points_per_axis=201):
+def cached_reference(cache_dir, nu, velocity, velocity_name, rhs, points_per_axis):
     """Load the reference field from cache, solving and storing on a miss."""
     path = cache_path(cache_dir, nu, velocity_name, points_per_axis)
     if path.exists():

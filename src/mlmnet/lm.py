@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linsolve import FlopCounter, NumericalError, cgls_truncated, predicted_reduction
+from .linsolve import NumericalError, cgls_truncated, predicted_reduction
 
 # consecutive inner-solver breakdowns tolerated before giving up
 _MAX_INNER_FAILURES = 50
@@ -57,32 +57,6 @@ class SolveReport:
     coherence_residuals: list = field(default_factory=list)
 
 
-class TraceWriter:
-    """Per-iteration CSV trace of a solver run."""
-
-    def __init__(self, stream, with_level=False):
-        self._writer = csv.writer(stream, lineterminator="\n")
-        self.with_level = with_level
-        header = ["iteration", "loss", "grad_norm", "lambda", "rho", "accepted", "cum_matvec_flops"]
-        if with_level:
-            header.insert(1, "level")
-        self._writer.writerow(header)
-
-    def row(self, iteration, loss, grad_norm, lam, rho, accepted, flops, level=None):
-        rec = [
-            iteration,
-            f"{loss:.12g}",
-            f"{grad_norm:.12g}",
-            f"{lam:.12g}",
-            "" if rho is None else f"{rho:.12g}",
-            int(accepted),
-            flops,
-        ]
-        if self.with_level:
-            rec.insert(1, level)
-        self._writer.writerow(rec)
-
-
 def update_lambda(lam, rho):
     """Three-branch regularization update driven by the acceptance ratio."""
     if rho is not None and rho >= ETA1:
@@ -91,14 +65,13 @@ def update_lambda(lam, rho):
     return GAMMA3 * lam
 
 
-def lm_solve(system, x0, cfg=None, counter=None, trace=None):
-    """Minimize 0.5*||F(x)||^2 from x0; stops on the gradient norm.
+def lm_solve(system, x0, cfg, counter, trace):
+    """Minimize 0.5*||F(x)||^2 from x0 under `cfg`; stops on the gradient norm.
 
-    `trace`, when given, is a text stream receiving one CSV row per
-    iteration.  Returns a SolveReport.
+    Matvec flops are charged to `counter`.  `trace` is None or a text
+    stream receiving a CSV header and one row per iteration.  Returns a
+    SolveReport.
     """
-    cfg = cfg if cfg is not None else LmConfig()
-    counter = counter if counter is not None else FlopCounter()
     return minimize(system, x0, cfg, counter, trace)
 
 
@@ -123,7 +96,13 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     breakdowns share one acceptance test and lambda update; the trace gets
     a `level` column when a coarse step is supplied.
     """
-    writer = TraceWriter(trace, with_level=coarse_step is not None) if trace is not None else None
+    writer = None
+    if trace is not None:
+        writer = csv.writer(trace, lineterminator="\n")
+        header = ["iteration", "loss", "grad_norm", "lambda", "rho", "accepted", "cum_matvec_flops"]
+        if coarse_step is not None:
+            header.insert(1, "level")
+        writer.writerow(header)
 
     x = np.array(x0, dtype=float)
     F, f = evaluate_loss(system, x)
@@ -180,9 +159,12 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
             stale = True
         lam = update_lambda(lam, rho)
         history.append(f)
-        if writer:
-            writer.row(iteration, f, grad_norm, lam, rho, took_step, counter.matvec_flops,
-                       level="fine" if prev_step_fine else "coarse")
+        if writer is not None:
+            row = [iteration, f"{f:.12g}", f"{grad_norm:.12g}", f"{lam:.12g}",
+                   "" if rho is None else f"{rho:.12g}", int(took_step), counter.matvec_flops]
+            if coarse_step is not None:
+                row.insert(1, "fine" if prev_step_fine else "coarse")
+            writer.writerow(row)
 
     return SolveReport(
         iterations=iteration,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lm
 from .amg import apply_blockwise
-from .linsolve import FlopCounter, NumericalError, direct_solve, gram_eigen
+from .linsolve import NumericalError, direct_solve, gram_eigen
 from .lm import evaluate_loss, minimize, update_lambda
 
 
@@ -169,17 +169,17 @@ def coarse_cycle(model, lam, cfg, counter):
     return y - model.x0, model.f0 - model_value, accepted
 
 
-def mlm_solve(system, x0, cfg, ops, counter=None, trace=None):
-    """Two-level minimization of 0.5*||F(x)||^2 from x0.
+def mlm_solve(system, x0, cfg, ops, counter, trace):
+    """Two-level minimization of 0.5*||F(x)||^2 from x0 under `cfg`.
 
     `ops` are the transfer operators built once beforehand (from the
     Gauss-Newton matrix at the starting point); the coarse system they
-    define is built once per run.  This is the LM loop of `lm_solve`: the
-    first iteration works at the fine level; afterwards a coarse
-    correction is attempted whenever the previous iteration was fine and
-    the restricted gradient passes the descent test.
+    define is built once per run.  This is the LM loop of `lm_solve`, with
+    the same `counter` and `trace` (None, or a stream that also gets the
+    `level` column): the first iteration works at the fine level;
+    afterwards a coarse correction is attempted whenever the previous
+    iteration was fine and the restricted gradient passes the descent test.
     """
-    counter = counter if counter is not None else FlopCounter()
     kappa = effective_kappa(ops)
     coarse = system.coarsen(ops)
     coherence_log = []

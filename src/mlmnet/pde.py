@@ -14,7 +14,7 @@ loss coefficients.  The training set and the RMSE test grid are each a
 `tensor_grid` of one axis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +26,12 @@ from .network import NetworkArch, NetworkParams
 # doubles, m training points by n network parameters.
 MAX_JACOBIAN_BYTES = 2**30
 
+# The paper's boundary penalty, PENALTY_FACTOR times the training-set size,
+# and the points per axis of the RMSE test grid.  Read at call time, so a
+# side script may patch one.
+PENALTY_FACTOR = 0.1
+TEST_POINTS_PER_AXIS = 100
+
 
 @dataclass
 class PdeProblem:
@@ -36,7 +42,8 @@ class PdeProblem:
     take the interior points and the values of u there, and return a
     scalar or one value per point.  `velocity` is the wave speed of the
     Helmholtz problems, which the finite-difference reference reads.
-    The boundary `penalty` defaults to 0.1 * t, t the training-set size.
+    The boundary `penalty` is set on construction to PENALTY_FACTOR * t,
+    t the training-set size.
     """
 
     name: str
@@ -44,12 +51,12 @@ class PdeProblem:
     nu: float
     rhs_interior: Callable[[np.ndarray], np.ndarray]   # g1, rows -> values
     rhs_boundary: Callable[[np.ndarray], np.ndarray]   # g2
-    penalty: Optional[float] = None
     lap_sign: int = -1
     reaction: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     reaction_du: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     velocity: Optional[Callable[[np.ndarray], np.ndarray]] = None
     true_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    penalty: float = field(init=False)
 
     def __post_init__(self):
         if not np.isfinite(self.nu):
@@ -72,10 +79,7 @@ class PdeProblem:
                 f"nu={self.nu:g} asks for more than {MAX_JACOBIAN_BYTES // 8} training points, "
                 f"so one Jacobian column alone exceeds MAX_JACOBIAN_BYTES = {MAX_JACOBIAN_BYTES}"
             )
-        if self.penalty is None:
-            self.penalty = 0.1 * training_points_per_axis(self.nu) ** self.dim
-        if not self.penalty > 0:
-            raise ValueError(f"boundary penalty must be positive, got {self.penalty!r}")
+        self.penalty = PENALTY_FACTOR * training_points_per_axis(self.nu) ** self.dim
 
 
 @dataclass
@@ -210,12 +214,14 @@ class ResidualSystem:
 
     # -- error metric ----------------------------------------------------------
 
-    def test_grid(self, points_per_axis=100):
+    def test_grid(self):
         """Uniform interior test grid, excluding any training points.
 
+        It has TEST_POINTS_PER_AXIS points per axis before the exclusion.
         Raises ValueError when no point is left, so no error metric is
         taken over an empty grid.
         """
+        points_per_axis = TEST_POINTS_PER_AXIS
         axis = np.linspace(0.0, 1.0, points_per_axis + 2)[1:-1]
         train_axis = np.linspace(0.0, 1.0, training_points_per_axis(self.problem.nu))
         # both are tensor grids: a test point is a training point when every coordinate is shared
@@ -224,7 +230,7 @@ class ResidualSystem:
         pts = tensor_grid(axis, dim)[~tensor_grid(shared, dim).all(axis=1)]
         if not len(pts):
             raise ValueError(
-                f"the test grid of points_per_axis={points_per_axis} lies entirely on "
+                f"the test grid of TEST_POINTS_PER_AXIS={points_per_axis} lies entirely on "
                 f"training points when nu={self.problem.nu:g}"
             )
         return pts
@@ -232,7 +238,7 @@ class ResidualSystem:
     def rmse(self, p, reference=None):
         """Root mean squared error of the network against the reference field.
 
-        It is taken over the default test grid of 100 points per axis.  The
+        It is taken over `test_grid()`, TEST_POINTS_PER_AXIS per axis.  The
         reference is the problem's true solution unless an explicit
         `reference` is given (a callable on point rows, or an object with a
         .sample(points) method such as a finite-difference grid).

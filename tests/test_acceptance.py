@@ -69,7 +69,7 @@ def test_criterion_2_first_order_coherence():
         system = ResidualSystem(poisson_1d(nu=5), NetworkArch(64, 1))
         p0 = initial_guess(0, system.n)
         ops = build_transfer_operators(system.jacobian(p0), system.arch)
-        report = mlm_solve(system, p0, LmConfig(epsilon=1e-4), ops)
+        report = mlm_solve(system, p0, LmConfig(epsilon=1e-4), ops, FlopCounter(), None)
         assert report.coherence_residuals, "the run never built a coarse model"
         for coherence, grad_norm in report.coherence_residuals:
             assert coherence <= 1e-10 * (1.0 + grad_norm)
@@ -141,8 +141,8 @@ def test_criterion_5_desk_scale_convergence():
             p0 = initial_guess(seed, system.n)
             ops = build_transfer_operators(system.jacobian(p0), system.arch)
             for name, report in (
-                ("lm", lm_solve(system, p0.copy(), cfg)),
-                ("mlm", mlm_solve(system, p0.copy(), cfg, ops)),
+                ("lm", lm_solve(system, p0.copy(), cfg, FlopCounter(), None)),
+                ("mlm", mlm_solve(system, p0.copy(), cfg, ops, FlopCounter(), None)),
             ):
                 assert report.converged, f"{name} seed {seed} did not converge"
                 assert report.final_gradient_norm <= 1e-4
@@ -187,7 +187,8 @@ def test_criterion_7_nonlinear_operator_coverage():
         system = ResidualSystem(
             sine_nonlinear_1d(nu=5), NetworkArch(64, 1)
         )
-        report = lm_solve(system, initial_guess(0, system.n), LmConfig(epsilon=1e-4))
+        p0 = initial_guess(0, system.n)
+        report = lm_solve(system, p0, LmConfig(epsilon=1e-4), FlopCounter(), None)
         assert report.converged
         rmse = system.rmse(report.final_params)
         assert rmse <= 1e-3, f"RMSE {rmse:.2e}"

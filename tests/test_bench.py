@@ -311,6 +311,15 @@ def test_readme_campaign_example_parses(tmp_path):
     assert campaign.overrides == {"epsilon": 1e-4, "max_outer_iter": 2000}
 
 
+def test_paper_campaigns_cover_the_registry_at_its_defaults():
+    campaigns = config.parse_campaign_file(Path(__file__).parents[1] / "campaigns" / "paper.cfg")
+    assert [c.problem for c in campaigns] == list(bench.PROBLEMS)
+    for c in campaigns:
+        entry = bench.PROBLEMS[c.problem]
+        assert (c.nu, c.r) == (entry.default_nu, entry.default_r)
+        assert c.seeds == tuple(range(10)) and c.solvers == ("lm", "mlm") and c.overrides == {}
+
+
 def test_parse_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[campaign:x]\nproblem = poisson1d\nwarp = 9\n")
@@ -336,6 +345,9 @@ def test_parse_rejects_unknown_key(tmp_path):
 @pytest.mark.parametrize("setting", [
     "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "nu = 2.3", "nu = inf", "nu = -5",
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
+    # dense FD matrices above pde.MAX_JACOBIAN_BYTES: refused before any array is built
+    pytest.param("problem = helmholtz2d-two-layers\nfd_resolution = 1000000000",
+                 id="fd_resolution = 1000000000"),
     # the training spacing 1/101 holds every point k/101 of the 100-point test axis
     "nu = 50.5",
     # above pde.MAX_JACOBIAN_BYTES: refused before the grid or the start is built
@@ -420,6 +432,19 @@ def test_cli_list_problems(capsys):
     assert "poisson1d" in out and "helmholtz2d-sine" in out
 
 
+def count_system_builds(monkeypatch):
+    """A list that gets one entry per pde.ResidualSystem built from now on."""
+    builds = []
+    init = pde.ResidualSystem.__init__
+
+    def counting_init(self, problem, arch):
+        builds.append(arch.n_hidden)
+        init(self, problem, arch)
+
+    monkeypatch.setattr(pde.ResidualSystem, "__init__", counting_init)
+    return builds
+
+
 STARTUP_LOADS = """
 import json, sys
 
@@ -458,11 +483,13 @@ def test_scipy_loads_only_in_the_functions_that_call_it():
     assert "scipy.sparse.linalg" in sine_loaded
 
 
-def test_cli_run_and_determinism(tmp_path, capsys):
+def test_cli_run_and_determinism(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG_TEXT)
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+    builds = count_system_builds(monkeypatch)
     assert cli.main(["run", str(cfg), "--out", str(out1)]) == 0
+    assert builds == [16]  # the one lm campaign's system, checked and run
     assert cli.main(["run", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     captured = capsys.readouterr()
@@ -604,7 +631,18 @@ def test_cli_run_seed_solver_overrides(tmp_path):
     assert (trace_dir / "trace_quick_lm_seed3.csv").exists()
 
 
-def test_cli_split_inspect(tmp_path, capsys):
+@pytest.mark.parametrize("solver, n_builds", [("lm", 1), ("mlm", 2)])
+def test_a_campaign_runs_the_system_it_validated(monkeypatch, solver, n_builds):
+    builds = count_system_builds(monkeypatch)
+    campaign = tiny_campaign(solvers=(solver,))
+    assert builds == [16] and bench.build_system(campaign) is campaign.system
+    run_campaign(campaign)
+    # no second fine build; mlm adds its coarse system, on fewer hidden nodes
+    assert len(builds) == n_builds and all(r < 16 for r in builds[1:])
+
+
+def test_cli_split_inspect(tmp_path, monkeypatch):
+    builds = count_system_builds(monkeypatch)
     out = tmp_path / "split.txt"
     code = cli.main([
         "split-inspect", "--problem", "poisson1d", "--nu", "2", "--r", "12",
@@ -612,6 +650,7 @@ def test_cli_split_inspect(tmp_path, capsys):
     ])
     assert code == 0
     assert "coupling matrix" in out.read_text()
+    assert builds == [12]  # the campaign's own system, built once
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -634,8 +673,12 @@ def test_cli_split_inspect(tmp_path, capsys):
     (["split-inspect", "--nu", "-0.5"], "campaign 'poisson1d': nu must be non-negative, got -0.5"),
     # the training spacing 1/101 holds every point k/101 of the 100-point RMSE test axis
     (["split-inspect", "--nu", "50.5"],
-     "campaign 'poisson1d': the test grid of points_per_axis=100 lies entirely on training"),
-    (["fd-ref", "--resolution", "2"], "at least 3 points per axis"),
+     "campaign 'poisson1d': the test grid of TEST_POINTS_PER_AXIS=100 lies entirely on training"),
+    (["fd-ref", "--resolution", "2"], "--resolution must be at least 3 points per axis, got 2"),
+    # dense FD matrices above pde.MAX_JACOBIAN_BYTES: refused before any array is built
+    (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "1000000000"],
+     "--resolution=1000000000 asks for 999999998 x 999999998 matrices of doubles, "
+     "above MAX_JACOBIAN_BYTES = 1073741824"),
     (["fd-ref", "--nu", "inf"], "nu must be finite"),
     (["fd-ref", "--nu", "1e300"], "nu=1e+300 asks for more than 134217728 training points"),
     # refused before any field is solved or cached
@@ -645,8 +688,8 @@ def test_cli_split_inspect(tmp_path, capsys):
      "discrete Helmholtz operator is singular"),
 ], ids=["split-r", "split-nu", "split-activation", "split-nu-inf", "split-nu-1e300",
         "split-r-1e9", "split-seed", "split-nu-negative", "split-nu-negative-half",
-        "split-nu-50.5", "fd-resolution", "fd-nu-inf", "fd-nu-1e300", "fd-nu-negative",
-        "fd-resonance"])
+        "split-nu-50.5", "fd-resolution", "fd-resolution-1e9", "fd-nu-inf", "fd-nu-1e300",
+        "fd-nu-negative", "fd-resonance"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
         "--cache", str(tmp_path)]

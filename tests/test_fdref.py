@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from mlmnet import pde
 from mlmnet.pde import box_source, velocity_constant, velocity_four_layers, velocity_two_layers
 from mlmnet.fdref import (
     FdGrid,
     FdSolveError,
     cache_path,
     cached_reference,
+    check_resolution,
     load_reference,
     save_reference,
     solve_helmholtz_fd,
@@ -180,5 +182,27 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_minimum_resolution_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="points_per_axis must be at least 3 points per axis"):
         solve_helmholtz_fd(1.0, constant_velocity, lambda z: np.zeros(z.shape[0]), 2)
+
+
+def test_resolution_bound_is_the_jacobian_limit_on_each_dense_matrix(monkeypatch):
+    # 8 (M - 2)^2 bytes against 2**30: 11585^2 = 134212225 fits, 11586^2 = 134235396 does not
+    check_resolution(3, "M")
+    check_resolution(11587, "M")
+    with pytest.raises(ValueError, match="M=11588 asks for 11586 x 11586 matrices"):
+        check_resolution(11588, "M")
+    # the limit is read at call time
+    monkeypatch.setattr(pde, "MAX_JACOBIAN_BYTES", 8 * 7**2)
+    check_resolution(9, "M")
+    with pytest.raises(ValueError, match="M=10 asks for 8 x 8 matrices"):
+        check_resolution(10, "M")
+
+
+def test_an_oversized_resolution_is_refused_before_any_array_is_built(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "linspace", no_arrays)
+    with pytest.raises(ValueError, match="points_per_axis=11588 asks for"):
+        solve_helmholtz_fd(1.0, constant_velocity, lambda z: np.zeros(z.shape[0]), 11588)

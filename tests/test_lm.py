@@ -47,7 +47,7 @@ def fine_solve_sizes(monkeypatch, system, x0, cfg):
         return result
 
     monkeypatch.setattr(lm, "cgls_truncated", spy)
-    lm_solve(system, x0, cfg)
+    lm_solve(system, x0, cfg, FlopCounter(), None)
     return sizes
 
 
@@ -62,7 +62,7 @@ def test_already_critical_start(rng):
     A = rng.normal(size=(6, 3))
     x_star = np.linalg.lstsq(A, rng.normal(size=6), rcond=None)[0]
     system = LinearLeastSquares(A, A @ x_star)  # consistent: F(x*) = 0
-    report = lm_solve(system, x_star, LmConfig(epsilon=1e-8))
+    report = lm_solve(system, x_star, LmConfig(epsilon=1e-8), FlopCounter(), None)
     assert report.iterations == 0
     assert report.converged
     assert report.final_gradient_norm <= 1e-8
@@ -73,7 +73,7 @@ def test_linear_least_squares_reaches_normal_equations(rng):
     A = rng.normal(size=(m, n))
     c = rng.normal(size=m)
     system = LinearLeastSquares(A, c)
-    report = lm_solve(system, np.zeros(n), LmConfig(epsilon=1e-8))
+    report = lm_solve(system, np.zeros(n), LmConfig(epsilon=1e-8), FlopCounter(), None)
     oracle = np.linalg.solve(A.T @ A, A.T @ c)
     assert report.converged
     assert report.iterations <= n + 50
@@ -85,7 +85,7 @@ def test_accepted_steps_strictly_decrease_loss(rng):
         poisson_1d(nu=3), NetworkArch(8, 1)
     )
     x0 = rng.uniform(-1, 1, system.n)
-    report = lm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=300))
+    report = lm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=300), FlopCounter(), None)
     hist = np.asarray(report.loss_history)
     assert np.all(np.diff(hist) <= 0.0)  # rejected steps keep the value, accepted lower it
     drops = np.diff(hist) < 0.0
@@ -95,7 +95,7 @@ def test_accepted_steps_strictly_decrease_loss(rng):
 def test_report_flops_match_counter(rng):
     system = LinearLeastSquares(rng.normal(size=(8, 4)), rng.normal(size=8))
     counter = FlopCounter()
-    report = lm_solve(system, np.zeros(4), LmConfig(epsilon=1e-10), counter)
+    report = lm_solve(system, np.zeros(4), LmConfig(epsilon=1e-10), counter, None)
     assert report.matvec_flops == counter.matvec_flops > 0
 
 
@@ -103,7 +103,7 @@ def test_determinism(rng):
     A = rng.normal(size=(12, 5))
     c = rng.normal(size=12)
     reports = [
-        lm_solve(LinearLeastSquares(A, c), np.zeros(5), LmConfig(epsilon=1e-9))
+        lm_solve(LinearLeastSquares(A, c), np.zeros(5), LmConfig(epsilon=1e-9), FlopCounter(), None)
         for _ in range(2)
     ]
     assert reports[0].matvec_flops == reports[1].matvec_flops
@@ -114,7 +114,7 @@ def test_determinism(rng):
 def test_non_finite_start_rejected():
     system = LinearLeastSquares(np.eye(2), np.zeros(2))
     with pytest.raises(NumericalError, match="not finite at the starting point"):
-        lm_solve(system, np.array([np.nan, 0.0]))
+        lm_solve(system, np.array([np.nan, 0.0]), LmConfig(), FlopCounter(), None)
 
 
 def test_iteration_cap_reported_as_not_converged(rng):
@@ -122,7 +122,7 @@ def test_iteration_cap_reported_as_not_converged(rng):
         poisson_1d(nu=3), NetworkArch(6, 1)
     )
     x0 = rng.uniform(-1, 1, system.n)
-    report = lm_solve(system, x0, LmConfig(epsilon=1e-12, max_outer_iter=3))
+    report = lm_solve(system, x0, LmConfig(epsilon=1e-12, max_outer_iter=3), FlopCounter(), None)
     assert report.iterations == 3
     assert not report.converged
 
@@ -130,7 +130,7 @@ def test_iteration_cap_reported_as_not_converged(rng):
 def test_trace_stream_format(rng):
     system = LinearLeastSquares(rng.normal(size=(10, 4)), rng.normal(size=10))
     stream = io.StringIO()
-    report = lm_solve(system, np.zeros(4), LmConfig(epsilon=1e-9), trace=stream)
+    report = lm_solve(system, np.zeros(4), LmConfig(epsilon=1e-9), FlopCounter(), stream)
     lines = stream.getvalue().strip().splitlines()
     header = lines[0].split(",")
     assert header == ["iteration", "loss", "grad_norm", "lambda", "rho", "accepted",

@@ -372,7 +372,7 @@ def test_identity_ops_converge_on_linear_surrogate(rng):
     c = rng.normal(size=20)
     system = LinearLeastSquares(A, c)
     ops = identity_ops(4)  # 3*4+1 = 13
-    report = mlm_solve(system, np.zeros(13), LmConfig(epsilon=1e-8), ops)
+    report = mlm_solve(system, np.zeros(13), LmConfig(epsilon=1e-8), ops, FlopCounter(), None)
     oracle = np.linalg.solve(A.T @ A, A.T @ c)
     assert report.converged
     assert np.linalg.norm(report.final_params - oracle) < 1e-6
@@ -391,7 +391,9 @@ def test_coarse_system_is_built_once_per_run(rng, monkeypatch):
         return real_coarsen(self, ops)
 
     monkeypatch.setattr(ResidualSystem, "coarsen", counting_coarsen)
-    report = mlm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops)
+    report = mlm_solve(
+        system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops, FlopCounter(), None
+    )
     assert report.coarse_steps > 1
     assert len(built) == 1 and built[0] is ops
 
@@ -403,7 +405,7 @@ def test_fine_branch_when_go_down_impossible(rng, no_coarse_descents):
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
     stream = io.StringIO()
     cfg = LmConfig(epsilon=1e-3, max_outer_iter=40)
-    report = mlm_solve(system, x0, cfg, ops, trace=stream)
+    report = mlm_solve(system, x0, cfg, ops, FlopCounter(), stream)
     lines = stream.getvalue().strip().splitlines()[1:]
     levels = [line.split(",")[1] for line in lines]
     assert levels and all(level == "fine" for level in levels)
@@ -416,7 +418,7 @@ def test_alternation_never_two_coarse_in_a_row(rng):
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
     stream = io.StringIO()
     report = mlm_solve(
-        system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops, trace=stream
+        system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops, FlopCounter(), stream
     )
     lines = stream.getvalue().strip().splitlines()[1:]
     levels = [line.split(",")[1] for line in lines]
@@ -429,7 +431,9 @@ def test_coherence_residuals_collected(rng):
     system = network_system(nu=3, r=12)
     x0 = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
-    report = mlm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops)
+    report = mlm_solve(
+        system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops, FlopCounter(), None
+    )
     assert len(report.coherence_residuals) == report.coarse_steps
     for coherence, grad_norm in report.coherence_residuals:
         assert coherence <= 1e-10 * (1.0 + grad_norm)
@@ -439,7 +443,9 @@ def test_accepted_steps_strictly_decrease_loss(rng):
     system = network_system(nu=3, r=12)
     x0 = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
-    report = mlm_solve(system, x0, LmConfig(epsilon=1e-5, max_outer_iter=300), ops)
+    report = mlm_solve(
+        system, x0, LmConfig(epsilon=1e-5, max_outer_iter=300), ops, FlopCounter(), None
+    )
     hist = np.asarray(report.loss_history)
     assert np.all(np.diff(hist) <= 0.0)
     assert (np.diff(hist) < 0.0).sum() == report.accepted_steps
@@ -467,8 +473,8 @@ def test_inner_solver_breakdowns_are_rejected_fine_steps(rng, monkeypatch, no_co
         monkeypatch.setattr(lm, "cgls_truncated", flaky_cgls)
         cfg = LmConfig(epsilon=1e-3, max_outer_iter=max_outer_iter)
         if solver == "lm":
-            return lm_solve(system, x0, cfg, trace=stream)
-        return mlm_solve(system, x0, cfg, ops, trace=stream)
+            return lm_solve(system, x0, cfg, FlopCounter(), stream)
+        return mlm_solve(system, x0, cfg, ops, FlopCounter(), stream)
 
     def rows_of(stream):
         return list(csv.DictReader(io.StringIO(stream.getvalue())))

@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from mlmnet import network
+from mlmnet import network, pde
 from mlmnet.amg import build_transfer_operators
 from mlmnet.network import NetworkArch, NetworkParams
 from mlmnet.pde import (
@@ -39,7 +37,6 @@ def constant_solution_problem(kind, dim, value):
         nu=2,
         rhs_interior=lambda z: np.full(z.shape[0], g1),
         rhs_boundary=lambda z: np.full(z.shape[0], value),
-        penalty=0.5,
         lap_sign=lap_sign,
         reaction=reaction,
         reaction_du=reaction_du,
@@ -160,9 +157,11 @@ def test_loss_identity_against_direct_formula(rng):
             assert abs(half_norm - direct) < 1e-12 * (1.0 + direct)
 
 
-def test_boundary_entries_scale_with_sqrt_penalty(rng):
-    base = replace(poisson_1d(nu=3), penalty=2.0)
-    doubled = replace(poisson_1d(nu=3), penalty=4.0)
+def test_boundary_entries_scale_with_sqrt_penalty(rng, monkeypatch):
+    base = poisson_1d(nu=3)
+    monkeypatch.setattr(pde, "PENALTY_FACTOR", 2 * pde.PENALTY_FACTOR)
+    doubled = poisson_1d(nu=3)
+    assert doubled.penalty == 2 * base.penalty
     arch = NetworkArch(4, 1)
     s1, s2 = ResidualSystem(base, arch), ResidualSystem(doubled, arch)
     x = rng.uniform(-1, 1, s1.n)
@@ -296,23 +295,23 @@ def test_rmse_of_constant_offset():
 def test_rmse_matches_brute_force(rng):
     system = small_system(poisson_1d(nu=3), r=4)
     x = rng.uniform(-1, 1, system.n)
-    pts = system.test_grid(100)
-    from mlmnet import network
+    pts = system.test_grid()
 
     diff = network.eval_batch(system.arch, system.params_from(x), pts) - system.problem.true_solution(pts)
     brute = np.sqrt(np.mean(diff**2))
     assert abs(system.rmse(x) - brute) < 1e-12
 
 
-def test_rmse_grid_excludes_training_points():
+def test_rmse_grid_excludes_training_points(monkeypatch):
     system = small_system(poisson_1d(nu=20), r=2)
-    pts = system.test_grid(100)
+    pts = system.test_grid()
     assert pts.shape == (100, 1)
     train = np.vstack([system.training.interior, system.training.boundary])
     for row in train:
         assert not np.any(np.all(np.abs(pts - row) < 1e-12, axis=1))
     # the 99-point axis k/100 meets the training axis j/40 at k = 5, 10, ..., 95: 19 points go
-    pts99 = system.test_grid(99)
+    monkeypatch.setattr(pde, "TEST_POINTS_PER_AXIS", 99)
+    pts99 = system.test_grid()
     assert pts99.shape == (80, 1)
     assert np.abs(pts99[:, None, :] - train[None, :, :]).max(axis=2).min() >= 1e-12
 
@@ -331,10 +330,11 @@ def loop_exclusion_grid(system, points_per_axis):
     return pts[~coincide]
 
 
-def test_rmse_grid_excludes_coinciding_2d_training_points():
+def test_rmse_grid_excludes_coinciding_2d_training_points(monkeypatch):
     # training axis 0, 1/4, ..., 1 and test axis 1/8, ..., 7/8 share 1/4, 1/2, 3/4
     system = small_system(helmholtz_2d(nu=2), r=2)
-    pts = system.test_grid(7)
+    monkeypatch.setattr(pde, "TEST_POINTS_PER_AXIS", 7)
+    pts = system.test_grid()
     assert pts.shape == (40, 2)
     train = np.vstack([system.training.interior, system.training.boundary])
     gaps = np.abs(pts[:, None, :] - train[None, :, :]).max(axis=2)
@@ -347,14 +347,15 @@ def test_rmse_grid_excludes_coinciding_2d_training_points():
      (poisson_1d(nu=20), 7), (poisson_1d(nu=20), 100), (poisson_2d(nu=1.5), 5),
      (poisson_1d(nu=2.5), 9), (helmholtz_2d(nu=2), 3), (poisson_2d(nu=5), 9)],
 )
-def test_test_grid_matches_loop_exclusion(problem, points_per_axis):
+def test_test_grid_matches_loop_exclusion(problem, points_per_axis, monkeypatch):
     system = small_system(problem, r=2)
     expected = loop_exclusion_grid(system, points_per_axis)
+    monkeypatch.setattr(pde, "TEST_POINTS_PER_AXIS", points_per_axis)
     if not len(expected):
-        with pytest.raises(ValueError, match=f"points_per_axis={points_per_axis} lies entirely"):
-            system.test_grid(points_per_axis)
+        with pytest.raises(ValueError, match=f"POINTS_PER_AXIS={points_per_axis} lies entirely"):
+            system.test_grid()
     else:
-        assert np.array_equal(system.test_grid(points_per_axis), expected)
+        assert np.array_equal(system.test_grid(), expected)
 
 
 @pytest.mark.parametrize(
@@ -365,14 +366,15 @@ def test_test_grid_matches_loop_exclusion(problem, points_per_axis):
      (poisson_2d(nu=5), 9, 0)],  # j/10 holds the whole test axis k/10
 )
 def test_test_grid_drops_a_point_only_when_every_coordinate_is_shared(
-    problem, points_per_axis, size
+    problem, points_per_axis, size, monkeypatch
 ):
     system = small_system(problem, r=2)
+    monkeypatch.setattr(pde, "TEST_POINTS_PER_AXIS", points_per_axis)
     if size == 0:
         with pytest.raises(ValueError, match="lies entirely on training points"):
-            system.test_grid(points_per_axis)
+            system.test_grid()
     else:
-        assert system.test_grid(points_per_axis).shape == (size, problem.dim)
+        assert system.test_grid().shape == (size, problem.dim)
 
 
 def test_tensor_grid_rows_are_the_reshape_and_meshgrid_rows():
@@ -396,9 +398,9 @@ def test_coarse_system_trains_on_the_fine_points(problem, rng):
 def test_rmse_rejects_an_empty_test_grid():
     # training spacing 1/101 contains every k/101, the whole 100-point test axis
     system = small_system(poisson_1d(nu=50.5), r=2)
-    with pytest.raises(ValueError, match="points_per_axis=100 .* when nu=50.5"):
+    with pytest.raises(ValueError, match="TEST_POINTS_PER_AXIS=100 .* when nu=50.5"):
         system.test_grid()
-    with pytest.raises(ValueError, match="points_per_axis=100 .* when nu=50.5"):
+    with pytest.raises(ValueError, match="TEST_POINTS_PER_AXIS=100 .* when nu=50.5"):
         system.rmse(np.zeros(system.n))
 
 
@@ -418,19 +420,16 @@ def test_invalid_operator_dim_combinations_rejected():
     def zero(z):
         return np.zeros(z.shape[0])
 
-    base = dict(name="bad", dim=2, nu=2, rhs_interior=zero, rhs_boundary=zero, penalty=1.0)
+    base = dict(name="bad", dim=2, nu=2, rhs_interior=zero, rhs_boundary=zero)
     for bad in (
         dict(dim=3),  # the training and test grids are 1D or 2D
         dict(nu=float("inf")),  # no training grid
-        dict(nu=-5.0),  # no training grid either, whatever the penalty
+        dict(nu=-5.0),  # no training grid either, nor a positive penalty
         dict(lap_sign=2),
         dict(reaction=lambda z, u: np.sin(u)),  # without its derivative
     ):
         with pytest.raises(ValueError):
             PdeProblem(**{**base, **bad})
-    for penalty in (-1.0, 0.0, float("nan")):
-        with pytest.raises(ValueError, match="boundary penalty"):
-            replace(poisson_1d(nu=3), penalty=penalty)
 
 
 def test_dimension_mismatch_rejected(rng):
