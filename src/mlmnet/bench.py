@@ -14,6 +14,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,18 +30,15 @@ SOLVERS = ("lm", "mlm")
 
 @dataclass
 class ProblemEntry:
-    """Registry row: how to build a benchmark problem and its defaults."""
+    """Registry row, a problem's one definition: `factory(nu)` builds the problem.
+
+    Its id names the problem's FD reference cache file (see `reference_for`).
+    """
 
     factory: callable
     default_nu: float
     default_r: int
     description: str
-    velocity_name: str = None  # set for the Helmholtz velocity variants
-
-    def build(self, nu):
-        if self.velocity_name is not None:
-            return self.factory(nu=nu, velocity=self.velocity_name)
-        return self.factory(nu=nu)
 
 
 PROBLEMS = {
@@ -50,17 +48,20 @@ PROBLEMS = {
         pde.helmholtz_1d, 5, 1024, "-u'' - nu^2 u = 0, solution sin(nu z)+cos(nu z)"
     ),
     "helmholtz2d-const": ProblemEntry(
-        pde.helmholtz_2d, 1, 512, "2D Helmholtz, constant velocity 40", "constant"
+        partial(pde.helmholtz_2d, velocity="constant"), 1, 512,
+        "2D Helmholtz, constant velocity 40",
     ),
     "helmholtz2d-two-layers": ProblemEntry(
-        pde.helmholtz_2d, 2, 512, "2D Helmholtz, two-layer velocity 20/40", "two-layers"
+        partial(pde.helmholtz_2d, velocity="two-layers"), 2, 512,
+        "2D Helmholtz, two-layer velocity 20/40",
     ),
     "helmholtz2d-four-layers": ProblemEntry(
-        pde.helmholtz_2d, 2, 512, "2D Helmholtz, four-layer velocity 20..80", "four-layers"
+        partial(pde.helmholtz_2d, velocity="four-layers"), 2, 512,
+        "2D Helmholtz, four-layer velocity 20..80",
     ),
     "helmholtz2d-sine": ProblemEntry(
-        pde.helmholtz_2d, 2, 512,
-        "2D Helmholtz, velocity 0.1 sin(z1+z2) (extreme zero-order coefficient)", "sine",
+        partial(pde.helmholtz_2d, velocity="sine"), 2, 512,
+        "2D Helmholtz, velocity 0.1 sin(z1+z2) (extreme zero-order coefficient)",
     ),
     "sine1d": ProblemEntry(
         pde.sine_nonlinear_1d, 20, 512, "u'' + sin(u) = g1, solution 0.1 cos(nu z)"
@@ -130,13 +131,13 @@ class Campaign:
             unknown = set(self.overrides) - set(LmConfig.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown config overrides {sorted(unknown)}")
-            problem = entry.build(self.nu)
+            problem = entry.factory(self.nu)
+            if problem.true_solution is None:
+                fdref.check_resolution(self.fd_resolution, "fd_resolution")
             self.system = pde.ResidualSystem(problem, NetworkArch(self.r, problem.dim))
             settings = dict(self.overrides)
             settings.setdefault("epsilon", 1e-4 if problem.dim == 1 else 1e-3)
             self.solver_config = LmConfig(**settings)
-            if entry.velocity_name is not None:
-                fdref.check_resolution(self.fd_resolution, "fd_resolution")
             self.system.test_grid()
         except ValueError as exc:
             raise ValueError(f"campaign {self.name!r}: {exc}") from exc
@@ -184,22 +185,22 @@ def build_system(campaign):
 
 
 def reference_for(campaign, system, cache_dir):
-    """Error-metric reference: the true solution, or an FD field for Helmholtz.
+    """The callable on point rows that `rmse` measures against: the true solution or FD field.
 
-    The FD field is cached under `cache_dir`, or solved afresh when it is None.
+    A problem without a true solution (2D Helmholtz) is scored by the `sample`
+    of its FD field, cached under `cache_dir` by its registry id, or solved
+    afresh when `cache_dir` is None.
     """
-    if system.problem.true_solution is not None:
-        return None  # rmse() falls back to the true solution
-    entry = PROBLEMS[campaign.problem]
+    problem = system.problem
+    if problem.true_solution is not None:
+        return problem.true_solution
     if cache_dir is not None:
-        return fdref.cached_reference(
-            cache_dir, campaign.nu, system.problem.velocity, entry.velocity_name,
-            system.problem.rhs_interior, campaign.fd_resolution,
+        grid = fdref.cached_reference(cache_dir, campaign.problem, problem, campaign.fd_resolution)
+    else:
+        grid = fdref.solve_helmholtz_fd(
+            problem.nu, problem.velocity, problem.rhs_interior, campaign.fd_resolution
         )
-    return fdref.solve_helmholtz_fd(
-        campaign.nu, system.problem.velocity, system.problem.rhs_interior,
-        campaign.fd_resolution,
-    )
+    return grid.sample
 
 
 def run_seed(campaign, system, seed, reference, trace_dir):
@@ -224,7 +225,7 @@ def run_seed(campaign, system, seed, reference, trace_dir):
             else:
                 ops = build_transfer_operators(system.jacobian(p0), system.arch)
                 report = mlm_solve(system, x0, cfg, ops, FlopCounter(), trace)
-            rmse[solver] = system.rmse(report.final_params, reference=reference)
+            rmse[solver] = system.rmse(report.final_params, reference)
             reports[solver] = report  # only with its RMSE: aggregate reads both
         except (NumericalError, ValueError) as exc:
             # a declared solver failure (a numerical breakdown, a non-finite

@@ -141,14 +141,11 @@ def _cmd_fd_ref(args):
         return status
     try:
         fdref.check_resolution(args.resolution, "--resolution")
-        problem = entry.build(nu)
-        grid = fdref.cached_reference(
-            args.cache, nu, problem.velocity, entry.velocity_name,
-            problem.rhs_interior, args.resolution,
-        )
+        problem = entry.factory(nu)
+        grid = fdref.cached_reference(args.cache, args.problem, problem, args.resolution)
     except (ValueError, fdref.FdSolveError) as exc:
         return _input_error("fd-ref", exc)
-    path = fdref.cache_path(args.cache, nu, entry.velocity_name, args.resolution)
+    path = fdref.cache_path(args.cache, args.problem, problem.nu, args.resolution)
     print(f"reference field {grid.points_per_axis}x{grid.points_per_axis} cached at {path}")
     return 0
 
@@ -199,7 +196,8 @@ def build_parser():
 
     fd = sub.add_parser("fd-ref", help="build and cache an FD Helmholtz reference field")
     fd.add_argument("--problem", default="helmholtz2d-const",
-                    choices=[n for n, e in PROBLEMS.items() if e.velocity_name is not None])
+                    choices=[n for n, e in PROBLEMS.items()
+                             if e.factory(e.default_nu).true_solution is None])
     fd.add_argument("--nu", type=float, default=None)
     fd.add_argument("--resolution", type=int, default=fdref.RESOLUTION)
     fd.add_argument("--cache", default=".mlmnet-cache")

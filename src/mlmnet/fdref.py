@@ -25,6 +25,12 @@ from . import pde
 # The points per axis of a campaign's reference field and of `mlmnet fd-ref`.
 RESOLUTION = 201
 
+# The peak memory of a solve, as a count of (M-2) x (M-2) arrays of doubles,
+# with headroom over the larger of the two solvers: the sparse LU peaked at
+# 201, 227 and 242 arrays at M = 201, 401 and 670, the layered solve at 20
+# or fewer (growth of the peak resident set in a fresh process per solve).
+PEAK_ARRAYS = 300
+
 
 class FdSolveError(RuntimeError):
     """The discrete Helmholtz operator could not be solved reliably."""
@@ -69,18 +75,18 @@ class FdGrid:
 def check_resolution(points_per_axis, name):
     """Raise ValueError naming the setting `name` unless M = points_per_axis is solvable.
 
-    The grid needs 3 points per axis for one interior node, and each dense
-    (M-2) x (M-2) matrix of doubles of the layered solve must fit the
-    Jacobian's limit pde.MAX_JACOBIAN_BYTES.  The count is taken in
-    integers, before any array is built.
+    The grid needs 3 points per axis for one interior node, and the peak
+    of either solver, PEAK_ARRAYS arrays of (M-2) x (M-2) doubles, must fit
+    the Jacobian's limit pde.MAX_JACOBIAN_BYTES: at 2**30 bytes the largest
+    M is 670.  The count is taken in integers, before any array is built.
     """
     if points_per_axis < 3:
         raise ValueError(f"{name} must be at least 3 points per axis, got {points_per_axis}")
     inner = points_per_axis - 2
-    if 8 * inner**2 > pde.MAX_JACOBIAN_BYTES:
+    if PEAK_ARRAYS * 8 * inner**2 > pde.MAX_JACOBIAN_BYTES:
         raise ValueError(
-            f"{name}={points_per_axis} asks for {inner} x {inner} matrices of doubles, "
-            f"above MAX_JACOBIAN_BYTES = {pde.MAX_JACOBIAN_BYTES}"
+            f"{name}={points_per_axis} asks for a peak of {PEAK_ARRAYS} arrays of "
+            f"{inner} x {inner} doubles, above MAX_JACOBIAN_BYTES = {pde.MAX_JACOBIAN_BYTES}"
         )
 
 
@@ -181,9 +187,9 @@ def _solve_sparse(ksq, b, h):
             raise _singular(ksq) from exc
 
 
-def cache_path(cache_dir, nu, velocity_name, points_per_axis):
-    """File path holding the cached reference keyed by its parameters."""
-    return Path(cache_dir) / f"helmholtz2d_nu{nu:g}_c-{velocity_name}_n{points_per_axis}.npz"
+def cache_path(cache_dir, name, nu, points_per_axis):
+    """`<name>_nu<nu>_n<M>.npz` in cache_dir, `name` a registry id: helmholtz2d-sine_nu2_n201.npz"""
+    return Path(cache_dir) / f"{name}_nu{nu:g}_n{points_per_axis}.npz"
 
 
 def save_reference(path, grid):
@@ -197,11 +203,11 @@ def load_reference(path):
     return FdGrid(axis=data["axis"], values=data["values"])
 
 
-def cached_reference(cache_dir, nu, velocity, velocity_name, rhs, points_per_axis):
-    """Load the reference field from cache, solving and storing on a miss."""
-    path = cache_path(cache_dir, nu, velocity_name, points_per_axis)
+def cached_reference(cache_dir, name, problem, points_per_axis):
+    """The FD field of `problem`, id `name`: read from `cache_path`, or solved and saved there."""
+    path = cache_path(cache_dir, name, problem.nu, points_per_axis)
     if path.exists():
         return load_reference(path)
-    grid = solve_helmholtz_fd(nu, velocity, rhs, points_per_axis)
+    grid = solve_helmholtz_fd(problem.nu, problem.velocity, problem.rhs_interior, points_per_axis)
     save_reference(path, grid)
     return grid

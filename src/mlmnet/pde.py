@@ -235,32 +235,24 @@ class ResidualSystem:
             )
         return pts
 
-    def rmse(self, p, reference=None):
-        """Root mean squared error of the network against the reference field.
+    def rmse(self, p, reference):
+        """Root mean squared error of the network against `reference`.
 
-        It is taken over `test_grid()`, TEST_POINTS_PER_AXIS per axis.  The
-        reference is the problem's true solution unless an explicit
-        `reference` is given (a callable on point rows, or an object with a
-        .sample(points) method such as a finite-difference grid).
+        `reference` is a callable on point rows, such as the problem's
+        true solution or a finite-difference grid's `sample`
+        (`bench.reference_for` picks one).  The error is taken over
+        `test_grid()`, TEST_POINTS_PER_AXIS per axis.
         """
-        if reference is None:
-            reference = self.problem.true_solution
-        if reference is None:
-            raise RuntimeError(
-                f"problem {self.problem.name!r} has no true solution; "
-                "supply a reference field for the error metric"
-            )
-        sample = reference.sample if hasattr(reference, "sample") else reference
         params = self.params_from(p)
         pts = self.test_grid()
-        err = network.eval_batch(self.arch, params, pts) - np.asarray(sample(pts), dtype=float)
+        err = network.eval_batch(self.arch, params, pts) - np.asarray(reference(pts), dtype=float)
         return float(np.sqrt(np.mean(err**2)))
 
 
 # -- problem catalogue (manufactured solutions on (0,1)^dim) -------------------
 
 
-def poisson_1d(nu=20):
+def poisson_1d(nu):
     """-u'' = g1 with true solution cos(nu*z)."""
     nu = float(nu)
 
@@ -277,7 +269,7 @@ def poisson_1d(nu=20):
     )
 
 
-def poisson_2d(nu=5):
+def poisson_2d(nu):
     """-Lap(u) = g1 with true solution cos(nu*(z1+z2))."""
     nu = float(nu)
 
@@ -294,7 +286,7 @@ def poisson_2d(nu=5):
     )
 
 
-def helmholtz_1d(nu=5):
+def helmholtz_1d(nu):
     """-u'' - nu^2 u = 0 with true solution sin(nu*z) + cos(nu*z)."""
     nu = float(nu)
 
@@ -348,7 +340,7 @@ VELOCITY_FIELDS = {
 }
 
 
-def helmholtz_2d(nu=1, velocity="constant"):
+def helmholtz_2d(nu, velocity):
     """-Lap(u) - (2*pi*nu/c)^2 u = box source, homogeneous Dirichlet walls.
 
     `velocity` names an entry of VELOCITY_FIELDS.  No closed-form
@@ -373,7 +365,7 @@ def helmholtz_2d(nu=1, velocity="constant"):
     )
 
 
-def sine_nonlinear_1d(nu=20):
+def sine_nonlinear_1d(nu):
     """u'' + sin(u) = g1 with true solution 0.1*cos(nu*z)."""
     nu = float(nu)
 
@@ -393,7 +385,7 @@ def sine_nonlinear_1d(nu=20):
     )
 
 
-def exp_nonlinear_2d(nu=1):
+def exp_nonlinear_2d(nu):
     """Lap(u) + e^u = g1 with true solution log(nu/(z1+z2+10))."""
     nu = float(nu)
 

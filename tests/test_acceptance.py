@@ -147,7 +147,7 @@ def test_criterion_5_desk_scale_convergence():
                 assert report.converged, f"{name} seed {seed} did not converge"
                 assert report.final_gradient_norm <= 1e-4
                 assert report.iterations <= 2000
-                rmse = system.rmse(report.final_params)
+                rmse = system.rmse(report.final_params, system.problem.true_solution)
                 assert rmse <= 1e-3, f"{name} seed {seed} RMSE {rmse:.2e}"
 
 
@@ -190,7 +190,7 @@ def test_criterion_7_nonlinear_operator_coverage():
         p0 = initial_guess(0, system.n)
         report = lm_solve(system, p0, LmConfig(epsilon=1e-4), FlopCounter(), None)
         assert report.converged
-        rmse = system.rmse(report.final_params)
+        rmse = system.rmse(report.final_params, system.problem.true_solution)
         assert rmse <= 1e-3, f"RMSE {rmse:.2e}"
 
 

@@ -55,6 +55,45 @@ def test_registry_defaults_applied():
     assert len(bench.PROBLEMS) == 9
 
 
+def test_every_registry_row_builds_its_problem_at_its_default_nu():
+    no_true_solution = []
+    for name, entry in bench.PROBLEMS.items():
+        problem = entry.factory(entry.default_nu)
+        assert isinstance(problem, pde.PdeProblem) and problem.nu == entry.default_nu
+        if problem.true_solution is None:
+            no_true_solution.append(name)
+    # the problems fd-ref builds a reference for are exactly those without a true solution
+    parser = cli.build_parser()
+    fd_ref_choices = []
+    for name in bench.PROBLEMS:
+        try:
+            parser.parse_args(["fd-ref", "--problem", name])
+        except SystemExit:
+            continue
+        fd_ref_choices.append(name)
+    assert fd_ref_choices == no_true_solution == [
+        "helmholtz2d-const", "helmholtz2d-two-layers", "helmholtz2d-four-layers",
+        "helmholtz2d-sine",
+    ]
+
+
+def test_reference_for_is_the_true_solution_or_the_fd_field(tmp_path):
+    campaign = tiny_campaign()
+    assert bench.reference_for(campaign, campaign.system, tmp_path) is (
+        campaign.system.problem.true_solution
+    )
+    assert not list(tmp_path.iterdir())
+    campaign = Campaign(name="two-layers", problem="helmholtz2d-two-layers", r=4,
+                        fd_resolution=17, solvers=("lm",))
+    problem = campaign.system.problem
+    grid = fdref.solve_helmholtz_fd(problem.nu, problem.velocity, problem.rhs_interior, 17)
+    pts = campaign.system.test_grid()
+    for cache_dir in (None, tmp_path):
+        reference = bench.reference_for(campaign, campaign.system, cache_dir)
+        assert np.array_equal(reference(pts), grid.sample(pts))
+    assert [p.name for p in tmp_path.iterdir()] == ["helmholtz2d-two-layers_nu2_n17.npz"]
+
+
 def test_initial_guess_reproducible():
     a = initial_guess(7, 20)
     b = initial_guess(7, 20)
@@ -345,9 +384,14 @@ def test_parse_rejects_unknown_key(tmp_path):
 @pytest.mark.parametrize("setting", [
     "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "nu = 2.3", "nu = inf", "nu = -5",
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
-    # dense FD matrices above pde.MAX_JACOBIAN_BYTES: refused before any array is built
+    # an FD solve's peak above pde.MAX_JACOBIAN_BYTES: refused before any array is built
     pytest.param("problem = helmholtz2d-two-layers\nfd_resolution = 1000000000",
                  id="fd_resolution = 1000000000"),
+    # one above the largest M whose solve's peak fits the limit, on either FD solver
+    pytest.param("problem = helmholtz2d-two-layers\nfd_resolution = 671",
+                 id="two-layers fd_resolution = 671"),
+    pytest.param("problem = helmholtz2d-sine\nfd_resolution = 671",
+                 id="sine fd_resolution = 671"),
     # the training spacing 1/101 holds every point k/101 of the 100-point test axis
     "nu = 50.5",
     # above pde.MAX_JACOBIAN_BYTES: refused before the grid or the start is built
@@ -675,10 +719,12 @@ def test_cli_split_inspect(tmp_path, monkeypatch):
     (["split-inspect", "--nu", "50.5"],
      "campaign 'poisson1d': the test grid of TEST_POINTS_PER_AXIS=100 lies entirely on training"),
     (["fd-ref", "--resolution", "2"], "--resolution must be at least 3 points per axis, got 2"),
-    # dense FD matrices above pde.MAX_JACOBIAN_BYTES: refused before any array is built
+    # an FD solve's peak above pde.MAX_JACOBIAN_BYTES: refused before any array is built
     (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "1000000000"],
-     "--resolution=1000000000 asks for 999999998 x 999999998 matrices of doubles, "
+     "--resolution=1000000000 asks for a peak of 300 arrays of 999999998 x 999999998 doubles, "
      "above MAX_JACOBIAN_BYTES = 1073741824"),
+    (["fd-ref", "--problem", "helmholtz2d-sine", "--resolution", "671"],
+     "--resolution=671 asks for a peak of 300 arrays of 669 x 669 doubles"),
     (["fd-ref", "--nu", "inf"], "nu must be finite"),
     (["fd-ref", "--nu", "1e300"], "nu=1e+300 asks for more than 134217728 training points"),
     # refused before any field is solved or cached
@@ -688,7 +734,8 @@ def test_cli_split_inspect(tmp_path, monkeypatch):
      "discrete Helmholtz operator is singular"),
 ], ids=["split-r", "split-nu", "split-activation", "split-nu-inf", "split-nu-1e300",
         "split-r-1e9", "split-seed", "split-nu-negative", "split-nu-negative-half",
-        "split-nu-50.5", "fd-resolution", "fd-resolution-1e9", "fd-nu-inf", "fd-nu-1e300",
+        "split-nu-50.5", "fd-resolution", "fd-resolution-1e9", "fd-resolution-671-sine",
+        "fd-nu-inf", "fd-nu-1e300",
         "fd-nu-negative", "fd-resonance"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
@@ -712,4 +759,4 @@ def test_cli_fd_ref_cache(tmp_path, capsys):
         "--resolution", "33", "--cache", str(tmp_path),
     ])
     assert code == 0
-    assert list(tmp_path.glob("helmholtz2d_*.npz"))
+    assert [p.name for p in tmp_path.iterdir()] == ["helmholtz2d-const_nu1_n33.npz"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlmnet import pde
+from mlmnet import fdref, pde
 from mlmnet.pde import box_source, velocity_constant, velocity_four_layers, velocity_two_layers
 from mlmnet.fdref import (
     FdGrid,
@@ -169,16 +169,40 @@ def test_sample_outside_domain_rejected():
         grid.sample(np.array([[0.5, -0.1]]))
 
 
-def test_cache_round_trip(tmp_path):
-    g1, _ = manufactured_rhs(1.0, 40.0)
-    first = cached_reference(tmp_path, 1.0, constant_velocity, "constant", g1, 17)
-    path = cache_path(tmp_path, 1.0, "constant", 17)
-    assert path.exists()
-    second = cached_reference(tmp_path, 1.0, constant_velocity, "constant", g1, 17)
+def test_cache_round_trip(tmp_path, monkeypatch):
+    problem = pde.helmholtz_2d(1.0, "constant")
+    first = cached_reference(tmp_path, "helmholtz2d-const", problem, 17)
+    path = cache_path(tmp_path, "helmholtz2d-const", 1.0, 17)
+    assert path == tmp_path / "helmholtz2d-const_nu1_n17.npz" and path.exists()
+    assert np.array_equal(
+        first.values,
+        solve_helmholtz_fd(1.0, velocity_constant, box_source, 17).values,
+    )
+
+    # a second call loads the file and solves nothing
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved again")
+
+    monkeypatch.setattr(fdref, "solve_helmholtz_fd", no_solve)
+    second = cached_reference(tmp_path, "helmholtz2d-const", problem, 17)
     assert np.array_equal(first.values, second.values)
     loaded = load_reference(path)
     assert np.array_equal(loaded.values, first.values)
     assert np.array_equal(loaded.axis, first.axis)
+
+
+def test_two_problems_at_the_same_nu_and_resolution_cache_to_two_files(tmp_path):
+    # the cache is keyed by the registry id: two velocities never share a file
+    two, four = (
+        cached_reference(tmp_path, f"helmholtz2d-{velocity}", pde.helmholtz_2d(2, velocity), 17)
+        for velocity in ("two-layers", "four-layers")
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "helmholtz2d-four-layers_nu2_n17.npz", "helmholtz2d-two-layers_nu2_n17.npz",
+    ]
+    assert not np.array_equal(two.values, four.values)
+    for name, grid in (("helmholtz2d-two-layers", two), ("helmholtz2d-four-layers", four)):
+        assert np.array_equal(load_reference(cache_path(tmp_path, name, 2, 17)).values, grid.values)
 
 
 def test_minimum_resolution_enforced():
@@ -186,16 +210,17 @@ def test_minimum_resolution_enforced():
         solve_helmholtz_fd(1.0, constant_velocity, lambda z: np.zeros(z.shape[0]), 2)
 
 
-def test_resolution_bound_is_the_jacobian_limit_on_each_dense_matrix(monkeypatch):
-    # 8 (M - 2)^2 bytes against 2**30: 11585^2 = 134212225 fits, 11586^2 = 134235396 does not
+def test_resolution_bound_is_the_jacobian_limit_on_the_peak_of_a_solve(monkeypatch):
+    # 300 * 8 (M - 2)^2 bytes against 2**30: 668^2 = 446224 fits, 669^2 = 447561 does not
+    assert fdref.PEAK_ARRAYS == 300
     check_resolution(3, "M")
-    check_resolution(11587, "M")
-    with pytest.raises(ValueError, match="M=11588 asks for 11586 x 11586 matrices"):
-        check_resolution(11588, "M")
+    check_resolution(670, "M")
+    with pytest.raises(ValueError, match="M=671 asks for a peak of 300 arrays of 669 x 669"):
+        check_resolution(671, "M")
     # the limit is read at call time
-    monkeypatch.setattr(pde, "MAX_JACOBIAN_BYTES", 8 * 7**2)
+    monkeypatch.setattr(pde, "MAX_JACOBIAN_BYTES", 300 * 8 * 7**2)
     check_resolution(9, "M")
-    with pytest.raises(ValueError, match="M=10 asks for 8 x 8 matrices"):
+    with pytest.raises(ValueError, match="M=10 asks for a peak of 300 arrays of 8 x 8"):
         check_resolution(10, "M")
 
 

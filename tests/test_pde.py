@@ -135,7 +135,9 @@ def test_exact_constant_solution_has_zero_residual(kind, dim, value):
 
 def test_loss_identity_against_direct_formula(rng):
     # 0.5*||F||^2 recomputed from the loss definition with its coefficients
-    for problem in (poisson_1d(nu=3), sine_nonlinear_1d(nu=3), helmholtz_2d(nu=2)):
+    for problem in (
+        poisson_1d(nu=3), sine_nonlinear_1d(nu=3), helmholtz_2d(nu=2, velocity="constant")
+    ):
         system = small_system(problem)
         for _ in range(17):
             x = rng.uniform(-1, 1, system.n)
@@ -284,12 +286,14 @@ def test_residual_and_jacobian_are_bit_identical_to_per_quantity_evaluation():
 
 def test_rmse_zero_for_exact_solution():
     system = small_system(constant_solution_problem("poisson", 1, 0.8))
-    assert system.rmse(constant_network(system, 0.8)) == pytest.approx(0.0, abs=1e-15)
+    exact = system.problem.true_solution
+    assert system.rmse(constant_network(system, 0.8), exact) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rmse_of_constant_offset():
     system = small_system(constant_solution_problem("poisson", 2, 0.5))
-    assert system.rmse(constant_network(system, 0.6)) == pytest.approx(0.1)
+    exact = system.problem.true_solution
+    assert system.rmse(constant_network(system, 0.6), exact) == pytest.approx(0.1)
 
 
 def test_rmse_matches_brute_force(rng):
@@ -299,7 +303,7 @@ def test_rmse_matches_brute_force(rng):
 
     diff = network.eval_batch(system.arch, system.params_from(x), pts) - system.problem.true_solution(pts)
     brute = np.sqrt(np.mean(diff**2))
-    assert abs(system.rmse(x) - brute) < 1e-12
+    assert abs(system.rmse(x, system.problem.true_solution) - brute) < 1e-12
 
 
 def test_rmse_grid_excludes_training_points(monkeypatch):
@@ -332,7 +336,7 @@ def loop_exclusion_grid(system, points_per_axis):
 
 def test_rmse_grid_excludes_coinciding_2d_training_points(monkeypatch):
     # training axis 0, 1/4, ..., 1 and test axis 1/8, ..., 7/8 share 1/4, 1/2, 3/4
-    system = small_system(helmholtz_2d(nu=2), r=2)
+    system = small_system(helmholtz_2d(nu=2, velocity="constant"), r=2)
     monkeypatch.setattr(pde, "TEST_POINTS_PER_AXIS", 7)
     pts = system.test_grid()
     assert pts.shape == (40, 2)
@@ -343,9 +347,10 @@ def test_rmse_grid_excludes_coinciding_2d_training_points(monkeypatch):
 
 @pytest.mark.parametrize(
     "problem, points_per_axis",
-    [(helmholtz_2d(nu=2), 7), (helmholtz_2d(nu=2), 100), (poisson_2d(nu=5), 99),
-     (poisson_1d(nu=20), 7), (poisson_1d(nu=20), 100), (poisson_2d(nu=1.5), 5),
-     (poisson_1d(nu=2.5), 9), (helmholtz_2d(nu=2), 3), (poisson_2d(nu=5), 9)],
+    [(helmholtz_2d(nu=2, velocity="constant"), 7), (helmholtz_2d(nu=2, velocity="constant"), 100),
+     (poisson_2d(nu=5), 99), (poisson_1d(nu=20), 7), (poisson_1d(nu=20), 100),
+     (poisson_2d(nu=1.5), 5), (poisson_1d(nu=2.5), 9), (helmholtz_2d(nu=2, velocity="constant"), 3),
+     (poisson_2d(nu=5), 9)],
 )
 def test_test_grid_matches_loop_exclusion(problem, points_per_axis, monkeypatch):
     system = small_system(problem, r=2)
@@ -362,7 +367,7 @@ def test_test_grid_matches_loop_exclusion(problem, points_per_axis, monkeypatch)
     "problem, points_per_axis, size",
     [(poisson_2d(nu=1.5), 5, 21),  # axes k/6 and j/3 share 1/3, 2/3: only 2 x 2 points go
      (poisson_1d(nu=2.5), 9, 5),  # the training axis j/5 holds k/10 for every even k
-     (helmholtz_2d(nu=2), 3, 0),  # j/4 holds the whole test axis k/4
+     (helmholtz_2d(nu=2, velocity="constant"), 3, 0),  # j/4 holds the whole test axis k/4
      (poisson_2d(nu=5), 9, 0)],  # j/10 holds the whole test axis k/10
 )
 def test_test_grid_drops_a_point_only_when_every_coordinate_is_shared(
@@ -385,7 +390,9 @@ def test_tensor_grid_rows_are_the_reshape_and_meshgrid_rows():
         assert grid.shape == rows.shape == (7**dim, dim) and grid.tobytes() == rows.tobytes()
 
 
-@pytest.mark.parametrize("problem", [poisson_1d(nu=3), helmholtz_2d(nu=2)], ids=["1d", "2d"])
+@pytest.mark.parametrize(
+    "problem", [poisson_1d(nu=3), helmholtz_2d(nu=2, velocity="constant")], ids=["1d", "2d"]
+)
 def test_coarse_system_trains_on_the_fine_points(problem, rng):
     system = small_system(problem, r=12)
     ops = build_transfer_operators(system.jacobian(rng.uniform(-1, 1, system.n)), system.arch)
@@ -401,16 +408,7 @@ def test_rmse_rejects_an_empty_test_grid():
     with pytest.raises(ValueError, match="TEST_POINTS_PER_AXIS=100 .* when nu=50.5"):
         system.test_grid()
     with pytest.raises(ValueError, match="TEST_POINTS_PER_AXIS=100 .* when nu=50.5"):
-        system.rmse(np.zeros(system.n))
-
-
-def test_rmse_requires_reference_for_helmholtz2d(rng):
-    system = small_system(helmholtz_2d(nu=2), r=4)
-    x = rng.uniform(-1, 1, system.n)
-    with pytest.raises(RuntimeError):
-        system.rmse(x)
-    # a callable reference works
-    assert np.isfinite(system.rmse(x, reference=lambda z: np.zeros(z.shape[0])))
+        system.rmse(np.zeros(system.n), system.problem.true_solution)
 
 
 # -- validation -----------------------------------------------------------------
