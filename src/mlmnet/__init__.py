@@ -21,7 +21,7 @@ from .fdref import FdGrid, solve_helmholtz_fd
 from .linsolve import FlopCounter, InnerSolveResult, NumericalError, cgls_truncated, direct_solve
 from .lm import LmConfig, SolveReport, lm_solve
 from .mlm import CoarseModel, build_coarse_model, coarse_cycle, go_down, mlm_solve
-from .network import NetworkArch, NetworkParams
+from .network import NetworkArch
 from .pde import (
     PdeProblem,
     ResidualSystem,

@@ -48,19 +48,19 @@ PROBLEMS = {
         pde.helmholtz_1d, 5, 1024, "-u'' - nu^2 u = 0, solution sin(nu z)+cos(nu z)"
     ),
     "helmholtz2d-const": ProblemEntry(
-        partial(pde.helmholtz_2d, velocity="constant"), 1, 512,
+        partial(pde.helmholtz_2d, velocity=pde.velocity_constant), 1, 512,
         "2D Helmholtz, constant velocity 40",
     ),
     "helmholtz2d-two-layers": ProblemEntry(
-        partial(pde.helmholtz_2d, velocity="two-layers"), 2, 512,
+        partial(pde.helmholtz_2d, velocity=pde.velocity_two_layers), 2, 512,
         "2D Helmholtz, two-layer velocity 20/40",
     ),
     "helmholtz2d-four-layers": ProblemEntry(
-        partial(pde.helmholtz_2d, velocity="four-layers"), 2, 512,
+        partial(pde.helmholtz_2d, velocity=pde.velocity_four_layers), 2, 512,
         "2D Helmholtz, four-layer velocity 20..80",
     ),
     "helmholtz2d-sine": ProblemEntry(
-        partial(pde.helmholtz_2d, velocity="sine"), 2, 512,
+        partial(pde.helmholtz_2d, velocity=pde.velocity_sine), 2, 512,
         "2D Helmholtz, velocity 0.1 sin(z1+z2) (extreme zero-order coefficient)",
     ),
     "sine1d": ProblemEntry(

@@ -188,8 +188,12 @@ def _solve_sparse(ksq, b, h):
 
 
 def cache_path(cache_dir, name, nu, points_per_axis):
-    """`<name>_nu<nu>_n<M>.npz` in cache_dir, `name` a registry id: helmholtz2d-sine_nu2_n201.npz"""
-    return Path(cache_dir) / f"{name}_nu{nu:g}_n{points_per_axis}.npz"
+    """`<name>_nu<nu>_n<M>.npz` in cache_dir, `name` a registry id: helmholtz2d-sine_nu2_n201.npz
+
+    nu is written to 17 significant digits, so distinct floats get distinct
+    files, and an integer or half-integer nu reads as before (2, 2.5).
+    """
+    return Path(cache_dir) / f"{name}_nu{nu:.17g}_n{points_per_axis}.npz"
 
 
 def save_reference(path, grid):

@@ -5,16 +5,18 @@ The network maps a point z in R^dim to
     u(z) = sum_i out_weights[i] * sigmoid(<in_weights[:, i], z> + hidden_bias[i]) + out_bias
 
 and exposes closed-form derivatives with respect to both the input point
-(gradient, Laplacian) and the stacked parameter vector.  The flat
-parameter layout is
+(gradient, Laplacian) and the stacked parameter vector.  That flat vector
+is the network's one representation; its layout is
 
     [out_weights | in_weights row 0 | ... | in_weights row dim-1 | hidden_bias | out_bias]
 
 i.e. input weights are grouped by input node, matching the block
-structure the algebraic coarsening relies on.
+structure the algebraic coarsening relies on.  `unpack` reads the four
+groups as views into the vector, without copying it.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +46,8 @@ class NetworkArch:
         return (self.dim + 2) * self.n_hidden + 1
 
 
-@dataclass
-class NetworkParams:
-    """Weights and biases of one network instance.
+class NetworkParams(NamedTuple):
+    """The parameter groups of one network, as `unpack` reads them from its vector.
 
     out_weights and hidden_bias have length n_hidden; in_weights has shape
     (dim, n_hidden) with row j holding the weights on the edges leaving
@@ -58,47 +59,18 @@ class NetworkParams:
     hidden_bias: np.ndarray
     out_bias: float
 
-    def __post_init__(self):
-        self.out_weights = np.asarray(self.out_weights, dtype=float)
-        self.in_weights = np.atleast_2d(np.asarray(self.in_weights, dtype=float))
-        self.hidden_bias = np.asarray(self.hidden_bias, dtype=float)
-        self.out_bias = float(self.out_bias)
-        r = self.out_weights.shape[0]
-        if self.out_weights.ndim != 1 or self.hidden_bias.shape != (r,):
-            raise ValueError("out_weights and hidden_bias must be 1-d of equal length")
-        if self.in_weights.ndim != 2 or self.in_weights.shape[1] != r:
-            raise ValueError("in_weights must have shape (dim, n_hidden)")
 
-    @property
-    def n_hidden(self):
-        return self.out_weights.shape[0]
-
-    @property
-    def dim(self):
-        return self.in_weights.shape[0]
-
-    @classmethod
-    def from_vector(cls, vec, n_hidden, dim):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != ((dim + 2) * n_hidden + 1,):
-            raise ValueError(
-                f"parameter vector has length {vec.size}, expected {(dim + 2) * n_hidden + 1}"
-            )
-        r = n_hidden
-        return cls(
-            out_weights=vec[:r],
-            in_weights=vec[r : (dim + 1) * r].reshape(dim, r),
-            hidden_bias=vec[(dim + 1) * r : (dim + 2) * r],
-            out_bias=float(vec[-1]),
-        )
-
-
-def _check_match(arch, params):
-    if params.n_hidden != arch.n_hidden or params.dim != arch.dim:
-        raise ValueError(
-            f"parameters of shape (n_hidden={params.n_hidden}, dim={params.dim}) do not "
-            f"match architecture (n_hidden={arch.n_hidden}, dim={arch.dim})"
-        )
+def unpack(arch, p):
+    """The parameter groups of the vector p, views into it; raises unless p.shape == (n_params,)."""
+    if p.shape != (arch.n_params,):
+        raise ValueError(f"parameter vector has shape {p.shape}, expected ({arch.n_params},)")
+    r, dim = arch.n_hidden, arch.dim
+    return NetworkParams(
+        out_weights=p[:r],
+        in_weights=p[r : (dim + 1) * r].reshape(dim, r),
+        hidden_bias=p[(dim + 1) * r : (dim + 2) * r],
+        out_bias=float(p[-1]),
+    )
 
 
 def row_blocks(n_rows, width):
@@ -124,9 +96,8 @@ def row_blocks(n_rows, width):
 # quantities at the same points (the residual and its Jacobian) pays for
 # one pass.  The *_batch functions compose the two for a single quantity.
 
-def hidden_activations(arch, params, points, orders):
+def hidden_activations(params, points, orders):
     """Activation derivatives of the given orders at the hidden nodes, each (t, n_hidden)."""
-    _check_match(arch, params)
     pre = points @ params.in_weights + params.hidden_bias
     return SIGMOID.derivatives(pre, orders)
 
@@ -143,7 +114,7 @@ def laplacian(params, s2):
 
 def fill_value_param_jacobian(params, points, s0, s1, out):
     """Write d(output)/d(params) at each row of `points` into `out`, (t, n_params)."""
-    r, dim = params.n_hidden, params.dim
+    dim, r = params.in_weights.shape
     out[:, :r] = s0
     vs1 = np.multiply(s1, params.out_weights, out=out[:, (dim + 1) * r : (dim + 2) * r])
     for j in range(dim):
@@ -154,7 +125,7 @@ def fill_value_param_jacobian(params, points, s0, s1, out):
 
 def fill_laplacian_param_jacobian(params, points, s2, s3, out):
     """Write d(Laplacian)/d(params) at each row of `points` into `out`, (t, n_params)."""
-    r, dim = params.n_hidden, params.dim
+    dim, r = params.in_weights.shape
     wsq = np.sum(params.in_weights**2, axis=0)
     np.multiply(s2, wsq, out=out[:, :r])
     vs2 = s2 * params.out_weights
@@ -168,14 +139,14 @@ def fill_laplacian_param_jacobian(params, points, s2, s3, out):
     return out
 
 
-def eval_batch(arch, params, points):
+def eval_batch(arch, p, points):
     """Network output at each row of `points`, shape (t,).
 
     Evaluated in row blocks of at most BLOCK_ELEMENTS hidden activations,
     so a large point set (the RMSE test grid) never builds whole
     (t, n_hidden) temporaries.
     """
-    _check_match(arch, params)
+    params = unpack(arch, p)
     out = np.empty(points.shape[0])
     for rows in row_blocks(points.shape[0], arch.n_hidden):
         pre = points[rows] @ params.in_weights + params.hidden_bias
@@ -183,28 +154,31 @@ def eval_batch(arch, params, points):
     return out
 
 
-def grad_z_batch(arch, params, points):
+def grad_z_batch(arch, p, points):
     """Spatial gradient at each row of `points`, shape (t, dim)."""
-    (s1,) = hidden_activations(arch, params, points, (1,))
+    params = unpack(arch, p)
+    (s1,) = hidden_activations(params, points, (1,))
     return (s1 * params.out_weights) @ params.in_weights.T
 
 
-def laplacian_batch(arch, params, points):
+def laplacian_batch(arch, p, points):
     """Spatial Laplacian at each row of `points`, shape (t,)."""
-    (s2,) = hidden_activations(arch, params, points, (2,))
+    params = unpack(arch, p)
+    (s2,) = hidden_activations(params, points, (2,))
     return laplacian(params, s2)
 
 
-def value_param_jacobian_batch(arch, params, points):
+def value_param_jacobian_batch(arch, p, points):
     """d(output)/d(params) at each row of `points`, shape (t, n_params)."""
-    s0, s1 = hidden_activations(arch, params, points, (0, 1))
+    params = unpack(arch, p)
+    s0, s1 = hidden_activations(params, points, (0, 1))
     return fill_value_param_jacobian(params, points, s0, s1, np.empty((len(points), arch.n_params)))
 
 
-def laplacian_param_jacobian_batch(arch, params, points):
+def laplacian_param_jacobian_batch(arch, p, points):
     """d(Laplacian)/d(params) at each row of `points`, shape (t, n_params)."""
-    s2, s3 = hidden_activations(arch, params, points, (2, 3))
+    params = unpack(arch, p)
+    s2, s3 = hidden_activations(params, points, (2, 3))
     return fill_laplacian_param_jacobian(
         params, points, s2, s3, np.empty((len(points), arch.n_params))
     )
-

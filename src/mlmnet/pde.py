@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import network
-from .network import NetworkArch, NetworkParams
+from .network import NetworkArch
 
 # The largest Jacobian, in bytes, a ResidualSystem may ask for: its m x n
 # doubles, m training points by n network parameters.
@@ -46,7 +46,6 @@ class PdeProblem:
     t the training-set size.
     """
 
-    name: str
     dim: int
     nu: float
     rhs_interior: Callable[[np.ndarray], np.ndarray]   # g1, rows -> values
@@ -150,11 +149,6 @@ class ResidualSystem:
     def n(self):
         return self.arch.n_params
 
-    def params_from(self, p):
-        if isinstance(p, NetworkParams):
-            return p
-        return NetworkParams.from_vector(p, self.arch.n_hidden, self.arch.dim)
-
     def coarsen(self, ops):
         """The same problem and training set on the sub-network of ops.r_coarse hidden nodes."""
         arch = NetworkArch(ops.r_coarse, self.arch.dim)
@@ -168,16 +162,16 @@ class ResidualSystem:
 
     def residual(self, p):
         """Stacked residual vector F(p), interior entries first."""
-        params = self.params_from(p)
+        params = network.unpack(self.arch, p)
         problem = self.problem
         zi, zb = self.training.interior, self.training.boundary
         with_values = problem.reaction is not None
-        acts = network.hidden_activations(self.arch, params, zi, (2, 0) if with_values else (2,))
+        acts = network.hidden_activations(params, zi, (2, 0) if with_values else (2,))
         d_int = problem.lap_sign * network.laplacian(params, acts[0])
         if with_values:
             d_int = d_int + problem.reaction(zi, network.output(params, acts[1]))
         r_int = self._int_scale * (d_int - self._g1)
-        (s0,) = network.hidden_activations(self.arch, params, zb, (0,))
+        (s0,) = network.hidden_activations(params, zb, (0,))
         r_bnd = self._bnd_scale * (network.output(params, s0) - self._g2)
         return np.concatenate([r_int, r_bnd])
 
@@ -187,15 +181,13 @@ class ResidualSystem:
         Interior rows are (lap_sign * d(Lap u) + reaction_du * d(u)) * interior
         scale, element by element, written into one preallocated array.
         """
-        params = self.params_from(p)
+        params = network.unpack(self.arch, p)
         problem = self.problem
         zi, zb = self.training.interior, self.training.boundary
         jac = np.empty((self.m, self.n))
         j_int, j_bnd = jac[: len(zi)], jac[len(zi) :]
         with_values = problem.reaction is not None
-        acts = network.hidden_activations(
-            self.arch, params, zi, (2, 3, 0, 1) if with_values else (2, 3)
-        )
+        acts = network.hidden_activations(params, zi, (2, 3, 0, 1) if with_values else (2, 3))
         network.fill_laplacian_param_jacobian(params, zi, acts[0], acts[1], j_int)
         if not with_values:
             j_int *= problem.lap_sign * self._int_scale  # exactly (lap_sign * d(Lap u)) * scale
@@ -207,7 +199,7 @@ class ResidualSystem:
             j_val *= np.reshape(du, (-1, 1))
             j_int += j_val
             j_int *= self._int_scale
-        s0, s1 = network.hidden_activations(self.arch, params, zb, (0, 1))
+        s0, s1 = network.hidden_activations(params, zb, (0, 1))
         network.fill_value_param_jacobian(params, zb, s0, s1, j_bnd)
         j_bnd *= self._bnd_scale
         return jac
@@ -243,9 +235,8 @@ class ResidualSystem:
         (`bench.reference_for` picks one).  The error is taken over
         `test_grid()`, TEST_POINTS_PER_AXIS per axis.
         """
-        params = self.params_from(p)
         pts = self.test_grid()
-        err = network.eval_batch(self.arch, params, pts) - np.asarray(reference(pts), dtype=float)
+        err = network.eval_batch(self.arch, p, pts) - np.asarray(reference(pts), dtype=float)
         return float(np.sqrt(np.mean(err**2)))
 
 
@@ -260,7 +251,6 @@ def poisson_1d(nu):
         return np.cos(nu * z[:, 0])
 
     return PdeProblem(
-        name=f"poisson1d(nu={nu:g})",
         dim=1,
         nu=nu,
         rhs_interior=lambda z: nu**2 * np.cos(nu * z[:, 0]),
@@ -277,7 +267,6 @@ def poisson_2d(nu):
         return np.cos(nu * (z[:, 0] + z[:, 1]))
 
     return PdeProblem(
-        name=f"poisson2d(nu={nu:g})",
         dim=2,
         nu=nu,
         rhs_interior=lambda z: 2.0 * nu**2 * np.cos(nu * (z[:, 0] + z[:, 1])),
@@ -294,7 +283,6 @@ def helmholtz_1d(nu):
         return np.sin(nu * z[:, 0]) + np.cos(nu * z[:, 0])
 
     return PdeProblem(
-        name=f"helmholtz1d(nu={nu:g})",
         dim=1,
         nu=nu,
         rhs_interior=lambda z: np.zeros(z.shape[0]),
@@ -332,36 +320,26 @@ def velocity_sine(z):
     return 0.1 * np.sin(z[:, 0] + z[:, 1])
 
 
-VELOCITY_FIELDS = {
-    "constant": velocity_constant,
-    "two-layers": velocity_two_layers,
-    "four-layers": velocity_four_layers,
-    "sine": velocity_sine,
-}
-
-
 def helmholtz_2d(nu, velocity):
     """-Lap(u) - (2*pi*nu/c)^2 u = box source, homogeneous Dirichlet walls.
 
-    `velocity` names an entry of VELOCITY_FIELDS.  No closed-form
-    solution; the error metric needs a finite-difference reference field
-    (see the fdref module).
+    `velocity` is the wave speed c, a function of point rows such as
+    `velocity_two_layers`.  No closed-form solution; the error metric
+    needs a finite-difference reference field (see the fdref module).
     """
     nu = float(nu)
-    c = VELOCITY_FIELDS[velocity]
 
     def wavenumber_sq(z):
-        return (2.0 * np.pi * nu / np.asarray(c(z), dtype=float)) ** 2
+        return (2.0 * np.pi * nu / np.asarray(velocity(z), dtype=float)) ** 2
 
     return PdeProblem(
-        name=f"helmholtz2d(nu={nu:g}, c={velocity})",
         dim=2,
         nu=nu,
         rhs_interior=box_source,
         rhs_boundary=lambda z: np.zeros(z.shape[0]),
         reaction=lambda z, u: -wavenumber_sq(z) * u,
         reaction_du=lambda z, u: -wavenumber_sq(z),
-        velocity=c,
+        velocity=velocity,
     )
 
 
@@ -373,7 +351,6 @@ def sine_nonlinear_1d(nu):
         return 0.1 * np.cos(nu * z[:, 0])
 
     return PdeProblem(
-        name=f"sine-nonlinear1d(nu={nu:g})",
         dim=1,
         nu=nu,
         rhs_interior=lambda z: -0.1 * nu**2 * np.cos(nu * z[:, 0]) + np.sin(u(z)),
@@ -397,7 +374,6 @@ def exp_nonlinear_2d(nu):
         return 2.0 / s**2 + nu / s
 
     return PdeProblem(
-        name=f"exp-nonlinear2d(nu={nu:g})",
         dim=2,
         nu=nu,
         rhs_interior=g1,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlmnet import fdref, pde
+from mlmnet.bench import PROBLEMS
 from mlmnet.pde import box_source, velocity_constant, velocity_four_layers, velocity_two_layers
 from mlmnet.fdref import (
     FdGrid,
@@ -170,7 +171,7 @@ def test_sample_outside_domain_rejected():
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):
-    problem = pde.helmholtz_2d(1.0, "constant")
+    problem = pde.helmholtz_2d(1.0, velocity_constant)
     first = cached_reference(tmp_path, "helmholtz2d-const", problem, 17)
     path = cache_path(tmp_path, "helmholtz2d-const", 1.0, 17)
     assert path == tmp_path / "helmholtz2d-const_nu1_n17.npz" and path.exists()
@@ -191,11 +192,26 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert np.array_equal(loaded.axis, first.axis)
 
 
+def test_cache_names_keep_every_digit_of_nu(tmp_path):
+    # 17 significant digits: distinct floats get distinct files, 2.0 and 2.5 keep their names
+    assert cache_path(tmp_path, "helmholtz2d-two-layers", 2.0, 201) == (
+        tmp_path / "helmholtz2d-two-layers_nu2_n201.npz"
+    )
+    assert cache_path(tmp_path, "helmholtz2d-two-layers", 2.5, 201).name == (
+        "helmholtz2d-two-layers_nu2.5_n201.npz"
+    )
+    assert cache_path(tmp_path, "helmholtz2d-two-layers", 2.000001, 201) != cache_path(
+        tmp_path, "helmholtz2d-two-layers", 2.0, 201
+    )
+    nus = (28.238857824564523, np.nextafter(28.238857824564523, 29.0))
+    assert len({cache_path(tmp_path, "helmholtz2d-const", nu, 17) for nu in nus}) == 2
+
+
 def test_two_problems_at_the_same_nu_and_resolution_cache_to_two_files(tmp_path):
     # the cache is keyed by the registry id: two velocities never share a file
     two, four = (
-        cached_reference(tmp_path, f"helmholtz2d-{velocity}", pde.helmholtz_2d(2, velocity), 17)
-        for velocity in ("two-layers", "four-layers")
+        cached_reference(tmp_path, name, PROBLEMS[name].factory(2), 17)
+        for name in ("helmholtz2d-two-layers", "helmholtz2d-four-layers")
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "helmholtz2d-four-layers_nu2_n17.npz", "helmholtz2d-two-layers_nu2_n17.npz",

@@ -3,7 +3,7 @@ import pytest
 
 from mlmnet import network
 from mlmnet.activations import SIGMOID
-from mlmnet.network import NetworkArch, NetworkParams
+from mlmnet.network import NetworkArch
 
 from conftest import call_on_one_blas_thread, fd_gradient, rel_err
 
@@ -21,31 +21,29 @@ def _as_points(arch, z):
     return pts
 
 
-def net_eval(arch, params, z):
-    return float(network.eval_batch(arch, params, _as_points(arch, z))[0])
+def net_eval(arch, p, z):
+    return float(network.eval_batch(arch, p, _as_points(arch, z))[0])
 
 
-def net_grad_z(arch, params, z):
-    return network.grad_z_batch(arch, params, _as_points(arch, z))[0]
+def net_grad_z(arch, p, z):
+    return network.grad_z_batch(arch, p, _as_points(arch, z))[0]
 
 
-def net_laplacian_z(arch, params, z):
-    return float(network.laplacian_batch(arch, params, _as_points(arch, z))[0])
+def net_laplacian_z(arch, p, z):
+    return float(network.laplacian_batch(arch, p, _as_points(arch, z))[0])
 
 
-def net_param_jacobian(arch, params, z, quantity="value"):
+def net_param_jacobian(arch, p, z, quantity="value"):
     """d(output)/d(params) ("value") or d(Laplacian)/d(params) ("laplacian") at z."""
     pts = _as_points(arch, z)
     if quantity == "value":
-        return network.value_param_jacobian_batch(arch, params, pts)[0]
-    return network.laplacian_param_jacobian_batch(arch, params, pts)[0]
+        return network.value_param_jacobian_batch(arch, p, pts)[0]
+    return network.laplacian_param_jacobian_batch(arch, p, pts)[0]
 
 
-def to_vector(params):
-    """Flat parameter vector in the layout `NetworkParams.from_vector` reads."""
-    return np.concatenate(
-        [params.out_weights, params.in_weights.ravel(), params.hidden_bias, [params.out_bias]]
-    )
+def pack(v, W, b, c):
+    """Flat parameter vector of output weights v, input weights W (dim, r), biases b and c."""
+    return np.concatenate([np.ravel(v), np.ravel(W), np.ravel(b), [c]])
 
 
 # The former activation kinds, each as the sigmoid network that computes the
@@ -54,30 +52,24 @@ def to_vector(params):
 KINDS = ("sigmoid", "tanh", "logistic")
 
 
-def as_sigmoid_params(kind, params):
-    """The parameters of the sigmoid network equal to `params` under the former `kind`."""
-    v, w, b, c = params.out_weights, params.in_weights, params.hidden_bias, params.out_bias
+def as_sigmoid_params(kind, v, w, b, c):
+    """The parameter vector of the sigmoid network equal to (v, w, b, c) under the former `kind`."""
     if kind == "tanh":
-        return NetworkParams(v, 2.0 * w, 2.0 * b, c)
+        return pack(v, 2.0 * w, 2.0 * b, c)
     if kind == "logistic":
-        return NetworkParams(v / 2.0, w, b, c + np.sum(v) / 2.0)
-    return params
+        return pack(v / 2.0, w, b, c + np.sum(v) / 2.0)
+    return pack(v, w, b, c)
 
 
 def random_instance(rng, r=4, dim=2, kind="sigmoid"):
     arch = NetworkArch(r, dim)
-    params = NetworkParams(
-        out_weights=rng.uniform(-1, 1, r),
-        in_weights=rng.uniform(-1, 1, (dim, r)),
-        hidden_bias=rng.uniform(-1, 1, r),
-        out_bias=rng.uniform(-1, 1),
-    )
-    return arch, as_sigmoid_params(kind, params)
+    v, w, b = rng.uniform(-1, 1, r), rng.uniform(-1, 1, (dim, r)), rng.uniform(-1, 1, r)
+    return arch, as_sigmoid_params(kind, v, w, b, rng.uniform(-1, 1))
 
 
 def test_zero_output_weights_give_bias():
     arch = NetworkArch(3, 1)
-    p = NetworkParams(np.zeros(3), np.ones((1, 3)), np.ones(3), 3.5)
+    p = pack(np.zeros(3), np.ones((1, 3)), np.ones(3), 3.5)
     assert net_eval(arch, p, 0.7) == 3.5
     assert np.all(net_grad_z(arch, p, 0.7) == 0.0)
     assert net_laplacian_z(arch, p, 0.7) == 0.0
@@ -85,20 +77,20 @@ def test_zero_output_weights_give_bias():
 
 def test_single_node_sigmoid_at_origin():
     arch = NetworkArch(1, 1)
-    p = NetworkParams([1.0], [[0.0]], [0.0], 0.0)
+    p = pack([1.0], [[0.0]], [0.0], 0.0)
     assert net_eval(arch, p, 7.0) == 0.0
 
 
 def test_two_logistic_nodes_at_origin():
     arch = NetworkArch(2, 1)
-    p = as_sigmoid_params("logistic", NetworkParams([1.0, 1.0], [[0.0, 0.0]], [0.0, 0.0], 0.0))
+    p = as_sigmoid_params("logistic", np.ones(2), np.zeros((1, 2)), np.zeros(2), 0.0)
     assert net_eval(arch, p, 0.0) == pytest.approx(1.0)
 
 
 def test_grad_z_chain_rule_at_origin():
     c = 0.37
     arch = NetworkArch(1, 1)
-    p = NetworkParams([1.0], [[c]], [0.0], 0.0)
+    p = pack([1.0], [[c]], [0.0], 0.0)
     expected = c * SIGMOID(np.zeros(1), order=1)[0]
     assert net_grad_z(arch, p, 0.0)[0] == pytest.approx(expected)
 
@@ -113,7 +105,7 @@ def test_grad_z_matches_finite_differences(rng, kind):
 
 def test_laplacian_zero_without_input_weights(rng):
     arch = NetworkArch(5, 2)
-    p = NetworkParams(rng.uniform(-1, 1, 5), np.zeros((2, 5)), rng.uniform(-1, 1, 5), 0.1)
+    p = pack(rng.uniform(-1, 1, 5), np.zeros((2, 5)), rng.uniform(-1, 1, 5), 0.1)
     assert net_laplacian_z(arch, p, [0.3, 0.4]) == 0.0
 
 
@@ -135,7 +127,8 @@ def test_laplacian_matches_stencil_oracle(rng, dim):
 def test_laplacian_linear_in_output_weights(rng):
     arch, p = random_instance(rng, r=5, dim=2)
     z = rng.uniform(0, 1, 2)
-    doubled = NetworkParams(2 * p.out_weights, p.in_weights, p.hidden_bias, p.out_bias)
+    q = network.unpack(arch, p)
+    doubled = pack(2 * q.out_weights, q.in_weights, q.hidden_bias, q.out_bias)
     assert net_laplacian_z(arch, doubled, z) == pytest.approx(2 * net_laplacian_z(arch, p, z))
 
 
@@ -154,13 +147,7 @@ def test_param_jacobian_matches_finite_differences(rng, quantity, kind):
     for _ in range(20):
         arch, p = random_instance(rng, r=3, dim=2, kind=kind)
         z = rng.uniform(-1, 1, 2)
-        x0 = to_vector(p)
-
-        def scalar_map(vec):
-            q = NetworkParams.from_vector(vec, arch.n_hidden, arch.dim)
-            return evaluate(arch, q, z)
-
-        fd = fd_gradient(scalar_map, x0, h=1e-6)
+        fd = fd_gradient(lambda vec: evaluate(arch, vec, z), p, h=1e-6)
         exact = net_param_jacobian(arch, p, z, quantity)
         assert exact.size == arch.n_params
         worst = max(worst, rel_err(exact, fd))
@@ -169,28 +156,27 @@ def test_param_jacobian_matches_finite_differences(rng, quantity, kind):
 
 def test_vector_round_trip(rng):
     arch, p = random_instance(rng, r=3, dim=2)
-    vec = to_vector(p)
-    assert vec.size == arch.n_params
-    q = NetworkParams.from_vector(vec, 3, 2)
-    assert np.array_equal(to_vector(q), vec)
+    assert p.size == arch.n_params
+    assert np.array_equal(pack(*network.unpack(arch, p)), p)
 
 
 def test_dimension_mismatch_rejected(rng):
     arch, p = random_instance(rng, r=3, dim=2)
     with pytest.raises(ValueError):
         net_eval(arch, p, [0.1])  # wrong point dimension
-    bad = NetworkParams(np.zeros(4), np.zeros((2, 4)), np.zeros(4), 0.0)
-    with pytest.raises(ValueError):
-        net_eval(arch, bad, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        NetworkParams.from_vector(np.zeros(10), 3, 2)
+    for bad in (np.zeros(10), p[:-1], np.append(p, 0.0), p.reshape(1, -1)):  # wrong length, 2-D
+        with pytest.raises(ValueError, match="parameter vector has shape"):
+            network.unpack(arch, bad)
+        with pytest.raises(ValueError, match="parameter vector has shape"):
+            net_eval(arch, bad, [0.1, 0.2])
 
 
 # -- shared activation pass -------------------------------------------------------------
 
 
-def reference_batch(arch, params, points, quantity):
+def reference_batch(arch, p, points, quantity):
     """One quantity from its own pre-activation and single-order activation calls: the reference."""
+    params = network.unpack(arch, p)
     pre = points @ params.in_weights + params.hidden_bias
     v, w = params.out_weights, params.in_weights
     r, dim = arch.n_hidden, arch.dim
@@ -229,17 +215,18 @@ def test_batch_formulas_are_bit_identical_to_the_reference(rng, kind, dim):
         "laplacian_jacobian": network.laplacian_param_jacobian_batch,
     }
     for r, rows in ((3, 1), (64, 41), (300, 121)):
-        arch, params = random_instance(rng, r=r, dim=dim, kind=kind)
+        arch, p = random_instance(rng, r=r, dim=dim, kind=kind)
         pts = rng.uniform(0, 1, (rows, dim))
         for quantity, fn in batch.items():
-            assert np.array_equal(fn(arch, params, pts), reference_batch(arch, params, pts, quantity))
+            assert np.array_equal(fn(arch, p, pts), reference_batch(arch, p, pts, quantity))
 
 
 # -- blocked evaluation ---------------------------------------------------------------
 
 
-def one_shot_eval_batch(arch, params, points):
+def one_shot_eval_batch(arch, p, points):
     """eval_batch's formula over all rows at once: the reference for the blocked form."""
+    params = network.unpack(arch, p)
     pre = points @ params.in_weights + params.hidden_bias
     return SIGMOID(pre, 0) @ params.out_weights + params.out_bias
 
@@ -251,12 +238,12 @@ def blocked_eval_mismatches():
     for n_hidden in (3, 100, 512):
         block = network.row_blocks(10**6, n_hidden)[0].stop
         for dim in (1, 2):
-            arch, params = random_instance(rng, r=n_hidden, dim=dim)
+            arch, p = random_instance(rng, r=n_hidden, dim=dim)
             # none, fewer than one block, one block, an exact multiple, remainders
             for rows in (0, block // 2 + 3, block, 3 * block, 3 * block + 1, 3 * block + 5):
                 pts = rng.uniform(-1, 1, (rows, dim))
-                blocked = network.eval_batch(arch, params, pts)
-                if not np.array_equal(blocked, one_shot_eval_batch(arch, params, pts)):
+                blocked = network.eval_batch(arch, p, pts)
+                if not np.array_equal(blocked, one_shot_eval_batch(arch, p, pts)):
                     mismatches.append((n_hidden, dim, rows))
     return mismatches
 
