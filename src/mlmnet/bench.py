@@ -203,10 +203,17 @@ def reference_for(campaign, system, cache_dir):
     return grid.sample
 
 
+def trace_path(trace_dir, name, solver, seed):
+    """The file in `trace_dir` that campaign `name`'s `solver` run from `seed` traces to."""
+    return trace_dir / f"trace_{name}_{solver}_seed{seed}.csv"
+
+
 def run_seed(campaign, system, seed, reference, trace_dir):
     """Run every requested solver from the seed's starting point.
 
-    Each run writes its trace into `trace_dir`, unless that is None.
+    Each run writes its trace into `trace_dir`, unless that is None.  A
+    starting point changed in place by an earlier run is a programming
+    error and raises AssertionError, under `python -O` too.
     """
     p0 = initial_guess(seed, system.n)
     digest = hashlib.sha256(p0.tobytes()).hexdigest()
@@ -214,11 +221,11 @@ def run_seed(campaign, system, seed, reference, trace_dir):
     cfg = campaign.solver_config
     for solver in campaign.solvers:
         x0 = p0.copy()
-        assert hashlib.sha256(x0.tobytes()).hexdigest() == digest
+        if hashlib.sha256(x0.tobytes()).hexdigest() != digest:
+            raise AssertionError(f"seed {seed}'s starting point changed before its {solver} run")
         trace = None
         if trace_dir is not None:
-            trace_path = trace_dir / f"trace_{campaign.name}_{solver}_seed{seed}.csv"
-            trace = open(trace_path, "w", newline="")
+            trace = open(trace_path(trace_dir, campaign.name, solver, seed), "w", newline="")
         try:
             if solver == "lm":
                 report = lm_solve(system, x0, cfg, FlopCounter(), trace)

@@ -12,7 +12,9 @@ campaign file that cannot be read, or whose campaigns (with the --seed and
 --solver overrides applied) fail validation, or an --out, --trace or
 --cache path that cannot be written, stops `run` with status 2 and one
 line on standard error, before any campaign runs; an --out directory
-that refuses new files counts as one that cannot be written.  `fd-ref`
+that refuses new files counts as one that cannot be written, and so,
+with --trace, does a campaign whose trace file names cannot be made
+there (a name with a `/`, or one too long).  `fd-ref`
 and `split-inspect` treat settings that define no problem or grid, and
 their --cache and --out paths, the same way, before any solve or build
 (for `fd-ref`, also a resonant wavenumber, whose discrete operator
@@ -72,6 +74,30 @@ def _path_error(where, out=None, cache=None):
     return None
 
 
+def _trace_name_error(trace_dir, campaigns):
+    """Status 2 after one stderr line if a campaign's trace files cannot be made, else None.
+
+    Trace files are named after their campaign, so each campaign's longest
+    trace file name (its longest solver name, its largest seed) is opened
+    for appending in `trace_dir` and removed unless it was there before: a
+    name the file system refuses (one with a `/`, or one too long) stops
+    the run before any campaign runs.
+    """
+    for campaign in campaigns:
+        solver = max(campaign.solvers, key=len)
+        path = bench.trace_path(trace_dir, campaign.name, solver, max(campaign.seeds))
+        try:
+            existed = path.exists()
+            with open(path, "a"):
+                pass
+            if not existed:
+                path.unlink()
+        except OSError as exc:
+            return _input_error(f"run: --trace {trace_dir}: campaign {campaign.name!r}",
+                                f"cannot create {path}: {exc.strerror or exc}")
+    return None
+
+
 def _cmd_run(args):
     replaced = {}
     if args.seed:
@@ -95,6 +121,9 @@ def _cmd_run(args):
             trace_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             return _input_error(f"run: --trace {trace_dir}", exc)
+        status = _trace_name_error(trace_dir, campaigns)
+        if status is not None:
+            return status
     all_rows = []
     failed = 0
     for campaign in campaigns:

@@ -53,8 +53,12 @@ class SolveReport:
     matvec_flops: int
     converged: bool
     final_params: np.ndarray
-    coarse_steps: int = 0
     coherence_residuals: list = field(default_factory=list)
+
+    @property
+    def coarse_steps(self):
+        """Coarse corrections attempted, accepted or not: 0 for `lm`, one per `mlm` coarse model."""
+        return len(self.coherence_residuals)
 
 
 def update_lambda(lam, rho):

@@ -196,6 +196,5 @@ def mlm_solve(system, x0, cfg, ops, counter, trace):
         return None, pred
 
     report = minimize(system, x0, cfg, counter, trace, coarse_step)
-    report.coarse_steps = len(coherence_log)
     report.coherence_residuals = coherence_log
     return report

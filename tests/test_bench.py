@@ -494,14 +494,14 @@ import json, sys
 
 import numpy as np
 
-import mlmnet, mlmnet.cli
-from mlmnet import bench, pde
+import mlmnet.cli
+from mlmnet import bench, fdref, pde
 
 def scipy_loaded():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 def fd_solve(velocity):
-    mlmnet.solve_helmholtz_fd(1.0, velocity, lambda z: np.ones(len(z)), 9)
+    fdref.solve_helmholtz_fd(1.0, velocity, lambda z: np.ones(len(z)), 9)
 
 settings = dict(name="determinism", problem="poisson1d", nu=3, r=24, seeds=(0, 1),
                 overrides={"epsilon": 1e-3, "max_outer_iter": 300})
@@ -525,6 +525,54 @@ def test_scipy_loads_only_in_the_functions_that_call_it():
     assert lm_layered == []
     assert mlm_ran and mlm_loaded == []
     assert "scipy.sparse.linalg" in sine_loaded
+
+
+PACKAGE_LOADS = """
+import json, sys
+
+import mlmnet
+
+names = [key for key in vars(mlmnet) if not key.startswith("__")]
+print(json.dumps([names, sorted(name for name in sys.modules if name.startswith("mlmnet."))]))
+"""
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # names are imported from the module that defines them; the package holds its docstring
+    names, modules = json.loads(run_on_one_blas_thread(PACKAGE_LOADS))
+    assert names == [] and modules == []
+
+
+CHANGED_START = """
+import sys
+
+from mlmnet import bench, pde
+
+campaign = bench.Campaign(name="changed", problem="poisson1d", nu=2, r=8, solvers=("mlm", "lm"),
+                          overrides={"max_outer_iter": 5})
+jacobian = pde.ResidualSystem.jacobian
+
+
+def jacobian_writing_its_argument(system, p):
+    # the first call is run_seed's, building mlm's operators at the starting point itself
+    pde.ResidualSystem.jacobian = jacobian
+    p[0] += 1.0
+    return jacobian(system, p)
+
+
+pde.ResidualSystem.jacobian = jacobian_writing_its_argument
+try:
+    bench.run_campaign(campaign)
+except AssertionError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_a_changed_starting_point_raises_under_python_O():
+    # both solvers of a seed must start from the same point; the check is plain code, not
+    # an assert, so -O keeps it, and it is a programming error, not a recorded failure
+    output = run_on_one_blas_thread(CHANGED_START, "-O")
+    assert output == "1 seed 0's starting point changed before its lm run"
 
 
 def test_cli_run_and_determinism(tmp_path, capsys, monkeypatch):
@@ -673,6 +721,27 @@ def test_cli_run_seed_solver_overrides(tmp_path):
     rows = parse_report_csv(out)
     assert len(rows) == 1
     assert (trace_dir / "trace_quick_lm_seed3.csv").exists()
+
+
+@pytest.mark.parametrize("name, why", [
+    ("a/b", "No such file or directory"),
+    ("x" * 250, "File name too long"),
+], ids=["slash", "too-long"])
+def test_cli_run_refuses_a_campaign_its_trace_files_cannot_name(tmp_path, capsys, name, why):
+    # trace files are named after their campaign: a name the file system refuses stops
+    # the run before the valid campaign ahead of it runs; without --trace it runs
+    campaign = ["problem = poisson1d", "nu = 2", "r = 4", "solvers = lm", "max_outer_iter = 5"]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(["[campaign:good]", *campaign, f"[campaign:{name}]", *campaign]))
+    out, trace_dir = tmp_path / "r.csv", tmp_path / "traces"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--trace", str(trace_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"mlmnet run: --trace {trace_dir}: campaign {name!r}: ")
+    assert why in captured.err
+    assert not out.exists() and list(trace_dir.iterdir()) == []
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    assert [row["campaign"] for row in parse_report_csv(out)] == ["good", name]
 
 
 @pytest.mark.parametrize("solver, n_builds", [("lm", 1), ("mlm", 2)])

@@ -431,10 +431,14 @@ def test_coherence_residuals_collected(rng):
     system = network_system(nu=3, r=12)
     x0 = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x0), system.arch)
-    report = mlm_solve(
-        system, x0, LmConfig(epsilon=1e-5, max_outer_iter=200), ops, FlopCounter(), None
-    )
-    assert len(report.coherence_residuals) == report.coarse_steps
+    cfg = LmConfig(epsilon=1e-5, max_outer_iter=200)
+    report = mlm_solve(system, x0, cfg, ops, FlopCounter(), None)
+    # coarse_steps is read off the log: one entry per coarse model, accepted or not
+    assert report.coarse_steps == len(report.coherence_residuals) > 0
+    with pytest.raises(AttributeError):
+        report.coarse_steps = 0
+    lm_report = lm_solve(system, x0, cfg, FlopCounter(), None)
+    assert lm_report.coarse_steps == 0 and lm_report.coherence_residuals == []
     for coherence, grad_norm in report.coherence_residuals:
         assert coherence <= 1e-10 * (1.0 + grad_norm)
 
