@@ -12,9 +12,10 @@ campaign file that cannot be read, or whose campaigns (with the --seed and
 --solver overrides applied) fail validation, or an --out, --trace or
 --cache path that cannot be written, stops `run` with status 2 and one
 line on standard error, before any campaign runs; an --out directory
-that refuses new files counts as one that cannot be written, and so,
-with --trace, does a campaign whose trace file names cannot be made
-there (a name with a `/`, or one too long).  `fd-ref`
+that refuses new files, and an --out or --cache name too long for the
+file system, count as ones that cannot be written, and so, with
+--trace, does a campaign whose trace file names cannot be made there (a
+name with a `/`, or one too long).  `fd-ref`
 and `split-inspect` treat settings that define no problem or grid, and
 their --cache and --out paths, the same way, before any solve or build
 (for `fd-ref`, also a resonant wavenumber, whose discrete operator
@@ -28,7 +29,6 @@ import argparse
 import configparser
 import dataclasses
 import sys
-import tempfile
 from pathlib import Path
 
 from . import bench, config, fdref
@@ -43,31 +43,57 @@ def _input_error(where, exc):
     return 2
 
 
+def _exists(path):
+    """Whether `path` exists; a name the file system refuses (one too long) raises OSError."""
+    try:
+        path.stat()
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    return True
+
+
+def _probe_file(path):
+    """Open `path` for appending and remove it unless it was there before.
+
+    Raises OSError when the file cannot be made: its directory refuses new
+    files, or the file system refuses its name (one with a `/` in a part
+    that is not a directory, or one too long).
+    """
+    existed = _exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        path.unlink()
+
+
 def _path_error(where, out=None, cache=None):
     """Status 2 after one stderr line if `out` or `cache` cannot be written, else None.
 
-    `out` is probed by creating and deleting a temporary file beside it, so
-    a directory that refuses new files is caught before any work starts
-    and no empty output is left behind.  `cache` is made only when a
-    reference is first stored, so its nearest existing ancestor, itself
-    included, must be a directory.
+    `out` is probed by its own name (see `_probe_file`), so a directory
+    that refuses new files or a name that is too long is caught before
+    any work starts, and no empty output is left behind.  `cache` is made
+    only when a reference is first stored, so its nearest existing
+    ancestor, itself included, must be a directory, and no part of its
+    name may be refused.
     """
     if out is not None:
         why = None
-        if out.is_dir():
-            why = "is a directory"
-        elif not out.parent.is_dir():
-            why = f"no directory {out.parent}"
-        else:
-            try:
-                with tempfile.NamedTemporaryFile(dir=out.parent):
-                    pass
-            except OSError as exc:
-                why = f"cannot create a file in {out.parent}: {exc.strerror or exc}"
+        try:
+            if out.is_dir():
+                why = "is a directory"
+            elif not out.parent.is_dir():
+                why = f"no directory {out.parent}"
+            else:
+                _probe_file(out)
+        except OSError as exc:
+            why = f"cannot be created: {exc.strerror or exc}"
         if why is not None:
             return _input_error(f"{where}: --out {out}", why)
     if cache is not None:
-        existing = next((p for p in (cache, *cache.parents) if p.exists()), None)
+        try:
+            existing = next((p for p in (cache, *cache.parents) if _exists(p)), None)
+        except OSError as exc:
+            return _input_error(f"{where}: --cache {cache}", exc.strerror or exc)
         if existing is not None and not existing.is_dir():
             why = "is not a directory" if existing == cache else f"{existing} is not a directory"
             return _input_error(f"{where}: --cache {cache}", why)
@@ -78,20 +104,16 @@ def _trace_name_error(trace_dir, campaigns):
     """Status 2 after one stderr line if a campaign's trace files cannot be made, else None.
 
     Trace files are named after their campaign, so each campaign's longest
-    trace file name (its longest solver name, its largest seed) is opened
-    for appending in `trace_dir` and removed unless it was there before: a
-    name the file system refuses (one with a `/`, or one too long) stops
-    the run before any campaign runs.
+    trace file name (its longest solver name, its largest seed) is probed
+    in `trace_dir` (see `_probe_file`): a name the file system refuses
+    (one with a `/`, or one too long) stops the run before any campaign
+    runs.
     """
     for campaign in campaigns:
         solver = max(campaign.solvers, key=len)
         path = bench.trace_path(trace_dir, campaign.name, solver, max(campaign.seeds))
         try:
-            existed = path.exists()
-            with open(path, "a"):
-                pass
-            if not existed:
-                path.unlink()
+            _probe_file(path)
         except OSError as exc:
             return _input_error(f"run: --trace {trace_dir}: campaign {campaign.name!r}",
                                 f"cannot create {path}: {exc.strerror or exc}")

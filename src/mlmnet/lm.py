@@ -93,12 +93,14 @@ def evaluate_loss(system, x):
 def minimize(system, x0, cfg, counter, trace, coarse_step=None):
     """The LM iteration loop of both solvers.
 
-    `coarse_step(x, g, grad_norm, lam)`, when given, is offered every
-    iteration that follows a fine one.  It returns None to take a fine
-    step instead, or `(step, predicted_reduction)`: a fine-space step, or
-    None for a failed attempt.  Fine steps, coarse steps and inner-solver
-    breakdowns share one acceptance test and lambda update; the trace gets
-    a `level` column when a coarse step is supplied.
+    `coarse_step(x, f, g, grad_norm, lam)`, when given, is offered every
+    iteration that follows a fine one, with the loss f at x.  It returns
+    None to take a fine step instead, or `(step, predicted_reduction)`: a
+    fine-space step, or None for a failed attempt.  x is rebound only by
+    an accepted step, so an offer at the same x object is at the same
+    iterate.  Fine steps, coarse steps and inner-solver breakdowns share
+    one acceptance test and lambda update; the trace gets a `level`
+    column when a coarse step is supplied.
     """
     writer = None
     if trace is not None:
@@ -133,7 +135,7 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
             break
 
         iteration += 1
-        offer = coarse_step(x, g, grad_norm, lam) if coarse_step and prev_step_fine else None
+        offer = coarse_step(x, f, g, grad_norm, lam) if coarse_step and prev_step_fine else None
         prev_step_fine = offer is None
         if offer is not None:
             s, pred = offer

@@ -13,8 +13,12 @@ prolongated back and judged by the usual actual-over-predicted ratio on
 the fine loss.
 
 The transfer operators and the coarse system they define are built once
-per run; each coarse attempt builds only its model, and each coarse
-point is evaluated once.
+per run, and each coarse point is evaluated once.  A coarse model, and
+the factor of its Jacobian, are built once per iterate: a fine step
+rejected between two attempts leaves the iterate unchanged, and the next
+attempt reuses them.  A coarse run stops as a failed attempt once its
+predicted decrease is so large that no prolongated step could pass the
+fine acceptance test.
 """
 
 from dataclasses import dataclass
@@ -43,7 +47,8 @@ class CoarseModel:
         0.5*||F_coarse(y)||^2 + correction @ (y - x0)
 
     whose gradient at x0 equals the restricted fine gradient by
-    construction (first-order coherence).
+    construction (first-order coherence).  `_gram0`, the factor of the
+    Jacobian at x0, is kept once a coarse run has made it.
     """
 
     system: object
@@ -54,6 +59,7 @@ class CoarseModel:
     _residual0: np.ndarray
     _jacobian0: np.ndarray
     _grad0: np.ndarray
+    _gram0: object = None
 
 
 def go_down(grad_fine, ops, kappa, epsilon_h, counter):
@@ -115,7 +121,7 @@ def build_coarse_model(coarse, x, ops, restricted_grad, counter):
     )
 
 
-def coarse_cycle(model, lam, cfg, counter):
+def coarse_cycle(model, lam, cfg, counter, f_fine):
     """Bounded damped Gauss-Newton run on the corrected coarse objective.
 
     The run stops after MAX_COARSE_ITER iterations, or earlier once the
@@ -125,11 +131,18 @@ def coarse_cycle(model, lam, cfg, counter):
     achieved by the run; a zero step or zero prediction marks a failed
     coarse attempt.  `gram`, the factor of the current J, is built
     at its first solve and serves every lam until J is refreshed.
+
+    `f_fine` is the fine loss at the attempt.  The fine loss at a trial
+    point is nonnegative, so the fine ratio rho of the prolongated step
+    is at most f_fine over the prediction, which only grows with each
+    accepted step: once an accepted step leaves that bound below
+    `lm.ETA1`, no step of the run could pass, and it stops with a zero
+    step.  `math.inf` runs it in full.
     """
     system, corr = model.system, model.correction
     y = model.x0.copy()
     F, J, g = model._residual0, model._jacobian0, model._grad0
-    gram = None
+    gram = model._gram0
     model_value = model.f0
     accepted = 0
     stale = False
@@ -146,6 +159,8 @@ def coarse_cycle(model, lam, cfg, counter):
         try:
             if gram is None:
                 gram = gram_eigen(J)
+                if J is model._jacobian0:
+                    model._gram0 = gram
             s = direct_solve(J, lam, -grad_model, gram)
         except NumericalError:
             lam = update_lambda(lam, None)
@@ -165,6 +180,8 @@ def coarse_cycle(model, lam, cfg, counter):
             model_value = trial_value
             accepted += 1
             stale = True
+            if f_fine / (model.f0 - model_value) < lm.ETA1:
+                return np.zeros_like(y), model.f0 - model_value, accepted
         lam = update_lambda(lam, rho)
     return y - model.x0, model.f0 - model_value, accepted
 
@@ -179,18 +196,26 @@ def mlm_solve(system, x0, cfg, ops, counter, trace):
     `level` column): the first iteration works at the fine level;
     afterwards a coarse correction is attempted whenever the previous
     iteration was fine and the restricted gradient passes the descent test.
+    The descent test and the coarse model are functions of the iterate
+    alone, so an offer at the iterate of the previous one reuses them.
     """
     kappa = effective_kappa(ops)
     coarse = system.coarsen(ops)
     coherence_log = []
+    latest = (None, None)  # the latest offer's iterate and its model (None: no descent)
 
-    def coarse_step(x, g, grad_norm, lam):
-        restricted = go_down(g, ops, kappa, cfg.epsilon, counter)
-        if restricted is None:
+    def coarse_step(x, f, g, grad_norm, lam):
+        nonlocal latest
+        if latest[0] is not x:
+            restricted = go_down(g, ops, kappa, cfg.epsilon, counter)
+            model = None if restricted is None else build_coarse_model(
+                coarse, x, ops, restricted, counter)
+            latest = (x, model)
+        model = latest[1]
+        if model is None:
             return None
-        model = build_coarse_model(coarse, x, ops, restricted, counter)
         coherence_log.append((model.coherence_residual, grad_norm))
-        step_coarse, pred, n_accepted = coarse_cycle(model, lam, cfg, counter)
+        step_coarse, pred, n_accepted = coarse_cycle(model, lam, cfg, counter, f)
         if n_accepted > 0 and pred > 0 and step_coarse.any():
             return apply_blockwise(ops.prolong, step_coarse, counter), pred
         return None, pred

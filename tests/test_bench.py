@@ -158,9 +158,11 @@ def test_flop_parity_without_coarse_descents(monkeypatch, no_coarse_descents):
         assert mlm_report.loss_history == lm_report.loss_history
         assert np.array_equal(mlm_report.final_params, lm_report.final_params)
         assert mlm_report.coarse_steps == 0
-        # one go_down after every iteration but the first, each restricting
-        # the dim + 2 weight blocks of the gradient
-        descent_tests = mlm_report.iterations - 1
+        # one go_down per distinct iterate offered, each restricting the dim + 2
+        # weight blocks of the gradient: every iteration but the first offers
+        # the iterate left by the one before, and only an accepted step, which
+        # lowers the loss, changes it
+        descent_tests = len(set(mlm_report.loss_history[1:-1]))
         restriction = (dim + 2) * 2 * campaign.r * ops.r_coarse
         assert mlm_report.matvec_flops - lm_report.matvec_flops == descent_tests * restriction
 
@@ -644,7 +646,10 @@ def test_cli_run_has_no_workers_option(tmp_path, capsys):
     ("--trace", "taken", "File exists"),
     ("--cache", "taken", "is not a directory"),
     ("--cache", "taken/sub", "taken is not a directory"),
-], ids=["out-missing-dir", "out-directory", "trace-file", "cache-file", "cache-under-file"])
+    ("--out", "x" * 300 + ".csv", "cannot be created: File name too long"),
+    ("--cache", "y" * 300, "File name too long"),
+], ids=["out-missing-dir", "out-directory", "trace-file", "cache-file", "cache-under-file",
+        "out-too-long", "cache-too-long"])
 def test_cli_run_checks_its_paths_before_any_campaign_runs(
     tmp_path, monkeypatch, capsys, flag, path, message
 ):
@@ -673,7 +678,8 @@ def test_cli_run_checks_that_its_out_directory_takes_new_files(tmp_path, monkeyp
     def run_campaign_stub(campaign, **kw):
         raise AssertionError("a campaign ran")
 
-    monkeypatch.setattr(cli.tempfile, "NamedTemporaryFile", refusing)
+    # the probe opens --out itself for appending
+    monkeypatch.setattr(cli, "open", refusing, raising=False)
     monkeypatch.setattr(bench, "run_campaign", run_campaign_stub)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG_TEXT)
@@ -681,7 +687,7 @@ def test_cli_run_checks_that_its_out_directory_takes_new_files(tmp_path, monkeyp
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
-        f"mlmnet run: --out {out}: cannot create a file in {tmp_path}: Permission denied\n")
+        f"mlmnet run: --out {out}: cannot be created: Permission denied\n")
     assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
 
 
@@ -693,7 +699,13 @@ def test_cli_run_checks_that_its_out_directory_takes_new_files(tmp_path, monkeyp
     (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "33",
       "--cache", "taken/sub"],
      "fd-ref: --cache taken/sub: taken is not a directory"),
-], ids=["split-out-missing-dir", "fd-cache-file", "fd-cache-under-file"])
+    (["split-inspect", "--nu", "2", "--r", "12", "--out", "x" * 300 + ".txt"],
+     f"split-inspect: --out {'x' * 300}.txt: cannot be created: File name too long"),
+    (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "33",
+      "--cache", "y" * 300],
+     f"fd-ref: --cache {'y' * 300}: File name too long"),
+], ids=["split-out-missing-dir", "fd-cache-file", "fd-cache-under-file", "split-out-too-long",
+        "fd-cache-too-long"])
 def test_cli_checks_its_paths_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
     def work_stub(*args, **kw):
         raise AssertionError("work started")

@@ -1,12 +1,13 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from mlmnet.amg import apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
-from mlmnet import lm, mlm
+from mlmnet import bench, lm, mlm
 from mlmnet.linsolve import FlopCounter, GramEigen, NumericalError, direct_solve, gram_eigen
 from mlmnet.lm import LmConfig, lm_solve, update_lambda
 from mlmnet.mlm import (
@@ -177,7 +178,7 @@ def test_critical_start_returns_zero_step(rng):
     system = LinearLeastSquares(A, A @ x_star)
     ops = identity_ops(3)  # layout 3*3+1 = 10
     model = coarse_model_at(system, x_star, ops)
-    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-8), FlopCounter())
+    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-8), FlopCounter(), math.inf)
     assert not step.any()
     assert pred == 0.0
     assert accepted == 0
@@ -222,7 +223,7 @@ def test_coarse_cycle_matches_reference_loop(rng):
     ops = identity_ops(3)
     cfg = LmConfig(epsilon=1e-10)
     model = coarse_model_at(system, x0, ops)
-    step, pred, accepted = coarse_cycle(model, lm.LAMBDA0, cfg, FlopCounter())
+    step, pred, accepted = coarse_cycle(model, lm.LAMBDA0, cfg, FlopCounter(), math.inf)
     def solve(J, lam, rhs):
         return direct_solve(J, lam, rhs, gram_eigen(J))
 
@@ -241,7 +242,7 @@ def test_coarse_cycle_kernel_solve_matches_dense_reference(rng):
     model = coarse_model_at(system, x, ops)
     assert len(model._residual0) < model.x0.size
     cfg = LmConfig(epsilon=1e-10)
-    step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter())
+    step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter(), math.inf)
 
     def dense_solve(J, lam, rhs):
         return scipy.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), rhs, assume_a="pos")
@@ -267,7 +268,7 @@ def test_coarse_cycle_evaluates_each_coarse_point_once(rng, monkeypatch):
 
     monkeypatch.setattr(ResidualSystem, "residual", recording_residual)
     model = coarse_model_at(system, x, ops)
-    _, _, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter())
+    _, _, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
     assert accepted > 0 and len(points) > accepted
     assert len(points) == len(set(points))
 
@@ -287,13 +288,13 @@ def test_a_failed_coarse_solve_grows_lambda_and_uses_up_an_iteration(rng, monkey
 
     monkeypatch.setattr(mlm, "direct_solve", failing_first)
     monkeypatch.setattr(mlm, "MAX_COARSE_ITER", 3)
-    coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter())
+    coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
     assert len(lams) == 3
     assert lams[1] == lm.GAMMA3 * 0.05
 
     lams.clear()
     monkeypatch.setattr(mlm, "MAX_COARSE_ITER", 1)
-    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(), FlopCounter())
+    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(), FlopCounter(), math.inf)
     assert lams == [0.05]
     assert accepted == 0 and pred == 0.0 and not step.any()
 
@@ -318,7 +319,7 @@ def test_coarse_cycle_factors_each_coarse_jacobian_once(rng, monkeypatch):
 
     monkeypatch.setattr(mlm, "gram_eigen", recording_gram_eigen)
     monkeypatch.setattr(mlm, "direct_solve", recording_solve)
-    _, _, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter())
+    _, _, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
     assert accepted > 0 and len(solved) > len(built)  # some Jacobian served several lam
     assert len(built) == len(set(built)) == len({key for key, _ in solved})
     assert all(gram is factors[key] for key, gram in solved)
@@ -347,10 +348,38 @@ def test_a_shifted_gram_matrix_that_is_not_positive_grows_lambda(rng, monkeypatc
     monkeypatch.setattr(mlm, "gram_eigen", indefinite_at_lam0)
     monkeypatch.setattr(mlm, "direct_solve", recording_solve)
     monkeypatch.setattr(mlm, "MAX_COARSE_ITER", 2)
-    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter())
+    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
     assert "not positive definite" in errors[0]
     assert lams == [0.05, lm.GAMMA3 * 0.05]
     assert accepted == 0 and pred == 0.0 and not step.any()
+
+
+def test_a_coarse_run_that_can_no_longer_pass_ends_at_its_first_accepted_step(rng, monkeypatch):
+    system = network_system(nu=3, r=12)
+    x0 = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x0), system.arch)
+    # seven fine steps leave a fine loss below ETA1 times the first coarse prediction
+    x = lm_solve(system, x0, LmConfig(max_outer_iter=7), FlopCounter(), None).final_params
+    _, f_fine = lm.evaluate_loss(system, x)
+    model = coarse_model_at(system, x, ops)
+    solves = []
+
+    def counting_solve(J, lam, rhs, gram):
+        solves.append(lam)
+        return direct_solve(J, lam, rhs, gram)
+
+    monkeypatch.setattr(mlm, "direct_solve", counting_solve)
+    cfg = LmConfig(epsilon=1e-10)
+    step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter(), f_fine)
+    assert len(solves) == accepted == 1
+    assert not step.any() and f_fine / pred < lm.ETA1
+
+    solves.clear()
+    step, full_pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter(), math.inf)
+    assert len(solves) > 1 and accepted > 1 and full_pred >= pred
+    # the step of the full run fails the fine acceptance test, as the bound says it must
+    _, f_trial = lm.evaluate_loss(system, x + apply_blockwise(ops.prolong, step, FlopCounter()))
+    assert (f_fine - f_trial) / full_pred < lm.ETA1
 
 
 def test_pred_positive_when_step_accepted(rng):
@@ -358,7 +387,7 @@ def test_pred_positive_when_step_accepted(rng):
     x = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x), system.arch)
     model = coarse_model_at(system, x, ops)
-    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-6), FlopCounter())
+    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-6), FlopCounter(), math.inf)
     if accepted > 0:
         assert step.any()
         assert pred > 0
@@ -511,3 +540,103 @@ def test_inner_solver_breakdowns_are_rejected_fine_steps(rng, monkeypatch, no_co
         solve(lambda call: True, 2 * limit, stream)
     assert len(calls) == limit
     assert len(rows_of(stream)) == limit - 1
+
+
+# -- work done once per iterate ---------------------------------------------------------
+
+# (problem, nu, r, seed, epsilon): runs with both repeated iterates and early-ended attempts
+DESK_RUNS = [("poisson1d", 3, 24, 1, 1e-3), ("helmholtz1d", 5, 128, 1, 1e-4)]
+
+
+def solve_without_reuse(system, x0, cfg, ops, counter, trace):
+    """`mlm_solve` with a coarse step that runs the descent test, builds the model
+    and runs the whole coarse cycle at every offer."""
+    kappa = effective_kappa(ops)
+    coarse = system.coarsen(ops)
+    coherence_log = []
+
+    def coarse_step(x, f, g, grad_norm, lam):
+        restricted = go_down(g, ops, kappa, cfg.epsilon, counter)
+        if restricted is None:
+            return None
+        model = build_coarse_model(coarse, x, ops, restricted, counter)
+        coherence_log.append((model.coherence_residual, grad_norm))
+        step, pred, accepted = coarse_cycle(model, lam, cfg, counter, math.inf)
+        if accepted > 0 and pred > 0 and step.any():
+            return apply_blockwise(ops.prolong, step, counter), pred
+        return None, pred
+
+    report = lm.minimize(system, x0, cfg, counter, trace, coarse_step)
+    report.coherence_residuals = coherence_log
+    return report
+
+
+def desk_run(solve, problem, nu, r, seed, epsilon):
+    """The report and trace rows of `solve` from the seed's starting point."""
+    system = bench.Campaign(name="desk", problem=problem, nu=nu, r=r, seeds=(seed,)).system
+    x0 = bench.initial_guess(seed, system.n)
+    ops = build_transfer_operators(system.jacobian(x0), system.arch)
+    stream = io.StringIO()
+    report = solve(system, x0, LmConfig(epsilon=epsilon), ops, FlopCounter(), stream)
+    return report, list(csv.DictReader(io.StringIO(stream.getvalue())))
+
+
+def iterates_offered(report, rows):
+    """The distinct iterates offered a coarse step, and those a coarse model was
+    built at, each named by its loss: only an accepted step, which lowers the
+    loss, changes the iterate."""
+    loss = report.loss_history  # loss[i - 1]: the loss at the iterate of iteration i
+    offered = {loss[i - 1] for i in range(2, len(rows) + 1) if rows[i - 2]["level"] == "fine"}
+    attempted = {loss[i - 1] for i in range(1, len(rows) + 1) if rows[i - 1]["level"] == "coarse"}
+    return offered, attempted
+
+
+@pytest.mark.parametrize("run", DESK_RUNS, ids=[f"{run[0]}-r{run[2]}" for run in DESK_RUNS])
+def test_reuse_and_early_exit_keep_the_iterates_and_save_flops(run):
+    old, old_rows = desk_run(solve_without_reuse, *run)
+    new, new_rows = desk_run(mlm_solve, *run)
+    assert new.iterations == old.iterations and new.accepted_steps == old.accepted_steps
+    assert new.loss_history == old.loss_history
+    assert new.coherence_residuals == old.coherence_residuals
+    assert np.array_equal(new.final_params, old.final_params)
+    assert new.matvec_flops < old.matvec_flops
+    ended_early = 0
+    for old_row, new_row in zip(old_rows, new_rows, strict=True):
+        differ = {key for key in old_row if old_row[key] != new_row[key]}
+        if "rho" in differ:
+            # an early-ended attempt: no step, where the full run's step was rejected
+            assert new_row["level"] == "coarse" and new_row["rho"] == ""
+            assert float(old_row["rho"]) < lm.ETA1 and old_row["accepted"] == "0"
+            ended_early += 1
+        assert differ <= {"rho", "cum_matvec_flops"}
+    _, attempted = iterates_offered(new, new_rows)
+    assert ended_early > 0 and len(attempted) < new.coarse_steps  # both savings occur
+
+
+@pytest.mark.parametrize("run", DESK_RUNS, ids=[f"{run[0]}-r{run[2]}" for run in DESK_RUNS])
+def test_a_repeated_iterate_reuses_its_descent_test_model_and_factor(run, monkeypatch):
+    descent_tests, models, factored = [], [], []
+    real_go_down, real_build, real_gram_eigen = go_down, build_coarse_model, gram_eigen
+
+    def counting_go_down(*args):
+        descent_tests.append(None)
+        return real_go_down(*args)
+
+    def recording_build(*args):
+        models.append(real_build(*args))
+        return models[-1]
+
+    def recording_gram_eigen(J):
+        factored.append(J)
+        return real_gram_eigen(J)
+
+    monkeypatch.setattr(mlm, "go_down", counting_go_down)
+    monkeypatch.setattr(mlm, "build_coarse_model", recording_build)
+    monkeypatch.setattr(mlm, "gram_eigen", recording_gram_eigen)
+    report, rows = desk_run(mlm_solve, *run)
+    offered, attempted = iterates_offered(report, rows)
+    assert len(attempted) < report.coarse_steps  # some iterate saw several attempts
+    assert len(descent_tests) == len(offered)
+    assert len(models) == len(attempted)
+    # each model's own Jacobian is factored once, however many attempts it serves
+    assert sum(any(J is model._jacobian0 for model in models) for J in factored) == len(models)
