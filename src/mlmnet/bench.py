@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -313,26 +314,25 @@ def _json_num(value):
     return value
 
 
-def emit_report(rows, fmt, path):
-    """Write comparison rows as CSV or JSON with stable field order.
+def emit_report(rows, path):
+    """Write comparison rows to `path` with stable field order.
 
+    The report is JSON when `path` ends in `.json` and CSV otherwise.
     `rows` is a list of (campaign_name, ComparisonRow) pairs.  Floats are
     rendered at 6 significant digits, so repeated runs of a deterministic
     campaign produce byte-identical files.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown report format {fmt!r}")
     # each row's values in _CSV_FIELDS order; every field after the campaign is a row attribute
     table = [(name, *(getattr(row, key) for key in _CSV_FIELDS[1:])) for name, row in rows]
     with open(path, "w", newline="") as stream:
-        if fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(_CSV_FIELDS)
-            writer.writerows([_fmt(v) for v in values] for values in table)
-        else:
+        if Path(path).suffix == ".json":
             import json
 
             payload = [dict(zip(_CSV_FIELDS, map(_json_num, values))) for values in table]
             json.dump(payload, stream, indent=2)
             stream.write("\n")
+        else:
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(_CSV_FIELDS)
+            writer.writerows([_fmt(v) for v in values] for values in table)
 

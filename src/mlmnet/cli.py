@@ -8,26 +8,26 @@ Subcommands:
 
 Exit status is 0 when every solver run completed (converged or stopped at
 its configured iteration cap) and 1 when any run failed outright.  A
-campaign file that cannot be read, or whose campaigns (with the --seed and
---solver overrides applied) fail validation, or an --out, --trace or
---cache path that cannot be written, stops `run` with status 2 and one
-line on standard error, before any campaign runs; an --out directory
-that refuses new files, and an --out or --cache name too long for the
-file system, count as ones that cannot be written, and so, with
---trace, does a campaign whose trace file names cannot be made there (a
-name with a `/`, or one too long).  `fd-ref`
+campaign file that cannot be read, or whose campaigns fail validation, or
+an --out, --trace or --cache path that cannot be written, stops `run`
+with status 2 and one line on standard error, before any campaign runs;
+an --out directory that refuses new files, and an --out or --cache name
+too long for the file system, count as ones that cannot be written, and
+so, with --trace, does a campaign whose trace file names cannot be made
+there (a name with a `/`, or one too long).  `fd-ref`
 and `split-inspect` treat settings that define no problem or grid, and
 their --cache and --out paths, the same way, before any solve or build
 (for `fd-ref`, also a resonant wavenumber, whose discrete operator
 cannot be solved), and `split-inspect` checks its settings as `run`
 checks a one-seed `mlm` campaign.  On standard error, `run` names every
 failed run with its error, and every run that stopped at its iteration
-cap without converging.
+cap without converging.  The campaign file alone sets each campaign's
+seeds and solvers; the report is JSON when --out ends in `.json` and
+CSV otherwise.
 """
 
 import argparse
 import configparser
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -121,16 +121,8 @@ def _trace_name_error(trace_dir, campaigns):
 
 
 def _cmd_run(args):
-    replaced = {}
-    if args.seed:
-        replaced["seeds"] = tuple(args.seed)
-    if args.solver:
-        replaced["solvers"] = tuple(args.solver)
     try:
         campaigns = config.parse_campaign_file(args.config)
-        if replaced:
-            # rebuilt, not assigned, so the overridden campaign is validated again
-            campaigns = [dataclasses.replace(campaign, **replaced) for campaign in campaigns]
     except (OSError, ValueError, configparser.Error) as exc:
         return _input_error(f"run: {args.config}", exc)
     status = _path_error("run", out=Path(args.out), cache=Path(args.cache))
@@ -172,7 +164,7 @@ def _cmd_run(args):
                 f"{campaign.name:24s} {row.solver:4s} iter {row.mean_iterations:8.1f} "
                 f"rmse {row.rmse_geomean:.3e}{save}"
             )
-    bench.emit_report(all_rows, args.format, args.out)
+    bench.emit_report(all_rows, args.out)
     print(f"report written to {args.out}")
     return 1 if failed else 0
 
@@ -231,12 +223,8 @@ def build_parser():
 
     run = sub.add_parser("run", help="run the campaigns of a config file")
     run.add_argument("config", help="campaign config file")
-    run.add_argument("--out", default="report.csv", help="report path (default report.csv)")
-    run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--seed", type=int, action="append",
-                     help="override campaign seeds (repeatable)")
-    run.add_argument("--solver", choices=bench.SOLVERS, action="append",
-                     help="override campaign solvers (repeatable)")
+    run.add_argument("--out", default="report.csv",
+                     help="report path, JSON if it ends in .json, else CSV (default report.csv)")
     run.add_argument("--trace", help="directory for per-iteration trace CSV files")
     run.add_argument("--cache", default=".mlmnet-cache",
                      help="cache directory for FD reference fields")

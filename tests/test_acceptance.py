@@ -12,7 +12,7 @@ import pytest
 
 from mlmnet import cli, linsolve
 from mlmnet.amg import build_interpolation, build_transfer_operators, ruge_stuben_split
-from mlmnet.bench import PROBLEMS, Campaign, emit_report, initial_guess, run_campaign
+from mlmnet.bench import PROBLEMS, Campaign, initial_guess, run_campaign
 from mlmnet.fdref import solve_helmholtz_fd
 from mlmnet.linsolve import FlopCounter, cgls_truncated
 from mlmnet.lm import LmConfig, lm_solve

@@ -128,7 +128,7 @@ def test_campaign_determinism(tmp_path):
     for run in range(2):
         rows, _ = run_campaign(tiny_campaign(solvers=("lm", "mlm")))
         path = tmp_path / f"report{run}.csv"
-        emit_report([("tiny", row) for row in rows], "csv", path)
+        emit_report([("tiny", row) for row in rows], path)
         paths.append(path)
     assert filecmp.cmp(*paths, shallow=False)
 
@@ -245,7 +245,7 @@ def synthetic_row():
 
 def test_emit_report_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_report([], "csv", path)
+    emit_report([], path)
     assert path.read_text().splitlines() == [
         "campaign,solver,mean_iterations,rmse_geomean,rmse_seeds,save_min,save_mean,save_max,failures"
     ]
@@ -253,7 +253,7 @@ def test_emit_report_empty(tmp_path):
 
 def test_emit_report_round_trip(tmp_path):
     path = tmp_path / "report.csv"
-    emit_report([("demo", synthetic_row())], "csv", path)
+    emit_report([("demo", synthetic_row())], path)
     back = parse_report_csv(path)
     assert len(back) == 1
     rec = back[0]
@@ -266,17 +266,15 @@ def test_emit_report_round_trip(tmp_path):
 
 def test_emit_report_json(tmp_path):
     path = tmp_path / "report.json"
-    emit_report([("demo", synthetic_row())], "json", path)
+    emit_report([("demo", synthetic_row())], path)
     payload = json.loads(path.read_text())
     assert payload[0]["campaign"] == "demo"
     assert payload[0]["save_max"] == pytest.approx(4.3)
-    with pytest.raises(ValueError):
-        emit_report([], "xml", tmp_path / "report.xml")
 
 
 def test_emit_report_quotes_a_campaign_name_with_a_comma(tmp_path):
     path = tmp_path / "report.csv"
-    emit_report([("a,b", synthetic_row())], "csv", path)
+    emit_report([("a,b", synthetic_row())], path)
     with open(path, newline="") as stream:
         header, record = list(csv.reader(stream))
     assert len(record) == len(header) == 9
@@ -285,7 +283,7 @@ def test_emit_report_quotes_a_campaign_name_with_a_comma(tmp_path):
 
 def test_emit_report_matches_golden(tmp_path):
     path = tmp_path / "golden.csv"
-    emit_report([("demo", synthetic_row())], "csv", path)
+    emit_report([("demo", synthetic_row())], path)
     golden = DATA / "golden_report.csv"
     assert path.read_bytes() == golden.read_bytes()
 
@@ -297,13 +295,13 @@ def test_emit_report_of_an_lm_row_and_an_all_failed_row(tmp_path):
         ("demo", ComparisonRow("lm", 507.0, [1.25e-4, 3.5e-4], 2.0916e-4)),
         ("demo", ComparisonRow("mlm", float("nan"), [], float("nan"), failures=2)),
     ]
-    emit_report(rows, "csv", tmp_path / "report.csv")
+    emit_report(rows, tmp_path / "report.csv")
     assert (tmp_path / "report.csv").read_text() == (
         "campaign,solver,mean_iterations,rmse_geomean,rmse_seeds,save_min,save_mean,save_max,failures\n"
         "demo,lm,507,0.00020916,0.000125;0.00035,,,,0\n"
         "demo,mlm,nan,nan,,,,,2\n"
     )
-    emit_report(rows, "json", tmp_path / "report.json")
+    emit_report(rows, tmp_path / "report.json")
     text = (tmp_path / "report.json").read_text()
     assert text.endswith("]\n") and "NaN" not in text
     assert json.loads(text) == [
@@ -430,9 +428,12 @@ def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypat
     # named as nu, not as the negative default boundary penalty it would give
     ("[campaign:x]\nproblem = poisson1d\nnu = -5\n",
      "campaign 'x': nu must be non-negative, got -5.0"),
+    # r = 1 is too small only for the two-level solver
+    ("[campaign:x]\nproblem = poisson1d\nr = 1\nsolvers = lm mlm\n",
+     "campaign 'x': the two-level solver needs at least 2 hidden nodes to coarsen, got r=1"),
     ("problem = poisson1d\n", "no section headers"),
     (None, "No such file or directory"),
-], ids=["unknown-key", "unknown-problem", "out-of-range", "negative-nu", "no-section",
+], ids=["unknown-key", "unknown-problem", "out-of-range", "negative-nu", "r1-mlm", "no-section",
         "missing-file"])
 def test_cli_run_reports_a_malformed_file_in_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "c.cfg"
@@ -445,28 +446,6 @@ def test_cli_run_reports_a_malformed_file_in_one_line(tmp_path, capsys, text, me
     assert captured.err.startswith(f"mlmnet run: {path}: ")
     assert message in captured.err and captured.err.count("\n") == 1
     assert not out.exists()
-
-
-def test_cli_solver_override_is_validated(tmp_path, monkeypatch, capsys):
-    ran = []
-
-    def run_campaign_stub(campaign, **kw):
-        ran.append(campaign)
-        return [], []
-
-    monkeypatch.setattr(bench, "run_campaign", run_campaign_stub)
-    # the file alone is valid: r = 1 is too small only for the two-level solver
-    path = tmp_path / "c.cfg"
-    path.write_text("[campaign:x]\nproblem = poisson1d\nnu = 2\nr = 1\nsolvers = lm\nepsilon = 1e-3\n")
-    out = tmp_path / "report.csv"
-    assert cli.main(["run", str(path), "--out", str(out), "--solver", "mlm"]) == 2
-    err = capsys.readouterr().err
-    assert "campaign 'x': the two-level solver needs at least 2 hidden nodes" in err
-    assert ran == [] and not out.exists()
-    # a valid override gives a rebuilt campaign, its solver settings included
-    assert cli.main(["run", str(path), "--out", str(out), "--seed", "4", "--seed", "5"]) == 0
-    (campaign,) = ran
-    assert campaign.seeds == (4, 5) and campaign.solver_config.epsilon == 1e-3
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -622,21 +601,50 @@ def test_a_programming_error_in_a_solver_propagates(monkeypatch):
 def test_cli_run_lists_runs_stopped_at_the_cap(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG_TEXT.replace("max_outer_iter = 300", "max_outer_iter = 3"))
-    out = tmp_path / "r.csv"
-    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    out, trace_dir = tmp_path / "r.csv", tmp_path / "traces"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--trace", str(trace_dir)]) == 0
     err = capsys.readouterr().err
     for seed in (0, 1):
         assert f"quick lm seed {seed}: stopped at the iteration cap after 3 iterations" in err
     assert parse_report_csv(out)[0]["failures"] == "0"
+    # one trace per (campaign, solver, seed), with a row per iteration
+    traces = sorted(trace_dir.iterdir())
+    assert [p.name for p in traces] == ["trace_quick_lm_seed0.csv", "trace_quick_lm_seed1.csv"]
+    assert all(len(parse_report_csv(p)) == 3 for p in traces)
 
 
-def test_cli_run_has_no_workers_option(tmp_path, capsys):
+@pytest.mark.parametrize("suffix, golden", [(".json", "golden_report.json"),
+                                            (".txt", "golden_report.csv")],
+                         ids=["json", "other-suffix"])
+def test_cli_run_picks_the_report_format_from_the_out_suffix(
+    tmp_path, monkeypatch, suffix, golden
+):
+    # the golden files pin the bytes of each format
+    monkeypatch.setattr(bench, "run_campaign", lambda campaign, **kw: ([synthetic_row()], []))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[campaign:demo]\nproblem = poisson1d\nnu = 2\nr = 4\nsolvers = mlm\n")
+    out = tmp_path / f"r{suffix}"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--seed", "3"], ["--solver", "lm"],
+                                  ["--format", "json"]],
+                         ids=["workers", "seed", "solver", "format"])
+def test_cli_run_has_no_workers_option(tmp_path, monkeypatch, capsys, flag):
+    # seeds and solvers come from the campaign file alone, the format from --out's suffix
+    def run_campaign_stub(campaign, **kw):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(bench, "run_campaign", run_campaign_stub)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG_TEXT)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["run", str(cfg), "--out", str(tmp_path / "r.csv"), "--workers", "2"])
+        cli.main(["run", str(cfg), "--out", str(tmp_path / "r.csv"), *flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"mlmnet: error: unrecognized arguments: {' '.join(flag)}"
+    assert err.count("error:") == 1
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -718,21 +726,6 @@ def test_cli_checks_its_paths_before_any_work(tmp_path, monkeypatch, capsys, arg
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"mlmnet {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
-
-
-def test_cli_run_seed_solver_overrides(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(CONFIG_TEXT)
-    out = tmp_path / "r.csv"
-    trace_dir = tmp_path / "traces"
-    code = cli.main([
-        "run", str(cfg), "--out", str(out), "--seed", "3",
-        "--solver", "lm", "--trace", str(trace_dir),
-    ])
-    assert code == 0
-    rows = parse_report_csv(out)
-    assert len(rows) == 1
-    assert (trace_dir / "trace_quick_lm_seed3.csv").exists()
 
 
 @pytest.mark.parametrize("name, why", [
