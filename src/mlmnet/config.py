@@ -31,6 +31,8 @@ _CAMPAIGN_KEYS = {
     for f in fields(Campaign)
     if f.type in (str, int, float) and f.name != "name"
 }
+_CAMPAIGN_KEYS["seeds"] = lambda raw: tuple(int(tok) for tok in raw.split())
+_CAMPAIGN_KEYS["solvers"] = lambda raw: tuple(raw.split())
 
 _OVERRIDE_TYPES = {f.name: int if f.type is int else float for f in fields(LmConfig)}
 
@@ -52,19 +54,15 @@ def parse_campaign_file(path):
 
 def _parse_section(name, section):
     kwargs = {"name": name}
-    overrides = {}
     for key, raw in section.items():
-        if key == "seeds":
-            kwargs["seeds"] = tuple(int(tok) for tok in raw.split())
-        elif key == "solvers":
-            kwargs["solvers"] = tuple(raw.split())
-        elif key in _CAMPAIGN_KEYS:
-            kwargs[key] = _CAMPAIGN_KEYS[key](raw)
-        elif key in _OVERRIDE_TYPES:
-            overrides[key] = _OVERRIDE_TYPES[key](raw)
-        else:
+        convert = _CAMPAIGN_KEYS.get(key) or _OVERRIDE_TYPES.get(key)
+        if convert is None:
             raise ValueError(f"campaign {name!r}: unknown key {key!r}")
+        try:
+            kwargs[key] = convert(raw)
+        except ValueError as exc:
+            raise ValueError(f"campaign {name!r}: key {key!r}: {exc}") from None
     if "problem" not in kwargs:
         raise ValueError(f"campaign {name!r}: missing the required 'problem' key")
-    kwargs["overrides"] = overrides
+    kwargs["overrides"] = {key: kwargs.pop(key) for key in _OVERRIDE_TYPES if key in kwargs}
     return Campaign(**kwargs)

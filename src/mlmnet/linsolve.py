@@ -12,7 +12,8 @@ the smaller Gram matrix G of J: the m-by-m J J^T (kernel form) when J has
 fewer rows than columns, J^T J otherwise.  G + lam I shares G's
 eigenvectors, so one decomposition per Jacobian serves every lam tried
 with it (the idea of MINPACK's lmpar, More 1978), and each retry costs
-two small products and a division.
+two small products and a division.  Both solvers return the residual
+of the linear system at their step, for `predicted_reduction`.
 
 Only genuine matrix-vector products are charged to the flop counter, at
 2*rows*cols apiece; the direct solve, J products of its kernel form
@@ -227,8 +228,9 @@ def direct_solve(J, lam, rhs, gram):
     evaluated without forming B; a non-positive lam, a shifted eigenvalue
     w + lam <= 0 or a violated bound raises NumericalError (as `gram_eigen`
     does on a non-finite J) so the caller can grow the regularization
-    weight and retry.  Products with J inside the solve are direct-solve
-    work, like the factorization, and are not charged.
+    weight and retry.  Returns s and the residual rhs - B s of that check.
+    Products with J inside the solve are direct-solve work, like the
+    factorization, and are not charged.
     """
     if not lam > 0:
         raise NumericalError(f"regularization weight lam must be positive, got {lam!r}")
@@ -243,8 +245,8 @@ def direct_solve(J, lam, rhs, gram):
         s = (rhs - J.T @ (V @ ((V.T @ (J @ rhs)) / d))) / lam
     else:
         s = V @ ((V.T @ rhs) / d)
-    residual = J.T @ (J @ s) + lam * s - rhs
+    residual = rhs - (J.T @ (J @ s) + lam * s)
     scale = _shifted_gram_norm(G, lam, n) * float(np.linalg.norm(s)) + float(np.linalg.norm(rhs))
     if not np.all(np.isfinite(s)) or float(np.linalg.norm(residual)) > 1e-10 * scale:
         raise NumericalError("dense solve residual exceeds the backward-error bound")
-    return s
+    return s, residual

@@ -36,8 +36,8 @@ class LmConfig:
     max_outer_iter: int = 2000
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.max_outer_iter < 0:
             raise ValueError("max_outer_iter must be nonnegative")
 

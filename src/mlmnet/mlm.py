@@ -8,9 +8,9 @@ restricted fine gradient; a bounded run of damped Gauss-Newton
 iterations minimizes it, each step an exact direct solve, in the
 m-dimensional kernel space of the coarse Jacobian when that has fewer
 rows than columns.  Each coarse Jacobian is factored once, and every lam
-tried with it reuses that factor.  The resulting coarse step is
-prolongated back and judged by the usual actual-over-predicted ratio on
-the fine loss.
+tried with it reuses that factor.  Each inner step is judged by actual
+over predicted decrease (`predicted_reduction` of its solve's residual,
+as in the fine loop), and the prolongated coarse step on the fine loss.
 
 The transfer operators and the coarse system they define are built once
 per run, and each coarse point is evaluated once.  A coarse model, and
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import lm
 from .amg import apply_blockwise
-from .linsolve import NumericalError, direct_solve, gram_eigen
+from .linsolve import NumericalError, direct_solve, gram_eigen, predicted_reduction
 from .lm import evaluate_loss, minimize, update_lambda
 
 
@@ -101,7 +101,7 @@ def build_coarse_model(coarse, x, ops, restricted_grad, counter):
     AssertionError, under `python -O` too.
     """
     x0 = apply_blockwise(ops.restrict, x, counter)
-    F0 = coarse.residual(x0)
+    F0, f0 = evaluate_loss(coarse, x0)
     J0 = coarse.jacobian(x0)
     g0 = J0.T @ F0
     counter.add_matvec(*J0.shape)
@@ -113,7 +113,7 @@ def build_coarse_model(coarse, x, ops, restricted_grad, counter):
         system=coarse,
         x0=x0,
         correction=correction,
-        f0=0.5 * float(F0 @ F0),
+        f0=f0,
         coherence_residual=coherence,
         _residual0=F0,
         _jacobian0=J0,
@@ -126,11 +126,12 @@ def coarse_cycle(model, lam, cfg, counter, f_fine):
 
     The run stops after MAX_COARSE_ITER iterations, or earlier once the
     model gradient is within the fine tolerance `cfg.epsilon`.  Returns
-    (step, predicted_reduction, accepted_count) where the step is measured
-    from the restricted iterate and the prediction is the model decrease
-    achieved by the run; a zero step or zero prediction marks a failed
-    coarse attempt.  `gram`, the factor of the current J, is built
-    at its first solve and serves every lam until J is refreshed.
+    (step, predicted_reduction): the step from the restricted iterate,
+    zero for a failed attempt, and the model decrease the run achieved,
+    positive whenever the step is nonzero (it is made of accepted inner
+    steps).  `gram`, the factor of the current J, is built at its first
+    solve and serves every lam until J is refreshed; only each new J's
+    gradient J^T F is charged to `counter`.
 
     `f_fine` is the fine loss at the attempt.  The fine loss at a trial
     point is nonnegative, so the fine ratio rho of the prolongated step
@@ -144,7 +145,6 @@ def coarse_cycle(model, lam, cfg, counter, f_fine):
     F, J, g = model._residual0, model._jacobian0, model._grad0
     gram = model._gram0
     model_value = model.f0
-    accepted = 0
     stale = False
     for _ in range(MAX_COARSE_ITER):
         if stale:
@@ -161,13 +161,11 @@ def coarse_cycle(model, lam, cfg, counter, f_fine):
                 gram = gram_eigen(J)
                 if J is model._jacobian0:
                     model._gram0 = gram
-            s = direct_solve(J, lam, -grad_model, gram)
+            s, linear_residual = direct_solve(J, lam, -grad_model, gram)
         except NumericalError:
             lam = update_lambda(lam, None)
             continue
-        Js = J @ s
-        counter.add_matvec(*J.shape)
-        pred = -(float(grad_model @ s) + 0.5 * float(Js @ Js))
+        pred = predicted_reduction(s, -grad_model, linear_residual, lam)
         rho = None
         if pred > 0 and s.any():
             y_trial = y + s
@@ -178,12 +176,11 @@ def coarse_cycle(model, lam, cfg, counter, f_fine):
         if rho is not None and rho >= lm.ETA1:
             y, F = y_trial, F_trial
             model_value = trial_value
-            accepted += 1
             stale = True
             if f_fine / (model.f0 - model_value) < lm.ETA1:
-                return np.zeros_like(y), model.f0 - model_value, accepted
+                return np.zeros_like(y), model.f0 - model_value
         lam = update_lambda(lam, rho)
-    return y - model.x0, model.f0 - model_value, accepted
+    return y - model.x0, model.f0 - model_value
 
 
 def mlm_solve(system, x0, cfg, ops, counter, trace):
@@ -215,8 +212,8 @@ def mlm_solve(system, x0, cfg, ops, counter, trace):
         if model is None:
             return None
         coherence_log.append((model.coherence_residual, grad_norm))
-        step_coarse, pred, n_accepted = coarse_cycle(model, lam, cfg, counter, f)
-        if n_accepted > 0 and pred > 0 and step_coarse.any():
+        step_coarse, pred = coarse_cycle(model, lam, cfg, counter, f)
+        if step_coarse.any():
             return apply_blockwise(ops.prolong, step_coarse, counter), pred
         return None, pred
 

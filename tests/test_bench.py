@@ -433,8 +433,18 @@ def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypat
      "campaign 'x': the two-level solver needs at least 2 hidden nodes to coarsen, got r=1"),
     ("problem = poisson1d\n", "no section headers"),
     (None, "No such file or directory"),
+    # a value that does not convert is named with its campaign and key
+    ("[campaign:x]\nproblem = poisson1d\nseeds = 0 x\n",
+     "campaign 'x': key 'seeds': invalid literal for int() with base 10: 'x'"),
+    ("[campaign:x]\nproblem = poisson1d\nnu = abc\n",
+     "campaign 'x': key 'nu': could not convert string to float: 'abc'"),
+    ("[campaign:x]\nproblem = poisson1d\nmax_outer_iter = 1e3\n",
+     "campaign 'x': key 'max_outer_iter': invalid literal for int() with base 10: '1e3'"),
+    # an infinite tolerance would stop every run at iteration 0 as converged
+    ("[campaign:x]\nproblem = poisson1d\nepsilon = inf\n",
+     "campaign 'x': epsilon must be positive and finite, got inf"),
 ], ids=["unknown-key", "unknown-problem", "out-of-range", "negative-nu", "r1-mlm", "no-section",
-        "missing-file"])
+        "missing-file", "seeds-not-int", "nu-not-float", "max-outer-iter-not-int", "epsilon-inf"])
 def test_cli_run_reports_a_malformed_file_in_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "c.cfg"
     if text is not None:

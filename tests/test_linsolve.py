@@ -312,20 +312,23 @@ def test_theta_is_read_at_call_time(rng, monkeypatch):
 def test_direct_solve_identity():
     # (I^T I + 1 I) s = e1  =>  s = e1/2
     J = np.eye(3)
-    assert np.allclose(direct_solve(J, 1.0, J[:, 0], gram_eigen(J)), 0.5 * J[:, 0])
+    s, residual = direct_solve(J, 1.0, J[:, 0], gram_eigen(J))
+    assert np.allclose(s, 0.5 * J[:, 0])
+    assert np.allclose(residual, 0.0, rtol=0, atol=1e-15)
 
 
 def test_direct_solve_diagonal():
     # J^T J + I = diag(2, 4)
     J = np.diag([1.0, np.sqrt(3.0)])
-    s = direct_solve(J, 1.0, np.array([2.0, 4.0]), gram_eigen(J))
+    s, residual = direct_solve(J, 1.0, np.array([2.0, 4.0]), gram_eigen(J))
     assert np.allclose(s, [1.0, 1.0])
+    assert np.allclose(residual, 0.0, rtol=0, atol=1e-14)
 
 
 def test_direct_solve_agrees_with_cgls(rng, monkeypatch):
     J = rng.normal(size=(5, 8))
     rhs = rng.normal(size=8)
-    s_direct = direct_solve(J, 0.5, rhs, gram_eigen(J))
+    s_direct, _ = direct_solve(J, 0.5, rhs, gram_eigen(J))
     # same system through the iterative path, rhs entering as a pure correction
     monkeypatch.setattr(linsolve, "THETA", 1e-14)
     res = cgls_truncated(J, -rhs, 0.5, FlopCounter())
@@ -340,7 +343,7 @@ def test_direct_solve_agrees_with_dense_solve(rng, shape, lam):
     J = rng.normal(size=shape)
     n = shape[1]
     rhs = rng.normal(size=n)
-    s = direct_solve(J, lam, rhs, gram_eigen(J))
+    s, _ = direct_solve(J, lam, rhs, gram_eigen(J))
     # spectral solution, accurate to a few ulps whatever the conditioning
     _, sv, Vt = np.linalg.svd(J)
     d = np.zeros(n)
@@ -352,6 +355,27 @@ def test_direct_solve_agrees_with_dense_solve(rng, shape, lam):
     B = J.T @ J + lam * np.eye(n)
     tol = max(1e-10, 10 * np.linalg.cond(B) * np.finfo(float).eps)
     assert np.linalg.norm(s - scipy.linalg.solve(B, rhs)) <= tol * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 0.05, 10.0])
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
+def test_direct_solve_returns_its_linear_residual(rng, shape, lam):
+    J = rng.normal(size=shape)
+    n = shape[1]
+    rhs = rng.normal(size=n)
+    B = J.T @ J + lam * np.eye(n)
+    # the factor of J itself, and of a J off by 1e-11, whose step leaves a residual far
+    # above rounding yet within the bound, so that its sign and size are tested too
+    for gram in (gram_eigen(J), gram_eigen(J * (1 + 1e-11))):
+        s, residual = direct_solve(J, lam, rhs, gram)
+        exact = rhs - B @ s
+        bound = 1e-10 * (np.linalg.norm(B) * np.linalg.norm(s) + np.linalg.norm(rhs))
+        assert np.linalg.norm(residual - exact) <= bound
+        # the model decrease -(g.s + 0.5 ||J s||^2), g = -rhs, from the residual, no product
+        Js = J @ s
+        direct = -(float(-rhs @ s) + 0.5 * float(Js @ Js))
+        assert predicted_reduction(s, rhs, residual, lam) == pytest.approx(direct, rel=1e-12)
+    assert np.linalg.norm(residual - exact) <= 1e-3 * np.linalg.norm(residual)
 
 
 @pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])

@@ -32,6 +32,8 @@ def test_config_validation():
         LmConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         LmConfig(epsilon=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        LmConfig(epsilon=float("inf"))
     with pytest.raises(ValueError):
         LmConfig(max_outer_iter=-1)
 

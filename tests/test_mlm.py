@@ -178,10 +178,9 @@ def test_critical_start_returns_zero_step(rng):
     system = LinearLeastSquares(A, A @ x_star)
     ops = identity_ops(3)  # layout 3*3+1 = 10
     model = coarse_model_at(system, x_star, ops)
-    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-8), FlopCounter(), math.inf)
+    step, pred = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-8), FlopCounter(), math.inf)
     assert not step.any()
     assert pred == 0.0
-    assert accepted == 0
 
 
 def replay_coarse_cycle(model, lam, cfg, solve):
@@ -223,12 +222,12 @@ def test_coarse_cycle_matches_reference_loop(rng):
     ops = identity_ops(3)
     cfg = LmConfig(epsilon=1e-10)
     model = coarse_model_at(system, x0, ops)
-    step, pred, accepted = coarse_cycle(model, lm.LAMBDA0, cfg, FlopCounter(), math.inf)
+    step, pred = coarse_cycle(model, lm.LAMBDA0, cfg, FlopCounter(), math.inf)
     def solve(J, lam, rhs):
-        return direct_solve(J, lam, rhs, gram_eigen(J))
+        return direct_solve(J, lam, rhs, gram_eigen(J))[0]
 
     ref_step, ref_pred, n_acc = replay_coarse_cycle(model, lm.LAMBDA0, cfg, solve)
-    assert accepted == n_acc
+    assert n_acc > 0
     assert np.allclose(step, ref_step, rtol=0, atol=1e-14)
     assert pred == pytest.approx(ref_pred, rel=1e-12)
 
@@ -242,14 +241,13 @@ def test_coarse_cycle_kernel_solve_matches_dense_reference(rng):
     model = coarse_model_at(system, x, ops)
     assert len(model._residual0) < model.x0.size
     cfg = LmConfig(epsilon=1e-10)
-    step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter(), math.inf)
+    step, pred = coarse_cycle(model, 0.05, cfg, FlopCounter(), math.inf)
 
     def dense_solve(J, lam, rhs):
         return scipy.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), rhs, assume_a="pos")
 
     ref_step, ref_pred, n_acc = replay_coarse_cycle(model, 0.05, cfg, dense_solve)
     assert n_acc > 0
-    assert accepted == n_acc
     assert np.allclose(step, ref_step, rtol=1e-10, atol=0)
     assert pred == pytest.approx(ref_pred, rel=1e-10)
 
@@ -268,8 +266,8 @@ def test_coarse_cycle_evaluates_each_coarse_point_once(rng, monkeypatch):
 
     monkeypatch.setattr(ResidualSystem, "residual", recording_residual)
     model = coarse_model_at(system, x, ops)
-    _, _, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
-    assert accepted > 0 and len(points) > accepted
+    step, _ = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
+    assert step.any() and len(points) > 1
     assert len(points) == len(set(points))
 
 
@@ -294,9 +292,9 @@ def test_a_failed_coarse_solve_grows_lambda_and_uses_up_an_iteration(rng, monkey
 
     lams.clear()
     monkeypatch.setattr(mlm, "MAX_COARSE_ITER", 1)
-    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(), FlopCounter(), math.inf)
+    step, pred = coarse_cycle(model, 0.05, LmConfig(), FlopCounter(), math.inf)
     assert lams == [0.05]
-    assert accepted == 0 and pred == 0.0 and not step.any()
+    assert pred == 0.0 and not step.any()
 
 
 def test_coarse_cycle_factors_each_coarse_jacobian_once(rng, monkeypatch):
@@ -319,8 +317,8 @@ def test_coarse_cycle_factors_each_coarse_jacobian_once(rng, monkeypatch):
 
     monkeypatch.setattr(mlm, "gram_eigen", recording_gram_eigen)
     monkeypatch.setattr(mlm, "direct_solve", recording_solve)
-    _, _, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
-    assert accepted > 0 and len(solved) > len(built)  # some Jacobian served several lam
+    step, _ = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
+    assert step.any() and len(solved) > len(built)  # some Jacobian served several lam
     assert len(built) == len(set(built)) == len({key for key, _ in solved})
     assert all(gram is factors[key] for key, gram in solved)
 
@@ -348,10 +346,10 @@ def test_a_shifted_gram_matrix_that_is_not_positive_grows_lambda(rng, monkeypatc
     monkeypatch.setattr(mlm, "gram_eigen", indefinite_at_lam0)
     monkeypatch.setattr(mlm, "direct_solve", recording_solve)
     monkeypatch.setattr(mlm, "MAX_COARSE_ITER", 2)
-    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
+    step, pred = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
     assert "not positive definite" in errors[0]
     assert lams == [0.05, lm.GAMMA3 * 0.05]
-    assert accepted == 0 and pred == 0.0 and not step.any()
+    assert pred == 0.0 and not step.any()
 
 
 def test_a_coarse_run_that_can_no_longer_pass_ends_at_its_first_accepted_step(rng, monkeypatch):
@@ -370,27 +368,55 @@ def test_a_coarse_run_that_can_no_longer_pass_ends_at_its_first_accepted_step(rn
 
     monkeypatch.setattr(mlm, "direct_solve", counting_solve)
     cfg = LmConfig(epsilon=1e-10)
-    step, pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter(), f_fine)
-    assert len(solves) == accepted == 1
+    step, pred = coarse_cycle(model, 0.05, cfg, FlopCounter(), f_fine)
+    # one solve and a positive prediction: its step was accepted, and the run ended there
+    assert len(solves) == 1 and pred > 0
     assert not step.any() and f_fine / pred < lm.ETA1
 
     solves.clear()
-    step, full_pred, accepted = coarse_cycle(model, 0.05, cfg, FlopCounter(), math.inf)
-    assert len(solves) > 1 and accepted > 1 and full_pred >= pred
+    step, full_pred = coarse_cycle(model, 0.05, cfg, FlopCounter(), math.inf)
+    # a larger prediction: the full run accepted steps past its first
+    assert len(solves) > 1 and full_pred > pred
     # the step of the full run fails the fine acceptance test, as the bound says it must
     _, f_trial = lm.evaluate_loss(system, x + apply_blockwise(ops.prolong, step, FlopCounter()))
     assert (f_fine - f_trial) / full_pred < lm.ETA1
 
 
 def test_pred_positive_when_step_accepted(rng):
+    # a nonzero coarse step is made of accepted inner steps, so its prediction is positive
     system = network_system(r=10)
     x = rng.uniform(-1, 1, system.n)
     ops = build_transfer_operators(system.jacobian(x), system.arch)
     model = coarse_model_at(system, x, ops)
-    step, pred, accepted = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-6), FlopCounter(), math.inf)
-    if accepted > 0:
-        assert step.any()
-        assert pred > 0
+    step, pred = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-6), FlopCounter(), math.inf)
+    assert step.any()
+    assert pred > 0
+
+
+def test_coarse_cycle_charges_the_gradient_at_each_coarse_jacobian_and_nothing_per_solve(
+        rng, monkeypatch):
+    system = network_system(nu=3, r=12)
+    x = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x), system.arch)
+    model = coarse_model_at(system, x, ops)
+    shapes, solves = [], []  # the shape of every coarse Jacobian the cycle evaluates; its solves
+    real_jacobian = ResidualSystem.jacobian
+
+    def recording_jacobian(self, p):
+        J = real_jacobian(self, p)
+        shapes.append(J.shape)
+        return J
+
+    def counting_solve(*args):
+        solves.append(None)
+        return direct_solve(*args)
+
+    monkeypatch.setattr(ResidualSystem, "jacobian", recording_jacobian)
+    monkeypatch.setattr(mlm, "direct_solve", counting_solve)
+    counter = FlopCounter()
+    coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), counter, math.inf)
+    assert shapes and len(solves) > len(shapes)  # more solves than Jacobians evaluated
+    assert counter.matvec_flops == sum(2 * m * n_c for m, n_c in shapes)
 
 
 # -- full driver --------------------------------------------------------------------
@@ -561,8 +587,8 @@ def solve_without_reuse(system, x0, cfg, ops, counter, trace):
             return None
         model = build_coarse_model(coarse, x, ops, restricted, counter)
         coherence_log.append((model.coherence_residual, grad_norm))
-        step, pred, accepted = coarse_cycle(model, lam, cfg, counter, math.inf)
-        if accepted > 0 and pred > 0 and step.any():
+        step, pred = coarse_cycle(model, lam, cfg, counter, math.inf)
+        if step.any():
             return apply_blockwise(ops.prolong, step, counter), pred
         return None, pred
 
