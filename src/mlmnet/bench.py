@@ -151,7 +151,6 @@ class SeedResult:
     seed: int
     reports: dict
     rmse: dict
-    p0_digest: str
     errors: dict
 
 
@@ -243,7 +242,7 @@ def run_seed(campaign, system, seed, reference, trace_dir):
         finally:
             if trace is not None:
                 trace.close()
-    return SeedResult(seed=seed, reports=reports, rmse=rmse, p0_digest=digest, errors=errors)
+    return SeedResult(seed=seed, reports=reports, rmse=rmse, errors=errors)
 
 
 def aggregate(campaign, seed_results):

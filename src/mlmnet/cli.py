@@ -3,7 +3,6 @@
 Subcommands:
   run            execute the campaigns of a config file and write a report
   list-problems  show the registered benchmark problems
-  fd-ref         build (and cache) a finite-difference Helmholtz reference
   split-inspect  dump the coupling matrix, C/F split and prolongation
 
 Exit status is 0 when every solver run completed (converged or stopped at
@@ -14,16 +13,15 @@ with status 2 and one line on standard error, before any campaign runs;
 an --out directory that refuses new files, and an --out or --cache name
 too long for the file system, count as ones that cannot be written, and
 so, with --trace, does a campaign whose trace file names cannot be made
-there (a name with a `/`, or one too long).  `fd-ref`
-and `split-inspect` treat settings that define no problem or grid, and
-their --cache and --out paths, the same way, before any solve or build
-(for `fd-ref`, also a resonant wavenumber, whose discrete operator
-cannot be solved), and `split-inspect` checks its settings as `run`
-checks a one-seed `mlm` campaign.  On standard error, `run` names every
-failed run with its error, and every run that stopped at its iteration
-cap without converging.  The campaign file alone sets each campaign's
-seeds and solvers; the report is JSON when --out ends in `.json` and
-CSV otherwise.
+there (a name with a `/`, or one too long).  `run` solves the FD
+reference field of a campaign without a true solution on first use and
+caches it under --cache.  `split-inspect` treats settings that define no
+problem or grid, and its --out path, the same way, before any build, and
+checks its settings as `run` checks a one-seed `mlm` campaign.  On
+standard error, `run` names every failed run with its error, and every
+run that stopped at its iteration cap without converging.  The campaign
+file alone sets each campaign's seeds and solvers; the report is JSON
+when --out ends in `.json` and CSV otherwise.
 """
 
 import argparse
@@ -31,7 +29,7 @@ import configparser
 import sys
 from pathlib import Path
 
-from . import bench, config, fdref
+from . import bench, config
 from .amg import build_coupling_matrix, build_interpolation, dump_coarsening, ruge_stuben_split
 from .bench import PROBLEMS
 
@@ -176,23 +174,6 @@ def _cmd_list_problems(_args):
     return 0
 
 
-def _cmd_fd_ref(args):
-    entry = PROBLEMS[args.problem]
-    nu = args.nu if args.nu is not None else entry.default_nu
-    status = _path_error("fd-ref", cache=Path(args.cache))
-    if status is not None:
-        return status
-    try:
-        fdref.check_resolution(args.resolution, "--resolution")
-        problem = entry.factory(nu)
-        grid = fdref.cached_reference(args.cache, args.problem, problem, args.resolution)
-    except (ValueError, fdref.FdSolveError) as exc:
-        return _input_error("fd-ref", exc)
-    path = fdref.cache_path(args.cache, args.problem, problem.nu, args.resolution)
-    print(f"reference field {grid.points_per_axis}x{grid.points_per_axis} cached at {path}")
-    return 0
-
-
 def _cmd_split_inspect(args):
     try:
         campaign = bench.Campaign(name=args.problem, problem=args.problem, nu=args.nu, r=args.r,
@@ -232,15 +213,6 @@ def build_parser():
 
     lp = sub.add_parser("list-problems", help="list registered benchmark problems")
     lp.set_defaults(func=_cmd_list_problems)
-
-    fd = sub.add_parser("fd-ref", help="build and cache an FD Helmholtz reference field")
-    fd.add_argument("--problem", default="helmholtz2d-const",
-                    choices=[n for n, e in PROBLEMS.items()
-                             if e.factory(e.default_nu).true_solution is None])
-    fd.add_argument("--nu", type=float, default=None)
-    fd.add_argument("--resolution", type=int, default=fdref.RESOLUTION)
-    fd.add_argument("--cache", default=".mlmnet-cache")
-    fd.set_defaults(func=_cmd_fd_ref)
 
     si = sub.add_parser("split-inspect",
                         help="dump coupling matrix, C/F split and prolongation for a seed")

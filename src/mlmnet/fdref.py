@@ -14,6 +14,7 @@ that second path, so importing mlmnet, or building the reference for a
 layered velocity, never loads it.
 """
 
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import pde
 
-# The points per axis of a campaign's reference field and of `mlmnet fd-ref`.
+# The points per axis of a campaign's reference field, unless `fd_resolution` is set.
 RESOLUTION = 201
 
 # The peak memory of a solve, as a count of (M-2) x (M-2) arrays of doubles,
@@ -44,10 +45,6 @@ class FdGrid:
     values: np.ndarray  # values[i, j] = u(axis[i], axis[j]); boundary rows are zero
 
     @property
-    def points_per_axis(self):
-        return self.axis.size
-
-    @property
     def spacing(self):
         return self.axis[1] - self.axis[0]
 
@@ -59,7 +56,7 @@ class FdGrid:
         if (pts < 0).any() or (pts > 1).any():
             raise ValueError("points outside the unit square")
         h = self.spacing
-        cell = np.minimum((pts // h).astype(int), self.points_per_axis - 2)
+        cell = np.minimum((pts // h).astype(int), self.axis.size - 2)
         frac = pts / h - cell
         i, j = cell[:, 0], cell[:, 1]
         tx, ty = frac[:, 0], frac[:, 1]
@@ -197,9 +194,24 @@ def cache_path(cache_dir, name, nu, points_per_axis):
 
 
 def save_reference(path, grid):
+    """Store `grid` at `path` whole or not at all.
+
+    The field is written under a temporary name beside `path`, one that
+    does not end in `.npz` (so a listing of the cache's fields skips it),
+    and renamed over `path` once complete, so an interrupted save, or a
+    reader that races it, never meets a partial file; a failed save
+    removes its temporary file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, axis=grid.axis, values=grid.values)
+    partial = path.with_name(f"{path.name}.{os.getpid()}.part")
+    try:
+        with open(partial, "wb") as stream:
+            np.savez(stream, axis=grid.axis, values=grid.values)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_reference(path):

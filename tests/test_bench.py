@@ -55,26 +55,24 @@ def test_registry_defaults_applied():
     assert len(bench.PROBLEMS) == 9
 
 
-def test_every_registry_row_builds_its_problem_at_its_default_nu():
+def test_every_registry_row_builds_its_problem_at_its_default_nu(tmp_path):
     no_true_solution = []
     for name, entry in bench.PROBLEMS.items():
         problem = entry.factory(entry.default_nu)
         assert isinstance(problem, pde.PdeProblem) and problem.nu == entry.default_nu
         if problem.true_solution is None:
             no_true_solution.append(name)
-    # the problems fd-ref builds a reference for are exactly those without a true solution
-    parser = cli.build_parser()
-    fd_ref_choices = []
-    for name in bench.PROBLEMS:
-        try:
-            parser.parse_args(["fd-ref", "--problem", name])
-        except SystemExit:
-            continue
-        fd_ref_choices.append(name)
-    assert fd_ref_choices == no_true_solution == [
+    assert no_true_solution == [
         "helmholtz2d-const", "helmholtz2d-two-layers", "helmholtz2d-four-layers",
         "helmholtz2d-sine",
     ]
+    # a run caches an FD field for exactly the problems without a true solution
+    for name in bench.PROBLEMS:
+        campaign = Campaign(name="x", problem=name, r=4, fd_resolution=5, solvers=("lm",))
+        bench.reference_for(campaign, campaign.system, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}_nu{bench.PROBLEMS[name].default_nu:g}_n5.npz" for name in no_true_solution
+    )
 
 
 def test_reference_for_is_the_true_solution_or_the_fd_field(tmp_path):
@@ -116,7 +114,6 @@ def test_both_solvers_share_initial_guess():
     rows, seeds = run_campaign(tiny_campaign(solvers=("lm", "mlm")))
     res = seeds[0]
     assert set(res.reports) == {"lm", "mlm"}
-    assert res.p0_digest  # one digest, asserted identical per solver internally
     mlm_row = [r for r in rows if r.solver == "mlm"][0]
     assert mlm_row.save_mean is not None and mlm_row.save_mean > 0
     lm_row = [r for r in rows if r.solver == "lm"][0]
@@ -383,6 +380,9 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 @pytest.mark.parametrize("setting", [
     "max_outer_iter = -1", "epsilon = -1", "epsilon = nan", "nu = 2.3", "nu = inf", "nu = -5",
+    pytest.param("problem = helmholtz2d-const\nnu = inf", id="helmholtz2d-const nu = inf"),
+    pytest.param("problem = helmholtz2d-const\nnu = 1e300", id="helmholtz2d-const nu = 1e300"),
+    pytest.param("problem = helmholtz2d-const\nnu = -5", id="helmholtz2d-const nu = -5"),
     pytest.param("problem = helmholtz2d-const\nfd_resolution = 2", id="fd_resolution = 2"),
     # an FD solve's peak above pde.MAX_JACOBIAN_BYTES: refused before any array is built
     pytest.param("problem = helmholtz2d-two-layers\nfd_resolution = 1000000000",
@@ -712,30 +712,19 @@ def test_cli_run_checks_that_its_out_directory_takes_new_files(tmp_path, monkeyp
 @pytest.mark.parametrize("argv, message", [
     (["split-inspect", "--nu", "2", "--r", "12", "--out", "missing/dir/x.txt"],
      "split-inspect: --out missing/dir/x.txt: no directory missing/dir"),
-    (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "33", "--cache", "taken"],
-     "fd-ref: --cache taken: is not a directory"),
-    (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "33",
-      "--cache", "taken/sub"],
-     "fd-ref: --cache taken/sub: taken is not a directory"),
     (["split-inspect", "--nu", "2", "--r", "12", "--out", "x" * 300 + ".txt"],
      f"split-inspect: --out {'x' * 300}.txt: cannot be created: File name too long"),
-    (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "33",
-      "--cache", "y" * 300],
-     f"fd-ref: --cache {'y' * 300}: File name too long"),
-], ids=["split-out-missing-dir", "fd-cache-file", "fd-cache-under-file", "split-out-too-long",
-        "fd-cache-too-long"])
+], ids=["split-out-missing-dir", "split-out-too-long"])
 def test_cli_checks_its_paths_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
     def work_stub(*args, **kw):
         raise AssertionError("work started")
 
     monkeypatch.setattr(pde.ResidualSystem, "jacobian", work_stub)
-    monkeypatch.setattr(fdref, "solve_helmholtz_fd", work_stub)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "taken").write_text("")
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"mlmnet {message}\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name, why", [
@@ -802,30 +791,12 @@ def test_cli_split_inspect(tmp_path, monkeypatch):
     # the training spacing 1/101 holds every point k/101 of the 100-point RMSE test axis
     (["split-inspect", "--nu", "50.5"],
      "campaign 'poisson1d': the test grid of TEST_POINTS_PER_AXIS=100 lies entirely on training"),
-    (["fd-ref", "--resolution", "2"], "--resolution must be at least 3 points per axis, got 2"),
-    # an FD solve's peak above pde.MAX_JACOBIAN_BYTES: refused before any array is built
-    (["fd-ref", "--problem", "helmholtz2d-two-layers", "--resolution", "1000000000"],
-     "--resolution=1000000000 asks for a peak of 300 arrays of 999999998 x 999999998 doubles, "
-     "above MAX_JACOBIAN_BYTES = 1073741824"),
-    (["fd-ref", "--problem", "helmholtz2d-sine", "--resolution", "671"],
-     "--resolution=671 asks for a peak of 300 arrays of 669 x 669 doubles"),
-    (["fd-ref", "--nu", "inf"], "nu must be finite"),
-    (["fd-ref", "--nu", "1e300"], "nu=1e+300 asks for more than 134217728 training points"),
-    # refused before any field is solved or cached
-    (["fd-ref", "--nu", "-5"], "nu must be non-negative, got -5.0"),
-    # nu puts (2 pi nu / 40)^2 on the lowest eigenvalue of the 17-point Laplacian
-    (["fd-ref", "--nu", "28.238857824564523", "--resolution", "17"],
-     "discrete Helmholtz operator is singular"),
 ], ids=["split-r", "split-nu", "split-activation", "split-nu-inf", "split-nu-1e300",
         "split-r-1e9", "split-seed", "split-nu-negative", "split-nu-negative-half",
-        "split-nu-50.5", "fd-resolution", "fd-resolution-1e9", "fd-resolution-671-sine",
-        "fd-nu-inf", "fd-nu-1e300",
-        "fd-nu-negative", "fd-resonance"])
+        "split-nu-50.5"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
-    target = ["--out", str(tmp_path / "split.txt")] if argv[0] == "split-inspect" else [
-        "--cache", str(tmp_path)]
     try:
-        status = cli.main(argv + target)
+        status = cli.main(argv + ["--out", str(tmp_path / "split.txt")])
     except SystemExit as exc:
         status = exc.code
     assert status == 2
@@ -833,14 +804,22 @@ def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):
     assert captured.out == "" and "Traceback" not in captured.err
     assert message in captured.err and not list(tmp_path.iterdir())
     if "unrecognized" not in message:
-        assert captured.err.startswith(f"mlmnet {argv[0]}: ") and captured.err.count("\n") == 1
-        assert ("campaign" in captured.err) == (argv[0] == "split-inspect")
+        assert captured.err.startswith("mlmnet split-inspect: campaign ")
+        assert captured.err.count("\n") == 1
 
 
-def test_cli_fd_ref_cache(tmp_path, capsys):
-    code = cli.main([
-        "fd-ref", "--problem", "helmholtz2d-const", "--nu", "1",
-        "--resolution", "33", "--cache", str(tmp_path),
-    ])
-    assert code == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["helmholtz2d-const_nu1_n33.npz"]
+def test_cli_run_caches_the_fd_field_and_loads_it_again(tmp_path, monkeypatch):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[campaign:const]\nproblem = helmholtz2d-const\nnu = 1\nr = 4\nsolvers = lm\n"
+                   "fd_resolution = 33\nmax_outer_iter = 0\n")
+    cache, first, second = tmp_path / "cache", tmp_path / "first.csv", tmp_path / "second.csv"
+    assert cli.main(["run", str(cfg), "--out", str(first), "--cache", str(cache)]) == 0
+    assert [p.name for p in cache.iterdir()] == ["helmholtz2d-const_nu1_n33.npz"]
+
+    # a second run loads the file and solves nothing
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved again")
+
+    monkeypatch.setattr(fdref, "solve_helmholtz_fd", no_solve)
+    assert cli.main(["run", str(cfg), "--out", str(second), "--cache", str(cache)]) == 0
+    assert filecmp.cmp(first, second, shallow=False)

@@ -192,6 +192,30 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert np.array_equal(loaded.axis, first.axis)
 
 
+def test_a_save_that_fails_part_way_leaves_nothing_in_the_cache(tmp_path, monkeypatch):
+    problem = pde.helmholtz_2d(1.0, velocity_constant)
+    savez = np.savez
+
+    def fail_part_way(file, **arrays):
+        stream = file if hasattr(file, "write") else open(file, "wb")
+        stream.write(b"PK\x03\x04 a partial field")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", fail_part_way)
+    with pytest.raises(OSError, match="No space left"):
+        cached_reference(tmp_path, "helmholtz2d-const", problem, 17)
+    assert list(tmp_path.iterdir()) == []
+
+    # the next call finds no file, so it solves the field and stores it whole
+    monkeypatch.setattr(np, "savez", savez)
+    grid = cached_reference(tmp_path, "helmholtz2d-const", problem, 17)
+    assert [p.name for p in tmp_path.iterdir()] == ["helmholtz2d-const_nu1_n17.npz"]
+    assert np.array_equal(load_reference(cache_path(tmp_path, "helmholtz2d-const", 1.0, 17)).values,
+                          grid.values)
+    assert np.array_equal(grid.values,
+                          solve_helmholtz_fd(1.0, velocity_constant, box_source, 17).values)
+
+
 def test_cache_names_keep_every_digit_of_nu(tmp_path):
     # 17 significant digits: distinct floats get distinct files, 2.0 and 2.5 keep their names
     assert cache_path(tmp_path, "helmholtz2d-two-layers", 2.0, 201) == (
