@@ -16,23 +16,53 @@ class Activation:
         return self.derivatives(x, (order,))[0]
 
     def derivatives(self, x, orders):
-        """Derivatives of the given orders at the ndarray x, as a list of arrays of its shape.
+        """Derivatives of the given orders at x, as a list of arrays of its shape.
 
         Every order must be in 0..3.  The base value is evaluated once for
-        all of them.
+        all of them.  A scalar x gives scalars.
         """
-        for order in orders:
-            if order not in (0, 1, 2, 3):
-                raise ValueError(f"derivative order must be in 0..3, got {order}")
-        s = np.tanh(0.5 * x)
-        q = 1.0 - s * s if any(orders) else None
-        ladder = (
-            lambda: s,
-            lambda: 0.5 * q,
-            lambda: -0.5 * s * q,
-            lambda: 0.25 * q * (3.0 * s * s - 1.0),
-        )
-        return [ladder[k]() for k in orders]
+        x = np.asarray(x, dtype=float)
+        # the ladder works in place, so it takes a 1-D array even for a scalar
+        s = np.tanh(0.5 * x.reshape(-1))
+        return [out.reshape(x.shape)[()] for out in ladder(s, orders)]
+
+
+def ladder(s, orders):
+    """The derivatives of the given orders from the base s = tanh(x/2), an ndarray.
+
+    Order 0 is s itself, which is never written; every other order is a
+    new array, formed in place after its first product.  The operations
+    are those of the formulas
+
+        q = 1 - s*s,  0.5*q,  -0.5*s*q,  0.25*q*(3*s*s - 1)
+
+    in that order, so the values are the same bits as theirs.  Every
+    order must be in 0..3.
+    """
+    for order in orders:
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"derivative order must be in 0..3, got {order}")
+    q = None
+    if any(orders):
+        q = np.multiply(s, s)
+        np.subtract(1.0, q, out=q)
+    outs = []
+    for k in orders:
+        if k == 0:
+            out = s
+        elif k == 1:
+            out = np.multiply(q, 0.5)
+        elif k == 2:
+            out = np.multiply(s, -0.5)
+            out *= q
+        else:
+            poly = np.multiply(s, 3.0)
+            poly *= s
+            poly -= 1.0
+            out = np.multiply(q, 0.25)
+            out *= poly
+        outs.append(out)
+    return outs
 
 
 SIGMOID = Activation()

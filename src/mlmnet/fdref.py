@@ -16,6 +16,7 @@ layered velocity, never loads it.
 
 import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -215,15 +216,40 @@ def save_reference(path, grid):
 
 
 def load_reference(path):
+    """The field stored at `path` by `save_reference`.
+
+    Raises ValueError when the file holds no .npz archive (or pickled
+    data), KeyError when the archive lacks `axis` or `values`, and EOFError
+    or zipfile.BadZipFile when the file is cut short or damaged.
+    """
     data = np.load(path)
-    return FdGrid(axis=data["axis"], values=data["values"])
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} holds no .npz archive")
+    with data:
+        return FdGrid(axis=data["axis"], values=data["values"])
+
+
+# what load_reference raises on a file damaged other than by its own save
+DAMAGED_FILE_ERRORS = (EOFError, KeyError, ValueError, zipfile.BadZipFile)
 
 
 def cached_reference(cache_dir, name, problem, points_per_axis):
-    """The FD field of `problem`, id `name`: read from `cache_path`, or solved and saved there."""
-    path = cache_path(cache_dir, name, problem.nu, points_per_axis)
+    """The FD field of `problem`, id `name`: read from `cache_path`, or solved and saved there.
+
+    A file that does not load as a field of points_per_axis points per
+    axis (cut short, damaged, or of another size) is solved again and
+    replaced; any other error of the read propagates.
+    """
+    M = points_per_axis
+    path = cache_path(cache_dir, name, problem.nu, M)
     if path.exists():
-        return load_reference(path)
-    grid = solve_helmholtz_fd(problem.nu, problem.velocity, problem.rhs_interior, points_per_axis)
+        try:
+            grid = load_reference(path)
+        except DAMAGED_FILE_ERRORS:
+            pass
+        else:
+            if grid.axis.shape == (M,) and grid.values.shape == (M, M):
+                return grid
+    grid = solve_helmholtz_fd(problem.nu, problem.velocity, problem.rhs_interior, M)
     save_reference(path, grid)
     return grid

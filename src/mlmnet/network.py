@@ -13,6 +13,12 @@ is the network's one representation; its layout is
 i.e. input weights are grouped by input node, matching the block
 structure the algebraic coarsening relies on.  `unpack` reads the four
 groups as views into the vector, without copying it.
+
+Every evaluation at a point set starts from `activation_base`, the
+sigmoid's value tanh(pre/2) at the hidden nodes, and derives the
+derivative orders it needs from that base (`activations.ladder`), so a
+caller that keeps a base derives more orders from it without a second
+activation pass.
 """
 
 from dataclasses import dataclass
@@ -20,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .activations import SIGMOID
+from .activations import ladder
 
 # Hidden activations eval_batch holds at once: 32768 doubles, 256 KiB, so
 # a block's pre-activations and activations stay in a 4 MiB L2 cache
@@ -90,16 +96,30 @@ def row_blocks(n_rows, width):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-# Evaluation over a (t, dim) block of points.  `hidden_activations` forms
-# the pre-activations and the activation derivatives of a point set once;
-# the formulas below take them as arguments, so a caller that needs several
-# quantities at the same points (the residual and its Jacobian) pays for
-# one pass.  The *_batch functions compose the two for a single quantity.
+# Evaluation over a (t, dim) block of points.  `activation_base` forms the
+# pre-activations and the sigmoid's value tanh(pre/2) of a point set, in
+# place in one array; `hidden_activations` derives the derivative orders
+# asked for from that base.  The formulas below take the derivatives as
+# arguments, so a caller that needs several quantities at the same points
+# (the residual and its Jacobian) pays for one pass.  The *_batch
+# functions compose the two for a single quantity.
+
+def activation_base(params, points, out=None):
+    """tanh(pre/2) at the hidden nodes, (t, n_hidden), pre = points @ in_weights + hidden_bias.
+
+    Written into `out` when given, else into a new array.  pre is formed
+    in the same array, by the operations of `activations.SIGMOID(pre)` in
+    their order, so the values are the same bits.
+    """
+    base = np.matmul(points, params.in_weights, out=out)
+    base += params.hidden_bias
+    base *= 0.5
+    return np.tanh(base, out=base)
+
 
 def hidden_activations(params, points, orders):
     """Activation derivatives of the given orders at the hidden nodes, each (t, n_hidden)."""
-    pre = points @ params.in_weights + params.hidden_bias
-    return SIGMOID.derivatives(pre, orders)
+    return ladder(activation_base(params, points), orders)
 
 
 def output(params, s0):
@@ -124,17 +144,22 @@ def fill_value_param_jacobian(params, points, s0, s1, out):
 
 
 def fill_laplacian_param_jacobian(params, points, s2, s3, out):
-    """Write d(Laplacian)/d(params) at each row of `points` into `out`, (t, n_params)."""
+    """Write d(Laplacian)/d(params) at each row of `points` into `out`, (t, n_params).
+
+    s2 and s3 are overwritten: they serve as the scratch space of the
+    input-weight columns.
+    """
     dim, r = params.in_weights.shape
     wsq = np.sum(params.in_weights**2, axis=0)
     np.multiply(s2, wsq, out=out[:, :r])
-    vs2 = s2 * params.out_weights
+    vs2 = np.multiply(s2, params.out_weights, out=s2)
     vs3w = np.multiply(
         s3, params.out_weights * wsq, out=out[:, (dim + 1) * r : (dim + 2) * r]
     )
     for j in range(dim):
-        wj = params.in_weights[j]
-        np.add(2.0 * wj * vs2, vs3w * points[:, j : j + 1], out=out[:, (1 + j) * r : (2 + j) * r])
+        # 2 w_j vs2 + vs3w z_j, summed the other way round (the same bits)
+        column = np.multiply(vs3w, points[:, j : j + 1], out=out[:, (1 + j) * r : (2 + j) * r])
+        column += np.multiply(vs2, 2.0 * params.in_weights[j], out=s3)
     out[:, -1] = 0.0
     return out
 
@@ -143,14 +168,16 @@ def eval_batch(arch, p, points):
     """Network output at each row of `points`, shape (t,).
 
     Evaluated in row blocks of at most BLOCK_ELEMENTS hidden activations,
-    so a large point set (the RMSE test grid) never builds whole
-    (t, n_hidden) temporaries.
+    through one block buffer, so a large point set (the RMSE test grid)
+    never builds whole (t, n_hidden) temporaries.
     """
     params = unpack(arch, p)
     out = np.empty(points.shape[0])
-    for rows in row_blocks(points.shape[0], arch.n_hidden):
-        pre = points[rows] @ params.in_weights + params.hidden_bias
-        out[rows] = output(params, SIGMOID(pre, 0))
+    blocks = row_blocks(points.shape[0], arch.n_hidden)
+    buffer = np.empty((max((b.stop - b.start for b in blocks), default=0), arch.n_hidden))
+    for rows in blocks:
+        s0 = activation_base(params, points[rows], buffer[: rows.stop - rows.start])
+        out[rows] = output(params, s0)
     return out
 
 

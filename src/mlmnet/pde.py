@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import network
+from .activations import ladder
 from .network import NetworkArch
 
 # The largest Jacobian, in bytes, a ResidualSystem may ask for: its m x n
@@ -140,6 +141,11 @@ class ResidualSystem:
         t = self.training.total
         self._int_scale = 1.0 / np.sqrt(t)
         self._bnd_scale = np.sqrt(problem.penalty / t)
+        self._base_key, self._bases = None, None
+        # the work array of jacobian's d(u) rows, needed only with a reaction term
+        self._j_val = None
+        if problem.reaction is not None:
+            self._j_val = np.empty((len(self.training.interior), arch.n_params))
 
     @property
     def m(self):
@@ -156,51 +162,73 @@ class ResidualSystem:
 
     # -- residual / Jacobian ---------------------------------------------------
     #
-    # Each evaluates the pre-activations and the activation base of a point
-    # set once, and only the derivative orders its operator uses: the
-    # values of u and their parameter derivatives only with a reaction term.
+    # Both read the activation base tanh(pre/2) of the interior and the
+    # boundary points from `_activation_bases`, which keeps the bases of the
+    # last parameter vector evaluated: the Jacobian at an accepted trial
+    # point reuses what the trial's residual formed.  Each derives only the
+    # derivative orders its operator uses: the values of u and their
+    # parameter derivatives only with a reaction term.
+
+    def _activation_bases(self, params, p):
+        """The activation bases (interior, boundary) at p, read-only (t, n_hidden) arrays.
+
+        They are kept for the last vector evaluated, keyed by the dtype and
+        bytes of its values (a private copy, so a caller that writes to its
+        vector in place gets fresh bases, and -0.0 is not taken for 0.0).
+        """
+        key = (p.dtype.str, p.tobytes())
+        if key != self._base_key:
+            bases = tuple(
+                network.activation_base(params, z)
+                for z in (self.training.interior, self.training.boundary)
+            )
+            for base in bases:
+                base.flags.writeable = False
+            self._base_key, self._bases = key, bases
+        return self._bases
 
     def residual(self, p):
         """Stacked residual vector F(p), interior entries first."""
         params = network.unpack(self.arch, p)
         problem = self.problem
-        zi, zb = self.training.interior, self.training.boundary
-        with_values = problem.reaction is not None
-        acts = network.hidden_activations(params, zi, (2, 0) if with_values else (2,))
-        d_int = problem.lap_sign * network.laplacian(params, acts[0])
-        if with_values:
-            d_int = d_int + problem.reaction(zi, network.output(params, acts[1]))
+        base_int, base_bnd = self._activation_bases(params, p)
+        (s2,) = ladder(base_int, (2,))
+        d_int = problem.lap_sign * network.laplacian(params, s2)
+        if problem.reaction is not None:
+            d_int = d_int + problem.reaction(
+                self.training.interior, network.output(params, base_int)
+            )
         r_int = self._int_scale * (d_int - self._g1)
-        (s0,) = network.hidden_activations(params, zb, (0,))
-        r_bnd = self._bnd_scale * (network.output(params, s0) - self._g2)
+        r_bnd = self._bnd_scale * (network.output(params, base_bnd) - self._g2)
         return np.concatenate([r_int, r_bnd])
 
     def jacobian(self, p):
-        """J(p), one row per residual entry, columns in parameter layout.
+        """J(p), one row per residual entry, columns in parameter layout, a new array.
 
         Interior rows are (lap_sign * d(Lap u) + reaction_du * d(u)) * interior
-        scale, element by element, written into one preallocated array.
+        scale, element by element, written into the one array; d(u) goes
+        through a work array the system keeps.
         """
         params = network.unpack(self.arch, p)
         problem = self.problem
         zi, zb = self.training.interior, self.training.boundary
+        base_int, base_bnd = self._activation_bases(params, p)
         jac = np.empty((self.m, self.n))
         j_int, j_bnd = jac[: len(zi)], jac[len(zi) :]
         with_values = problem.reaction is not None
-        acts = network.hidden_activations(params, zi, (2, 3, 0, 1) if with_values else (2, 3))
+        acts = ladder(base_int, (2, 3, 1) if with_values else (2, 3))
         network.fill_laplacian_param_jacobian(params, zi, acts[0], acts[1], j_int)
         if not with_values:
             j_int *= problem.lap_sign * self._int_scale  # exactly (lap_sign * d(Lap u)) * scale
         else:
             j_int *= problem.lap_sign
-            j_val = np.empty_like(j_int)
-            network.fill_value_param_jacobian(params, zi, acts[2], acts[3], j_val)
-            du = problem.reaction_du(zi, network.output(params, acts[2]))
+            j_val = network.fill_value_param_jacobian(params, zi, base_int, acts[2], self._j_val)
+            du = problem.reaction_du(zi, network.output(params, base_int))
             j_val *= np.reshape(du, (-1, 1))
             j_int += j_val
             j_int *= self._int_scale
-        s0, s1 = network.hidden_activations(params, zb, (0, 1))
-        network.fill_value_param_jacobian(params, zb, s0, s1, j_bnd)
+        (s1,) = ladder(base_bnd, (1,))
+        network.fill_value_param_jacobian(params, zb, base_bnd, s1, j_bnd)
         j_bnd *= self._bnd_scale
         return jac
 
@@ -227,16 +255,20 @@ class ResidualSystem:
             )
         return pts
 
-    def rmse(self, p, reference):
-        """Root mean squared error of the network against `reference`.
+    def test_target(self, reference):
+        """(test_grid(), the values of `reference` there): what `rmse` measures against.
 
-        `reference` is a callable on point rows, such as the problem's
-        true solution or a finite-difference grid's `sample`
-        (`bench.reference_for` picks one).  The error is taken over
-        `test_grid()`, TEST_POINTS_PER_AXIS per axis.
+        `reference` is a callable on point rows, such as the problem's true
+        solution or a finite-difference grid's `sample` (`bench.reference_for`
+        picks one).
         """
-        pts = self.test_grid()
-        err = network.eval_batch(self.arch, p, pts) - np.asarray(reference(pts), dtype=float)
+        points = self.test_grid()
+        return points, np.asarray(reference(points), dtype=float)
+
+    def rmse(self, p, target):
+        """Root mean squared error of the network against `target`, a `test_target` pair."""
+        points, values = target
+        err = network.eval_batch(self.arch, p, points) - values
         return float(np.sqrt(np.mean(err**2)))
 
 

@@ -216,6 +216,80 @@ def test_a_save_that_fails_part_way_leaves_nothing_in_the_cache(tmp_path, monkey
                           solve_helmholtz_fd(1.0, velocity_constant, box_source, 17).values)
 
 
+def damaged_copies(field_bytes, tmp_path):
+    """Damaged versions of a saved field's bytes: cut short, a flipped byte, not an archive."""
+    np.save(tmp_path / "plain.npy", np.zeros(3))
+    np.savez(tmp_path / "other.npz", axis=np.zeros(3))
+    np.savez(tmp_path / "small.npz", axis=np.zeros(5), values=np.zeros((5, 5)))
+    flipped = bytearray(field_bytes)
+    flipped[211] ^= 0xFF
+    return {
+        "truncated": field_bytes[:5000],
+        "empty": b"",
+        "flipped byte": bytes(flipped),
+        "not an archive": b"hello" * 100,
+        "a plain .npy": (tmp_path / "plain.npy").read_bytes(),
+        "no values": (tmp_path / "other.npz").read_bytes(),
+        "another resolution": (tmp_path / "small.npz").read_bytes(),
+    }
+
+
+def test_a_damaged_cached_field_is_solved_again_and_replaced(tmp_path, monkeypatch):
+    problem = pde.helmholtz_2d(2.0, velocity_two_layers)
+    cache = tmp_path / "cache"
+    solved = cached_reference(cache, "helmholtz2d-two-layers", problem, 33)
+    path = cache_path(cache, "helmholtz2d-two-layers", 2.0, 33)
+    field_bytes = path.read_bytes()
+    solve = fdref.solve_helmholtz_fd
+    solves = []
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fdref, "solve_helmholtz_fd", counting_solve)
+    for damage, data in damaged_copies(field_bytes, tmp_path).items():
+        path.write_bytes(data)
+        solves.clear()
+        grid = cached_reference(cache, "helmholtz2d-two-layers", problem, 33)
+        assert len(solves) == 1, damage
+        assert np.array_equal(grid.values, solved.values), damage
+        assert path.read_bytes() == field_bytes, damage
+        assert [p.name for p in cache.iterdir()] == [path.name], damage
+        # the replaced file loads on the next call, which solves nothing
+        again = cached_reference(cache, "helmholtz2d-two-layers", problem, 33)
+        assert len(solves) == 1, damage
+        assert np.array_equal(again.values, solved.values), damage
+
+
+def test_any_other_error_reading_a_cached_field_propagates(tmp_path, monkeypatch):
+    problem = pde.helmholtz_2d(1.0, velocity_constant)
+    cached_reference(tmp_path, "helmholtz2d-const", problem, 17)
+
+    def failing_load(*args, **kwargs):
+        raise PermissionError("read denied")
+
+    monkeypatch.setattr(np, "load", failing_load)
+    with pytest.raises(PermissionError, match="read denied"):
+        cached_reference(tmp_path, "helmholtz2d-const", problem, 17)
+
+
+def test_load_reference_closes_its_archive(tmp_path, monkeypatch):
+    grid = solve_helmholtz_fd(1.0, velocity_constant, box_source, 17)
+    save_reference(tmp_path / "f.npz", grid)
+    opened = []
+    load = np.load
+
+    def recording_load(*args, **kwargs):
+        opened.append(load(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(np, "load", recording_load)
+    loaded = load_reference(tmp_path / "f.npz")
+    assert np.array_equal(loaded.values, grid.values)
+    assert opened[0].fid is None  # NpzFile.close drops its file
+
+
 def test_cache_names_keep_every_digit_of_nu(tmp_path):
     # 17 significant digits: distinct floats get distinct files, 2.0 and 2.5 keep their names
     assert cache_path(tmp_path, "helmholtz2d-two-layers", 2.0, 201) == (

@@ -3,6 +3,7 @@ import pytest
 
 from mlmnet import network, pde
 from mlmnet.amg import build_transfer_operators
+from mlmnet.bench import PROBLEMS
 from mlmnet.network import NetworkArch
 from mlmnet.pde import (
     PdeProblem,
@@ -286,19 +287,92 @@ def test_residual_and_jacobian_are_bit_identical_to_per_quantity_evaluation():
     assert call_on_one_blas_thread("test_pde", "fused_evaluation_mismatches") == "[]"
 
 
+# -- the kept activation bases ---------------------------------------------------
+
+
+def assert_same_as_fresh(system, p, build):
+    """The residual and the Jacobian of `system` at p equal those of a fresh system from `build`."""
+    assert np.array_equal(system.residual(p), build().residual(p))
+    assert np.array_equal(system.jacobian(p), build().jacobian(p))
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_kept_bases_give_the_bits_of_a_fresh_system(name, rng):
+    problem = PROBLEMS[name].factory(PROBLEMS[name].default_nu)
+    fine = small_system(problem, r=12)
+    ops = build_transfer_operators(fine.jacobian(rng.uniform(-1, 1, fine.n)), fine.arch)
+    coarse = fine.coarsen(ops)
+    for system, build in ((fine, lambda: small_system(problem, r=12)),
+                          (coarse, lambda: fine.coarsen(ops))):
+        a, b = rng.uniform(-1, 1, system.n), rng.uniform(-1, 1, system.n)
+        # a trial residual, then the Jacobian at the accepted point, as a new object
+        assert np.array_equal(system.residual(a), build().residual(a))
+        assert np.array_equal(system.jacobian(a.copy()), build().jacobian(a))
+        # interleaved points A, B, A
+        for p in (a, b, a):
+            assert_same_as_fresh(system, p, build)
+        # the caller writes to its vector in place between calls (a hidden bias)
+        system.residual(a)
+        a[-2] += 0.25
+        assert np.array_equal(system.jacobian(a), build().jacobian(a))
+        assert_same_as_fresh(system, a, build)
+        # a Jacobian at a point no residual was taken at
+        c = rng.uniform(-1, 1, system.n)
+        assert np.array_equal(system.jacobian(c), build().jacobian(c))
+        assert np.array_equal(system.residual(c), build().residual(c))
+
+
+def test_the_jacobian_after_the_residual_forms_no_base(rng, monkeypatch):
+    system = small_system(helmholtz_1d(nu=3))
+    bases = []
+    activation_base = network.activation_base
+
+    def counting_base(params, points, out=None):
+        bases.append(len(points))
+        return activation_base(params, points, out)
+
+    monkeypatch.setattr(network, "activation_base", counting_base)
+    n_int, n_bnd = len(system.training.interior), len(system.training.boundary)
+    p = rng.uniform(-1, 1, system.n)
+    p[0] = 0.0
+    system.residual(p)
+    assert bases == [n_int, n_bnd]
+    system.jacobian(p.copy())  # equal values, another object
+    system.residual(p)
+    assert bases == [n_int, n_bnd]
+    # values that compare equal but differ in their bits (-0.0) are another point
+    q = p.copy()
+    q[0] = -0.0
+    system.jacobian(q)
+    assert bases == [n_int, n_bnd] * 2
+    system.jacobian(q + 1.0)
+    assert bases == [n_int, n_bnd] * 3
+
+
+def test_the_kept_bases_are_read_only(rng):
+    system = small_system(poisson_2d(nu=2))
+    p = rng.uniform(-1, 1, system.n)
+    system.residual(p)
+    for base in system._bases:
+        assert base.shape[1] == system.arch.n_hidden
+        with pytest.raises(ValueError, match="read-only"):
+            base[0, 0] = 1.0
+    assert_same_as_fresh(system, p, lambda: small_system(poisson_2d(nu=2)))
+
+
 # -- error metric ---------------------------------------------------------------
 
 
 def test_rmse_zero_for_exact_solution():
     system = small_system(constant_solution_problem("poisson", 1, 0.8))
-    exact = system.problem.true_solution
-    assert system.rmse(constant_network(system, 0.8), exact) == pytest.approx(0.0, abs=1e-15)
+    target = system.test_target(system.problem.true_solution)
+    assert system.rmse(constant_network(system, 0.8), target) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rmse_of_constant_offset():
     system = small_system(constant_solution_problem("poisson", 2, 0.5))
-    exact = system.problem.true_solution
-    assert system.rmse(constant_network(system, 0.6), exact) == pytest.approx(0.1)
+    target = system.test_target(system.problem.true_solution)
+    assert system.rmse(constant_network(system, 0.6), target) == pytest.approx(0.1)
 
 
 def test_rmse_matches_brute_force(rng):
@@ -308,7 +382,9 @@ def test_rmse_matches_brute_force(rng):
 
     diff = network.eval_batch(system.arch, x, pts) - system.problem.true_solution(pts)
     brute = np.sqrt(np.mean(diff**2))
-    assert abs(system.rmse(x, system.problem.true_solution) - brute) < 1e-12
+    target = system.test_target(system.problem.true_solution)
+    assert np.array_equal(target[0], pts)
+    assert abs(system.rmse(x, target) - brute) < 1e-12
 
 
 def test_rmse_grid_excludes_training_points(monkeypatch):
@@ -414,7 +490,7 @@ def test_rmse_rejects_an_empty_test_grid():
     with pytest.raises(ValueError, match="TEST_POINTS_PER_AXIS=100 .* when nu=50.5"):
         system.test_grid()
     with pytest.raises(ValueError, match="TEST_POINTS_PER_AXIS=100 .* when nu=50.5"):
-        system.rmse(np.zeros(system.n), system.problem.true_solution)
+        system.test_target(system.problem.true_solution)
 
 
 # -- validation -----------------------------------------------------------------
@@ -443,4 +519,4 @@ def test_dimension_mismatch_rejected(rng):
             with pytest.raises(ValueError, match="parameter vector has shape"):
                 evaluate(bad)
         with pytest.raises(ValueError, match="parameter vector has shape"):
-            system.rmse(bad, system.problem.true_solution)
+            system.rmse(bad, system.test_target(system.problem.true_solution))
