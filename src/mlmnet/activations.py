@@ -22,9 +22,8 @@ class Activation:
         all of them.  A scalar x gives scalars.
         """
         x = np.asarray(x, dtype=float)
-        # the ladder works in place, so it takes a 1-D array even for a scalar
-        s = np.tanh(0.5 * x.reshape(-1))
-        return [out.reshape(x.shape)[()] for out in ladder(s, orders)]
+        # the ladder works in place, so a scalar goes through it as a 1-element array
+        return [d.reshape(x.shape)[()] for d in ladder(np.tanh(0.5 * x.ravel()), orders)]
 
 
 def ladder(s, orders):

@@ -208,10 +208,9 @@ def trace_path(trace_dir, name, solver, seed):
     return trace_dir / f"trace_{name}_{solver}_seed{seed}.csv"
 
 
-def run_seed(campaign, system, seed, target, trace_dir):
+def run_seed(campaign, system, seed, reference, trace_dir):
     """Run every requested solver from the seed's starting point.
 
-    Each run's RMSE is taken against `target`, the system's `test_target`.
     Each run writes its trace into `trace_dir`, unless that is None.  A
     starting point changed in place by an earlier run is a programming
     error and raises AssertionError, under `python -O` too.
@@ -233,7 +232,7 @@ def run_seed(campaign, system, seed, target, trace_dir):
             else:
                 ops = build_transfer_operators(system.jacobian(p0), system.arch)
                 report = mlm_solve(system, x0, cfg, ops, FlopCounter(), trace)
-            rmse[solver] = system.rmse(report.final_params, target)
+            rmse[solver] = system.rmse(report.final_params, reference)
             reports[solver] = report  # only with its RMSE: aggregate reads both
         except (NumericalError, ValueError) as exc:
             # a declared solver failure (a numerical breakdown, a non-finite
@@ -285,10 +284,12 @@ def run_campaign(campaign, trace_dir=None, cache_dir=None, workers=1):
     if workers != 1:
         raise ValueError(f"campaign seeds run in sequence; workers must be 1, got {workers!r}")
     system = build_system(campaign)
-    # the RMSE's test grid and reference values, built here, never kept past the
-    # call: pde.TEST_POINTS_PER_AXIS is read at call time
-    target = system.test_target(reference_for(campaign, system, cache_dir))
-    seed_results = [run_seed(campaign, system, s, target, trace_dir) for s in campaign.seeds]
+    reference = reference_for(campaign, system, cache_dir)
+    try:
+        seed_results = [run_seed(campaign, system, s, reference, trace_dir) for s in campaign.seeds]
+    finally:
+        # a campaign keeps its system: an idle one holds no activation bases
+        system.release_bases()
     return aggregate(campaign, seed_results), seed_results
 
 

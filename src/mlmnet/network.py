@@ -104,14 +104,14 @@ def row_blocks(n_rows, width):
 # (the residual and its Jacobian) pays for one pass.  The *_batch
 # functions compose the two for a single quantity.
 
-def activation_base(params, points, out=None):
+def activation_base(params, points):
     """tanh(pre/2) at the hidden nodes, (t, n_hidden), pre = points @ in_weights + hidden_bias.
 
-    Written into `out` when given, else into a new array.  pre is formed
-    in the same array, by the operations of `activations.SIGMOID(pre)` in
-    their order, so the values are the same bits.
+    pre is formed in the returned array, by the operations of
+    `activations.SIGMOID(pre)` in their order, so the values are the same
+    bits.
     """
-    base = np.matmul(points, params.in_weights, out=out)
+    base = points @ params.in_weights
     base += params.hidden_bias
     base *= 0.5
     return np.tanh(base, out=base)
@@ -144,22 +144,17 @@ def fill_value_param_jacobian(params, points, s0, s1, out):
 
 
 def fill_laplacian_param_jacobian(params, points, s2, s3, out):
-    """Write d(Laplacian)/d(params) at each row of `points` into `out`, (t, n_params).
-
-    s2 and s3 are overwritten: they serve as the scratch space of the
-    input-weight columns.
-    """
+    """Write d(Laplacian)/d(params) at each row of `points` into `out`, (t, n_params)."""
     dim, r = params.in_weights.shape
     wsq = np.sum(params.in_weights**2, axis=0)
     np.multiply(s2, wsq, out=out[:, :r])
-    vs2 = np.multiply(s2, params.out_weights, out=s2)
+    vs2 = s2 * params.out_weights
     vs3w = np.multiply(
         s3, params.out_weights * wsq, out=out[:, (dim + 1) * r : (dim + 2) * r]
     )
     for j in range(dim):
-        # 2 w_j vs2 + vs3w z_j, summed the other way round (the same bits)
-        column = np.multiply(vs3w, points[:, j : j + 1], out=out[:, (1 + j) * r : (2 + j) * r])
-        column += np.multiply(vs2, 2.0 * params.in_weights[j], out=s3)
+        wj = params.in_weights[j]
+        np.add(2.0 * wj * vs2, vs3w * points[:, j : j + 1], out=out[:, (1 + j) * r : (2 + j) * r])
     out[:, -1] = 0.0
     return out
 
@@ -168,16 +163,13 @@ def eval_batch(arch, p, points):
     """Network output at each row of `points`, shape (t,).
 
     Evaluated in row blocks of at most BLOCK_ELEMENTS hidden activations,
-    through one block buffer, so a large point set (the RMSE test grid)
-    never builds whole (t, n_hidden) temporaries.
+    so a large point set (the RMSE test grid) never builds whole
+    (t, n_hidden) temporaries.
     """
     params = unpack(arch, p)
     out = np.empty(points.shape[0])
-    blocks = row_blocks(points.shape[0], arch.n_hidden)
-    buffer = np.empty((max((b.stop - b.start for b in blocks), default=0), arch.n_hidden))
-    for rows in blocks:
-        s0 = activation_base(params, points[rows], buffer[: rows.stop - rows.start])
-        out[rows] = output(params, s0)
+    for rows in row_blocks(points.shape[0], arch.n_hidden):
+        out[rows] = output(params, activation_base(params, points[rows]))
     return out
 
 

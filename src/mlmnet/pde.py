@@ -142,10 +142,6 @@ class ResidualSystem:
         self._int_scale = 1.0 / np.sqrt(t)
         self._bnd_scale = np.sqrt(problem.penalty / t)
         self._base_key, self._bases = None, None
-        # the work array of jacobian's d(u) rows, needed only with a reaction term
-        self._j_val = None
-        if problem.reaction is not None:
-            self._j_val = np.empty((len(self.training.interior), arch.n_params))
 
     @property
     def m(self):
@@ -187,6 +183,10 @@ class ResidualSystem:
             self._base_key, self._bases = key, bases
         return self._bases
 
+    def release_bases(self):
+        """Drop the kept activation bases; the next evaluation forms them again."""
+        self._base_key, self._bases = None, None
+
     def residual(self, p):
         """Stacked residual vector F(p), interior entries first."""
         params = network.unpack(self.arch, p)
@@ -206,8 +206,7 @@ class ResidualSystem:
         """J(p), one row per residual entry, columns in parameter layout, a new array.
 
         Interior rows are (lap_sign * d(Lap u) + reaction_du * d(u)) * interior
-        scale, element by element, written into the one array; d(u) goes
-        through a work array the system keeps.
+        scale, element by element, written into one preallocated array.
         """
         params = network.unpack(self.arch, p)
         problem = self.problem
@@ -222,7 +221,8 @@ class ResidualSystem:
             j_int *= problem.lap_sign * self._int_scale  # exactly (lap_sign * d(Lap u)) * scale
         else:
             j_int *= problem.lap_sign
-            j_val = network.fill_value_param_jacobian(params, zi, base_int, acts[2], self._j_val)
+            j_val = np.empty_like(j_int)
+            network.fill_value_param_jacobian(params, zi, base_int, acts[2], j_val)
             du = problem.reaction_du(zi, network.output(params, base_int))
             j_val *= np.reshape(du, (-1, 1))
             j_int += j_val
@@ -255,20 +255,16 @@ class ResidualSystem:
             )
         return pts
 
-    def test_target(self, reference):
-        """(test_grid(), the values of `reference` there): what `rmse` measures against.
+    def rmse(self, p, reference):
+        """Root mean squared error of the network against `reference`.
 
-        `reference` is a callable on point rows, such as the problem's true
-        solution or a finite-difference grid's `sample` (`bench.reference_for`
-        picks one).
+        `reference` is a callable on point rows, such as the problem's
+        true solution or a finite-difference grid's `sample`
+        (`bench.reference_for` picks one).  The error is taken over
+        `test_grid()`, TEST_POINTS_PER_AXIS per axis.
         """
-        points = self.test_grid()
-        return points, np.asarray(reference(points), dtype=float)
-
-    def rmse(self, p, target):
-        """Root mean squared error of the network against `target`, a `test_target` pair."""
-        points, values = target
-        err = network.eval_batch(self.arch, p, points) - values
+        pts = self.test_grid()
+        err = network.eval_batch(self.arch, p, pts) - np.asarray(reference(pts), dtype=float)
         return float(np.sqrt(np.mean(err**2)))
 
 

@@ -169,36 +169,23 @@ def test_seeds_run_in_sequence_only():
         run_campaign(tiny_campaign(), workers=2)
 
 
-def test_the_rmse_grid_and_reference_are_built_once_per_campaign_run(monkeypatch, tmp_path):
-    campaign = Campaign(name="two-layers", problem="helmholtz2d-two-layers", r=4,
-                        fd_resolution=17, seeds=(0, 1), solvers=("lm", "mlm"),
-                        overrides={"max_outer_iter": 3})
-    grids, samples = [], []
-    test_grid, sample = pde.ResidualSystem.test_grid, fdref.FdGrid.sample
+def test_a_finished_campaign_run_keeps_no_activation_bases(monkeypatch):
+    released = []
+    release_bases = pde.ResidualSystem.release_bases
 
-    def counting_grid(self):
-        grids.append(self)
-        return test_grid(self)
+    def recording_release(self):
+        released.append((self, self._bases is not None))
+        release_bases(self)
 
-    def counting_sample(self, points):
-        samples.append(len(points))
-        return sample(self, points)
-
-    monkeypatch.setattr(pde.ResidualSystem, "test_grid", counting_grid)
-    monkeypatch.setattr(fdref.FdGrid, "sample", counting_sample)
-    rmses = []
-    for points_per_axis in (100, 100, 7):
-        # read at call time: a patched value holds from the next run on
-        monkeypatch.setattr(pde, "TEST_POINTS_PER_AXIS", points_per_axis)
-        grids.clear()
-        samples.clear()
-        _, results = run_campaign(campaign, cache_dir=tmp_path)
-        assert grids == [campaign.system]
-        assert samples == [len(campaign.system.test_grid())]
-        rmses.append([r.rmse for r in results])
-        assert all(np.isfinite(v) for r in results for v in r.rmse.values())
-        assert all(set(r.rmse) == {"lm", "mlm"} for r in results)
-    assert rmses[0] == rmses[1] != rmses[2]
+    monkeypatch.setattr(pde.ResidualSystem, "release_bases", recording_release)
+    first = tiny_campaign(overrides={"max_outer_iter": 3})
+    second = tiny_campaign(name="other", problem="exp2d", r=4, seeds=(0, 1),
+                           solvers=("lm", "mlm"), overrides={"max_outer_iter": 3})
+    run_campaign(first)
+    run_campaign(second)
+    # each run held its system's bases until it returned, then dropped them
+    assert released == [(first.system, True), (second.system, True)]
+    assert first.system._bases is None and second.system._bases is None
 
 
 def test_a_failed_rmse_fails_its_seed(monkeypatch):

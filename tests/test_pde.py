@@ -327,9 +327,9 @@ def test_the_jacobian_after_the_residual_forms_no_base(rng, monkeypatch):
     bases = []
     activation_base = network.activation_base
 
-    def counting_base(params, points, out=None):
+    def counting_base(params, points):
         bases.append(len(points))
-        return activation_base(params, points, out)
+        return activation_base(params, points)
 
     monkeypatch.setattr(network, "activation_base", counting_base)
     n_int, n_bnd = len(system.training.interior), len(system.training.boundary)
@@ -365,14 +365,14 @@ def test_the_kept_bases_are_read_only(rng):
 
 def test_rmse_zero_for_exact_solution():
     system = small_system(constant_solution_problem("poisson", 1, 0.8))
-    target = system.test_target(system.problem.true_solution)
-    assert system.rmse(constant_network(system, 0.8), target) == pytest.approx(0.0, abs=1e-15)
+    exact = system.problem.true_solution
+    assert system.rmse(constant_network(system, 0.8), exact) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rmse_of_constant_offset():
     system = small_system(constant_solution_problem("poisson", 2, 0.5))
-    target = system.test_target(system.problem.true_solution)
-    assert system.rmse(constant_network(system, 0.6), target) == pytest.approx(0.1)
+    exact = system.problem.true_solution
+    assert system.rmse(constant_network(system, 0.6), exact) == pytest.approx(0.1)
 
 
 def test_rmse_matches_brute_force(rng):
@@ -382,9 +382,7 @@ def test_rmse_matches_brute_force(rng):
 
     diff = network.eval_batch(system.arch, x, pts) - system.problem.true_solution(pts)
     brute = np.sqrt(np.mean(diff**2))
-    target = system.test_target(system.problem.true_solution)
-    assert np.array_equal(target[0], pts)
-    assert abs(system.rmse(x, target) - brute) < 1e-12
+    assert abs(system.rmse(x, system.problem.true_solution) - brute) < 1e-12
 
 
 def test_rmse_grid_excludes_training_points(monkeypatch):
@@ -490,7 +488,7 @@ def test_rmse_rejects_an_empty_test_grid():
     with pytest.raises(ValueError, match="TEST_POINTS_PER_AXIS=100 .* when nu=50.5"):
         system.test_grid()
     with pytest.raises(ValueError, match="TEST_POINTS_PER_AXIS=100 .* when nu=50.5"):
-        system.test_target(system.problem.true_solution)
+        system.rmse(np.zeros(system.n), system.problem.true_solution)
 
 
 # -- validation -----------------------------------------------------------------
@@ -519,4 +517,4 @@ def test_dimension_mismatch_rejected(rng):
             with pytest.raises(ValueError, match="parameter vector has shape"):
                 evaluate(bad)
         with pytest.raises(ValueError, match="parameter vector has shape"):
-            system.rmse(bad, system.test_target(system.problem.true_solution))
+            system.rmse(bad, system.problem.true_solution)
