@@ -5,8 +5,10 @@ bias) that must move between levels together, so the coupling strength is
 measured between nodes rather than between raw unknowns: the Jacobian is
 cut into its per-kind column blocks and their normalized Gram matrices
 are summed into a single node-coupling matrix.  A classical Ruge-Stuben
-split of that matrix selects the coarse nodes, and the usual two-sided
-interpolation formula fills the fine rows of the prolongation operator.
+split of that matrix selects the coarse nodes, walking per-node lists of
+strong couplings built once rather than making an r-length pass per
+pick, and the usual two-sided interpolation formula fills the fine rows
+of the prolongation operator.
 It needs a split that leaves each fine node a strong coarse neighbour, as
 this split does, and makes a zero-diagonal (so non-PSD) fine node coarse.
 The operators act blockwise on parameter vectors; the scalar output bias
@@ -89,17 +91,31 @@ def _strength(A, eps_amg):
 
     strong_neg[i, j] when -a_ij >= eps_amg * max over negative a_ik;
     strong_pos[i, j] when a_ij > 0 and a_ij >= eps_amg * max |a_ik|; k != i.
+    A row with no negative coupling has no strong negative one, and a
+    threshold eps_amg * max <= 0 makes every other entry of a row strong
+    negative.  The maxima come from the row minimum and maximum of A with
+    a zeroed diagonal, the one r x r copy made.
     """
-    off = A - np.diag(np.diag(A))
-    neg = np.where(off < 0, -off, 0.0)
-    sets = []
-    for value, row_max in ((neg, neg.max(axis=1)), (off, np.abs(off).max(axis=1))):
-        strong = np.zeros(A.shape, dtype=bool)
-        rows = row_max > 0
-        strong[rows] = value[rows] >= eps_amg * row_max[rows, None]
-        np.fill_diagonal(strong, False)
-        sets.append(strong)
-    return sets[0], sets[1] & (off > 0)
+    off = A.copy()
+    np.fill_diagonal(off, 0.0)
+    neg_max = -off.min(axis=1)
+    abs_max = np.maximum(off.max(axis=1), neg_max)
+    neg_threshold = eps_amg * neg_max
+    strong_neg = off <= -neg_threshold[:, None]
+    strong_neg |= (neg_threshold <= 0)[:, None]
+    strong_neg &= (neg_max > 0)[:, None]
+    np.fill_diagonal(strong_neg, False)
+    strong_pos = off >= (eps_amg * abs_max)[:, None]
+    strong_pos &= off > 0
+    return strong_neg, strong_pos
+
+
+def _row_lists(strong):
+    """The column indices of each row's true entries, as Python lists in index order."""
+    rows, cols = np.divmod(np.flatnonzero(strong), strong.shape[1])
+    bounds = np.searchsorted(rows, np.arange(strong.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def ruge_stuben_split(A, eps_amg=0.9):
@@ -112,6 +128,10 @@ def ruge_stuben_split(A, eps_amg=0.9):
     one sweep over the fine nodes promotes, for each strong positive
     fine/fine coupling, the largest such neighbour.  The strength
     threshold `eps_amg` is the paper's 0.9 wherever the solver splits.
+
+    Both passes walk per-node lists of strong couplings, built once, and
+    visit neighbours in index order.  `measure` holds -1 at assigned
+    nodes, so `np.argmax` picks among the unassigned ones alone.
     """
     A = np.asarray(A, dtype=float)
     r = A.shape[0]
@@ -119,32 +139,43 @@ def ruge_stuben_split(A, eps_amg=0.9):
         raise ValueError("coupling matrix must be square and nonempty")
 
     strong_neg, strong_pos = _strength(A, eps_amg)
-    state = np.full(r, _UNASSIGNED)
+    depends_on = _row_lists(strong_neg)  # the nodes each node strongly depends on
+    dependents = [[] for _ in range(r)]  # the nodes strongly depending on each node
+    for j, nodes in enumerate(depends_on):
+        for k in nodes:
+            dependents[k].append(j)
+    state = [_UNASSIGNED] * r
     # measure[i]: how many nodes strongly depend on i
     measure = strong_neg.sum(axis=0).astype(float)
 
-    while (state == _UNASSIGNED).any():
-        masked = np.where(state == _UNASSIGNED, measure, -1.0)
-        i = int(np.argmax(masked))
+    while True:
+        i = int(np.argmax(measure))
+        if measure[i] < 0:  # every node is assigned
+            break
         state[i] = _COARSE
-        dependents = np.flatnonzero(strong_neg[:, i] & (state == _UNASSIGNED))
-        for j in dependents:
+        measure[i] = -1.0
+        for j in dependents[i]:
+            if state[j] != _UNASSIGNED:
+                continue
             state[j] = _FINE
-            measure[strong_neg[j] & (state == _UNASSIGNED)] += 1.0
+            measure[j] = -1.0
+            for k in depends_on[j]:
+                if state[k] == _UNASSIGNED:
+                    measure[k] += 1.0
 
     # second pass over strong positive fine/fine couplings
-    strong = strong_neg | strong_pos
-    for i in range(r):
+    for i, neighbours in enumerate(_row_lists(strong_pos)):
         if state[i] != _FINE:
             continue
-        candidates = np.flatnonzero(strong_pos[i] & (state == _FINE))
-        if candidates.size:
-            state[int(candidates[np.argmax(A[i, candidates])])] = _COARSE
+        candidates = [j for j in neighbours if state[j] == _FINE]
+        if candidates:
+            state[candidates[int(np.argmax(A[i, candidates]))]] = _COARSE
 
+    state = np.array(state)
     return Splitting(
         coarse=np.flatnonzero(state == _COARSE),
         fine=np.flatnonzero(state == _FINE),
-        strong=strong,
+        strong=strong_neg | strong_pos,
     )
 
 

@@ -12,8 +12,10 @@ the smaller Gram matrix G of J: the m-by-m J J^T (kernel form) when J has
 fewer rows than columns, J^T J otherwise.  G + lam I shares G's
 eigenvectors, so one decomposition per Jacobian serves every lam tried
 with it (the idea of MINPACK's lmpar, More 1978), and each retry costs
-two small products and a division.  Both solvers return the residual
-of the linear system at their step, for `predicted_reduction`.
+two small products and a division.  The factor also keeps G's Frobenius
+norm and trace, so a solve's backward-error check does no work on G.
+Both solvers return the residual of the linear system at their step, for
+`predicted_reduction`.
 
 Only genuine matrix-vector products are charged to the flop counter, at
 2*rows*cols apiece; the direct solve, J products of its kernel form
@@ -183,17 +185,22 @@ def cgls_truncated(J, g, lam, counter):
     return InnerSolveResult(s, max_iter, satisfied, true_residual)
 
 
-def _shifted_gram_norm(G, lam, n):
-    """||J^T J + lam I||_F (order n) from G = J J^T or J^T J, which share norm and trace."""
-    return float(np.sqrt(np.linalg.norm(G) ** 2 + 2.0 * lam * np.trace(G) + n * lam**2))
-
-
 class GramEigen(NamedTuple):
-    """The Gram matrix G of a Jacobian and its eigendecomposition G = V diag(w) V^T."""
+    """The eigendecomposition G = V diag(w) V^T of a Jacobian's Gram matrix G.
 
-    G: np.ndarray
+    `norm_sq` is ||G||_F^2 and `trace` is tr G, the two terms of the
+    backward-error bound of `direct_solve` that do not depend on lam.
+    """
+
     w: np.ndarray
     V: np.ndarray
+    norm_sq: float
+    trace: float
+
+
+def _shifted_gram_norm(gram, lam, n):
+    """||J^T J + lam I||_F (order n) from G = J J^T or J^T J, which share norm and trace."""
+    return float(np.sqrt(gram.norm_sq + 2.0 * lam * gram.trace + n * lam**2))
 
 
 def gram_eigen(J):
@@ -201,7 +208,7 @@ def gram_eigen(J):
 
     G is J J^T when J has fewer rows than columns, J^T J otherwise; a
     non-finite G, or an eigensolver that does not converge, raises
-    NumericalError.
+    NumericalError.  G's norm and trace are taken here, once per factor.
     """
     J = np.asarray(J, dtype=float)
     m, n = J.shape
@@ -212,7 +219,7 @@ def gram_eigen(J):
         w, V = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigendecomposition failed: {exc}") from exc
-    return GramEigen(G, w, V)
+    return GramEigen(w, V, np.linalg.norm(G) ** 2, np.trace(G))
 
 
 def direct_solve(J, lam, rhs, gram):
@@ -237,7 +244,7 @@ def direct_solve(J, lam, rhs, gram):
     J = np.asarray(J, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     m, n = J.shape
-    G, w, V = gram
+    w, V = gram.w, gram.V
     d = w + lam
     if not np.all(d > 0):
         raise NumericalError("shifted Gram matrix is not positive definite")
@@ -246,7 +253,7 @@ def direct_solve(J, lam, rhs, gram):
     else:
         s = V @ ((V.T @ rhs) / d)
     residual = rhs - (J.T @ (J @ s) + lam * s)
-    scale = _shifted_gram_norm(G, lam, n) * float(np.linalg.norm(s)) + float(np.linalg.norm(rhs))
-    if not np.all(np.isfinite(s)) or float(np.linalg.norm(residual)) > 1e-10 * scale:
+    scale = _shifted_gram_norm(gram, lam, n) * math.sqrt(s.dot(s)) + math.sqrt(rhs.dot(rhs))
+    if not np.all(np.isfinite(s)) or math.sqrt(residual.dot(residual)) > 1e-10 * scale:
         raise NumericalError("dense solve residual exceeds the backward-error bound")
     return s, residual

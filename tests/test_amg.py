@@ -1,9 +1,12 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mlmnet import bench
 from mlmnet.amg import (
+    Splitting,
     apply_blockwise,
     build_coupling_matrix,
     build_interpolation,
@@ -13,6 +16,7 @@ from mlmnet.amg import (
 )
 from mlmnet.linsolve import FlopCounter
 from mlmnet.network import NetworkArch
+from mlmnet.pde import ResidualSystem
 
 
 def tridiagonal(r):
@@ -262,3 +266,135 @@ def test_dump_coarsening_layout(rng):
     assert "# coupling matrix A (5x5)" in text
     assert "# coarse indices" in text
     assert "# prolongation P" in text
+
+
+# -- the split against a loop-based reference ---------------------------------------
+#
+# `_reference_strength` and `_reference_split` are the dense, loop-based forms of the
+# strength test and the two-pass split: one numpy pass over all r nodes per pick and per
+# dependent.  The library walks per-node lists instead; the two must give the same
+# splittings, and so the same transfer operators, byte for byte.
+
+
+def _reference_strength(A, eps_amg):
+    off = A - np.diag(np.diag(A))
+    neg = np.where(off < 0, -off, 0.0)
+    sets = []
+    for value, row_max in ((neg, neg.max(axis=1)), (off, np.abs(off).max(axis=1))):
+        strong = np.zeros(A.shape, dtype=bool)
+        rows = row_max > 0
+        strong[rows] = value[rows] >= eps_amg * row_max[rows, None]
+        np.fill_diagonal(strong, False)
+        sets.append(strong)
+    return sets[0], sets[1] & (off > 0)
+
+
+def _reference_split(A, eps_amg=0.9):
+    unassigned, coarse, fine = 0, 1, 2
+    A = np.asarray(A, dtype=float)
+    r = A.shape[0]
+    strong_neg, strong_pos = _reference_strength(A, eps_amg)
+    state = np.full(r, unassigned)
+    measure = strong_neg.sum(axis=0).astype(float)
+    while (state == unassigned).any():
+        i = int(np.argmax(np.where(state == unassigned, measure, -1.0)))
+        state[i] = coarse
+        for j in np.flatnonzero(strong_neg[:, i] & (state == unassigned)):
+            state[j] = fine
+            measure[strong_neg[j] & (state == unassigned)] += 1.0
+    for i in range(r):
+        if state[i] != fine:
+            continue
+        candidates = np.flatnonzero(strong_pos[i] & (state == fine))
+        if candidates.size:
+            state[int(candidates[np.argmax(A[i, candidates])])] = coarse
+    return Splitting(
+        coarse=np.flatnonzero(state == coarse),
+        fine=np.flatnonzero(state == fine),
+        strong=strong_neg | strong_pos,
+    )
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_split_matches_reference(A, eps_amg=0.9):
+    split, expected = ruge_stuben_split(A, eps_amg), _reference_split(A, eps_amg)
+    for name in ("coarse", "fine", "strong"):
+        assert _same_bytes(getattr(split, name), getattr(expected, name)), name
+    ops, expected_ops = build_interpolation(A, split), build_interpolation(A, expected)
+    for name in ("prolong", "restrict", "coarse_idx", "prolong_scale", "restrict_scale",
+                 "prolong_raw"):
+        assert _same_bytes(getattr(ops, name), getattr(expected_ops, name)), name
+    return split
+
+
+def _awkward_coupling(rng, r, kind):
+    """A random coupling matrix with ties, exact zeros, zero diagonals or isolated nodes."""
+    A = rng.normal(size=(r, r))
+    if kind == "ties":
+        A = np.round(2.0 * A) / 2.0  # many equal couplings and exact zeros
+    elif kind == "gram":
+        A = A @ A.T
+    elif kind == "sparse":
+        A[rng.random((r, r)) < 0.7] = 0.0
+        A = A + A.T
+    elif kind == "positive":
+        A = np.abs(A)
+    if r > 1 and kind != "gram":
+        A[rng.integers(r)] = 0.0  # a node that couples to nothing
+        np.fill_diagonal(A[: r // 2, : r // 2], 0.0)  # zero diagonals
+        A[:, rng.integers(r)] = -0.0
+    return A
+
+
+@pytest.mark.parametrize("kind", ["plain", "ties", "gram", "sparse", "positive"])
+@pytest.mark.parametrize("eps_amg", [0.9, 0.25, 1.0, 0.0])
+def test_split_matches_the_reference_on_awkward_couplings(rng, kind, eps_amg):
+    for r in (1, 2, 3, 7, 16, 33):
+        for _ in range(4):
+            A = _awkward_coupling(rng, r, kind)
+            split, expected = ruge_stuben_split(A, eps_amg), _reference_split(A, eps_amg)
+            for name in ("coarse", "fine", "strong"):
+                assert _same_bytes(getattr(split, name), getattr(expected, name)), (r, name)
+
+
+def test_split_matches_the_reference_on_ties_and_isolated_nodes():
+    # equal measures everywhere: ties go to the lowest index in both
+    A = np.ones((6, 6)) * -1.0
+    np.fill_diagonal(A, 6.0)
+    A[5] = A[:, 5] = 0.0
+    split = assert_split_matches_reference(A)
+    assert split.coarse.tolist() == [0, 5]
+
+
+def _start_jacobian(problem, nu, r, seed):
+    entry = bench.PROBLEMS[problem]
+    pde_problem = entry.factory(entry.default_nu if nu is None else nu)
+    system = ResidualSystem(pde_problem, NetworkArch(entry.default_r if r is None else r,
+                                                     pde_problem.dim))
+    return system, system.jacobian(bench.initial_guess(seed, system.n))
+
+
+# every problem of campaigns/paper.cfg at its paper nu and r, and the benchmark's workloads
+START_POINTS = [(problem, None, None, 0) for problem in bench.PROBLEMS] + [
+    (problem, nu, r, seed)
+    for problem, nu, r in (("poisson1d", 10, 256), ("poisson1d", 20, 512),
+                           ("helmholtz2d-two-layers", 2, 512))
+    for seed in range(6)
+]
+
+
+@pytest.mark.parametrize("problem, nu, r, seed", START_POINTS)
+def test_split_and_operators_match_the_reference_at_the_start(problem, nu, r, seed):
+    system, J = _start_jacobian(problem, nu, r, seed)
+    assert_split_matches_reference(build_coupling_matrix(J, system.arch))
+
+
+def test_paper_campaigns_are_the_problems_checked_at_the_start():
+    text = (Path(__file__).parents[1] / "campaigns" / "paper.cfg").read_text()
+    problems = [line.split("=")[1].strip() for line in text.splitlines()
+                if line.startswith("problem")]
+    assert sorted(problems) == sorted(bench.PROBLEMS)

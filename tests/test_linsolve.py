@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -385,7 +387,32 @@ def test_shifted_gram_norm_is_the_frobenius_norm(rng, shape):
     for lam in (1e-6, 0.05, 10.0):
         dense = np.linalg.norm(J.T @ J + lam * np.eye(n))
         for G in (J @ J.T, J.T @ J):
-            assert _shifted_gram_norm(G, lam, n) == pytest.approx(dense, rel=1e-13)
+            gram = GramEigen(None, None, np.linalg.norm(G) ** 2, np.trace(G))
+            assert _shifted_gram_norm(gram, lam, n) == pytest.approx(dense, rel=1e-13)
+
+
+def _formed_gram_norm(G, lam, n):
+    # the bound's matrix norm as formed from G at every solve
+    return float(np.sqrt(np.linalg.norm(G) ** 2 + 2.0 * lam * np.trace(G) + n * lam**2))
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12), (25, 2049)], ids=["kernel", "primal", "wide"])
+def test_the_factor_keeps_the_bound_of_its_gram_matrix_bit_for_bit(rng, shape):
+    J = rng.normal(size=shape)
+    G = J @ J.T if shape[0] < shape[1] else J.T @ J
+    gram = gram_eigen(J)
+    for lam in (1e-12, 1e-6, 0.05, 10.0, 1e8):
+        assert _shifted_gram_norm(gram, lam, shape[1]) == _formed_gram_norm(G, lam, shape[1])
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
+def test_direct_solve_bound_uses_the_vector_norms_of_numpy(rng, shape):
+    # the bound's vector norms are sqrt(x . x), the very bits of np.linalg.norm on 1-D floats
+    J = rng.normal(size=shape)
+    rhs = rng.normal(size=shape[1])
+    s, residual = direct_solve(J, 0.05, rhs, gram_eigen(J))
+    for x in (s, rhs, residual, rng.normal(size=2049) * 1e150, np.zeros(3)):
+        assert math.sqrt(x.dot(x)) == float(np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -416,8 +443,8 @@ def test_direct_solve_rejects_a_solution_past_the_backward_error_bound(rng, shap
 @pytest.mark.parametrize("shape", [(12, 30), (30, 12)], ids=["kernel", "primal"])
 def test_direct_solve_rejects_a_shifted_gram_matrix_that_is_not_positive(rng, shape, shift):
     J = rng.normal(size=shape)
-    G, w, V = gram_eigen(J)
+    gram = gram_eigen(J)
     # the smallest shifted eigenvalue w + lam becomes 0 (shift 1) or -lam (shift 2)
-    gram = GramEigen(G, w - w[0] - shift * 0.05, V)
+    gram = gram._replace(w=gram.w - gram.w[0] - shift * 0.05)
     with pytest.raises(NumericalError, match="not positive definite"):
         direct_solve(J, 0.05, rng.normal(size=shape[1]), gram)

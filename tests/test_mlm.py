@@ -8,7 +8,7 @@ import scipy.linalg
 
 from mlmnet.amg import apply_blockwise, build_interpolation, build_transfer_operators, ruge_stuben_split
 from mlmnet import bench, lm, mlm
-from mlmnet.linsolve import FlopCounter, GramEigen, NumericalError, direct_solve, gram_eigen
+from mlmnet.linsolve import FlopCounter, NumericalError, direct_solve, gram_eigen
 from mlmnet.lm import LmConfig, lm_solve, update_lambda
 from mlmnet.mlm import (
     build_coarse_model,
@@ -75,6 +75,45 @@ def test_go_down_null_space_false(rng):
     grad = np.zeros(3 * 8 + 1)
     grad[:8] = null_vec  # output-weight block only, output-bias zero
     assert go_down(grad, ops, effective_kappa(ops), 1e-4, FlopCounter()) is None
+
+
+# -- effective_kappa ---------------------------------------------------------------
+
+
+def svd_kappa(ops):
+    """The descent threshold from the largest singular value of R, by a full SVD."""
+    return mlm.KAPPA_H * min(1.0, float(np.linalg.norm(ops.restrict, 2)))
+
+
+# the benchmark's workloads at their starting seeds: (problem, nu, r)
+WORKLOAD_SIZES = [("poisson1d", 10, 256), ("poisson1d", 20, 512), ("helmholtz2d-two-layers", 2, 512)]
+
+
+@pytest.mark.parametrize("problem, nu, r", WORKLOAD_SIZES)
+def test_effective_kappa_is_the_svd_threshold_on_the_workloads_operators(problem, nu, r):
+    entry = bench.PROBLEMS[problem]
+    pde_problem = entry.factory(nu)
+    system = ResidualSystem(pde_problem, NetworkArch(r, pde_problem.dim))
+    for seed in (0, 1):
+        J = system.jacobian(bench.initial_guess(seed, system.n))
+        ops = build_transfer_operators(J, system.arch)
+        assert effective_kappa(ops) == pytest.approx(svd_kappa(ops), rel=1e-14, abs=0)
+
+
+def test_effective_kappa_is_the_svd_threshold_on_random_operators(rng):
+    for r in (2, 3, 8, 17, 40, 64):
+        ops = random_ops(rng, r)
+        assert effective_kappa(ops) == pytest.approx(svd_kappa(ops), rel=1e-14, abs=0)
+
+
+def test_effective_kappa_is_kappa_h_once_the_restriction_norm_reaches_one(rng):
+    for r in (1, 4, 9):
+        ops = identity_ops(r)
+        assert effective_kappa(ops) == mlm.KAPPA_H
+    # a restriction scaled past norm one: the threshold stays KAPPA_H
+    ops = random_ops(rng, 12)
+    ops.restrict = 3.0 * ops.restrict / np.linalg.norm(ops.restrict, 2)
+    assert effective_kappa(ops) == mlm.KAPPA_H
 
 
 # -- coarse model -------------------------------------------------------------------
@@ -332,8 +371,8 @@ def test_a_shifted_gram_matrix_that_is_not_positive_grows_lambda(rng, monkeypatc
 
     def indefinite_at_lam0(J):
         # smallest eigenvalue moved to -0.05, so w + lam = 0 at the first lam
-        G, w, V = gram_eigen(J)
-        return GramEigen(G, w - w[0] - 0.05, V)
+        gram = gram_eigen(J)
+        return gram._replace(w=gram.w - gram.w[0] - 0.05)
 
     def recording_solve(J, lam, rhs, gram=None):
         lams.append(lam)
