@@ -8,7 +8,8 @@ Subcommands:
 Exit status is 0 when every solver run completed (converged or stopped at
 its configured iteration cap) and 1 when any run failed outright.  A
 campaign file that cannot be read, or whose campaigns fail validation, or
-an --out, --trace or --cache path that cannot be written, stops `run`
+an --out, --trace or --cache path that cannot be written, or an --out
+that is the --trace or --cache directory or lies above it, stops `run`
 with status 2 and one line on standard error, before any campaign runs;
 an --out directory that refuses new files, and an --out or --cache name
 too long for the file system, count as ones that cannot be written, and
@@ -26,6 +27,7 @@ when --out ends in `.json` and CSV otherwise.
 
 import argparse
 import configparser
+import os
 import sys
 from pathlib import Path
 
@@ -64,20 +66,35 @@ def _probe_file(path):
         path.unlink()
 
 
-def _path_error(where, out=None, cache=None):
+def _holds(out, path):
+    """Whether `path` is `out` or lies under it, compared as resolved paths.
+
+    `os.path.realpath`, unlike `Path.resolve`, does not raise on a symlink loop.
+    """
+    path = Path(os.path.realpath(path))
+    return Path(os.path.realpath(out)) in (path, *path.parents)
+
+
+def _path_error(where, out=None, cache=None, trace=None):
     """Status 2 after one stderr line if `out` or `cache` cannot be written, else None.
 
-    `out` is probed by its own name (see `_probe_file`), so a directory
-    that refuses new files or a name that is too long is caught before
-    any work starts, and no empty output is left behind.  `cache` is made
-    only when a reference is first stored, so its nearest existing
-    ancestor, itself included, must be a directory, and no part of its
-    name may be refused.
+    `out` may not be the `trace` or `cache` directory, or lie above one
+    (compared as resolved paths), since the run would make that directory
+    where its report goes.  `out` is probed by its own name (see
+    `_probe_file`), so a directory that refuses new files or a name that
+    is too long is caught before any work starts, and no empty output is
+    left behind.  `cache` is made only when a reference is first stored,
+    so its nearest existing ancestor, itself included, must be a
+    directory, and no part of its name may be refused.
     """
     if out is not None:
         why = None
         try:
-            if out.is_dir():
+            clash = next((name for name, path in (("trace", trace), ("cache", cache))
+                          if path is not None and _holds(out, path)), None)
+            if clash is not None:
+                why = f"is the --{clash} directory or lies above it"
+            elif out.is_dir():
                 why = "is a directory"
             elif not out.parent.is_dir():
                 why = f"no directory {out.parent}"
@@ -123,12 +140,11 @@ def _cmd_run(args):
         campaigns = config.parse_campaign_file(args.config)
     except (OSError, ValueError, configparser.Error) as exc:
         return _input_error(f"run: {args.config}", exc)
-    status = _path_error("run", out=Path(args.out), cache=Path(args.cache))
+    trace_dir = None if args.trace is None else Path(args.trace)
+    status = _path_error("run", out=Path(args.out), cache=Path(args.cache), trace=trace_dir)
     if status is not None:
         return status
-    trace_dir = None
-    if args.trace is not None:
-        trace_dir = Path(args.trace)
+    if trace_dir is not None:
         try:
             trace_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -21,9 +21,9 @@ Only genuine matrix-vector products are charged to the flop counter, at
 2*rows*cols apiece; the direct solve, J products of its kernel form
 included, is not matrix-vector work and is left out of the tally.  The
 conjugate-gradient loop charges its products, 2mn + 2nm flops per
-iteration, in one call when the solve ends (returns or raises); each
-re-verification of the true residual is charged as it is made.  The
-gradient g is formed and charged by the caller.
+application of the operator (one per iteration, and one per
+re-verification of the true residual), in one call when the solve ends
+(returns or raises).  The gradient g is formed and charged by the caller.
 
 The module uses numpy alone: scipy would load a second BLAS library into
 every `mlm` process for these small dense solves.
@@ -93,25 +93,23 @@ def cgls_truncated(J, g, lam, counter):
     correction, formed and charged by the caller.  Plain conjugate
     gradients on the shifted normal equations (not CGLS: the residual is
     kept in n-space), the operator applied via one product with J and one
-    with J^T per iteration, written into preallocated vectors.  Iterations
-    stop at the first step whose true system residual satisfies
+    with J^T per application, written into preallocated vectors.
+    Iterations stop at the first step whose true system residual satisfies
 
-        ||(J^T J + lam I) s + g|| <= THETA * ||s||^2
+        ||(J^T J + lam I) s + g|| <= THETA * ||s||^2,
 
-    (the stopping bound is re-verified against a freshly recomputed
-    residual before the result is flagged satisfied), or at min(n, m + 1)
-    iterations, the exact-arithmetic bound: a gradient J^T F lies in
-    range(J^T), of dimension rank(J) <= m, which the Krylov space exhausts
-    within rank(J) steps; the `+ 1` covers a correction with a component
-    outside it.  A solve stopped at the cap returns its iterate, flagged
-    satisfied only if the re-verified residual meets the bound.  Products
+    at an exhausted recurrence, or at min(n, m + 1) iterations, the
+    exact-arithmetic bound: a gradient J^T F lies in range(J^T), of
+    dimension rank(J) <= m, which the Krylov space exhausts within rank(J)
+    steps; the `+ 1` covers a correction with a component outside it.
+    The bound is re-verified against a freshly recomputed residual at each
+    step whose recurrence residual meets it, and at the last step; the
+    result is flagged satisfied only if that residual meets it.  Products
     are charged to `counter`.
 
     The THETA test is a stopping rule, not an acceptance condition: the
     iterate is returned either way, and lm.minimize judges every step by
-    rho.  0.148 of lm's fine solves end satisfied on full-size poisson1d
-    seed 0 (nu=20, r=512), and 0.67 of both solvers' on the benchmark's
-    poisson1d-converge workload.
+    rho.
 
     The check that the CG model value decreases (up to rounding) guards an
     invariant of the recurrence; a violation is a programming error, not a
@@ -126,33 +124,31 @@ def cgls_truncated(J, g, lam, counter):
         raise NumericalError("non-finite right-hand side in the inner linear system")
     theta, max_iter = THETA, min(n, m + 1)
 
-    JT = J.T
-
-    def apply_operator(x):
-        y = JT @ (J @ x)
-        y += lam * x
-        counter.add_matvec(m, n)
-        counter.add_matvec(n, m)
-        return y
-
     s = np.zeros(n)
     if not rhs.any():
         return InnerSolveResult(s, 0, True, rhs.copy())
 
+    JT = J.T
+    Jx, mp, scratch = np.empty(m), np.empty(n), np.empty(n)
+    products = 0  # applications of the operator, two products with J each
+
+    def apply_operator(x):
+        """mp = (J^T J + lam I) x, written into the preallocated vectors."""
+        nonlocal products
+        products += 1
+        J.dot(x, out=Jx)
+        JT.dot(Jx, out=mp)
+        np.add(mp, np.multiply(x, lam, out=scratch), out=mp)
+        return mp
+
     r = rhs.copy()
     p = r.copy()
-    Jp, mp, scratch = np.empty(m), np.empty(n), np.empty(n)
     rs = r.dot(r)
     rhs_norm = math.sqrt(rs)
     model_value = 0.0  # 0.5 s^T (B+lam I) s - rhs^T s, decreases monotonically
-    iteration = 0
     try:
         for iteration in range(1, max_iter + 1):
-            # mp = (J^T J + lam I) p, the same bits as apply_operator(p)
-            J.dot(p, out=Jp)
-            JT.dot(Jp, out=mp)
-            mp += np.multiply(p, lam, out=scratch)
-            curvature = p.dot(mp)
+            curvature = p.dot(apply_operator(p))
             if not math.isfinite(curvature) or curvature <= 0:
                 raise NumericalError("conjugate gradient lost positive definiteness")
             alpha = rs / curvature
@@ -167,22 +163,19 @@ def cgls_truncated(J, g, lam, counter):
             model_value = new_model_value
             rs_new = r.dot(r)
             bound = theta * ss
-            if rs_new == 0.0 or math.sqrt(rs_new) <= bound:
+            # the recurrence is exhausted at rs_new == 0, and the solve ends at the cap
+            final = rs_new == 0.0 or iteration == max_iter
+            if final or math.sqrt(rs_new) <= bound:
                 true_residual = rhs - apply_operator(s)
-                true_norm = float(np.linalg.norm(true_residual))
-                if true_norm <= bound:
-                    return InnerSolveResult(s, iteration, True, true_residual)
-                if rs_new == 0.0:  # recurrence exhausted, nothing more to gain
-                    return InnerSolveResult(s, iteration, False, true_residual)
+                satisfied = float(np.linalg.norm(true_residual)) <= bound
+                if satisfied or final:
+                    return InnerSolveResult(s, iteration, satisfied, true_residual)
             p *= rs_new / rs
             p += r
             rs = rs_new
     finally:
-        # the loop's products with J and J^T, 2mn + 2nm flops per iteration, in one charge
-        counter.add_matvec(2 * m * iteration, n)
-    true_residual = rhs - apply_operator(s)
-    satisfied = float(np.linalg.norm(true_residual)) <= theta * float(s @ s)
-    return InnerSolveResult(s, max_iter, satisfied, true_residual)
+        # every product with J and J^T, 2mn + 2nm flops per application, in one charge
+        counter.add_matvec(2 * m * products, n)
 
 
 class GramEigen(NamedTuple):

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import filecmp
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -366,6 +368,26 @@ def test_readme_campaign_example_parses(tmp_path):
     assert campaign.overrides == {"epsilon": 1e-4, "max_outer_iter": 2000}
 
 
+def test_readme_cli_synopsis_matches_the_parser():
+    # every subcommand and --flag of README's synopsis exists, and every option is in it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    synopsis = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in synopsis.splitlines():
+        words = line.split()
+        if words[0] == "mlmnet":
+            command = documented.setdefault(words[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {
+        name: {option for action in parser._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert documented == options
+
+
 def test_paper_campaigns_cover_the_registry_at_its_defaults():
     campaigns = config.parse_campaign_file(Path(__file__).parents[1] / "campaigns" / "paper.cfg")
     assert [c.problem for c in campaigns] == list(bench.PROBLEMS)
@@ -705,6 +727,51 @@ def test_cli_run_checks_its_paths_before_any_campaign_runs(
     assert captured.err.startswith(f"mlmnet run: {flag} {tmp_path / path}: ")
     assert message in captured.err and captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "taken"]
+
+
+@pytest.mark.parametrize("flags, clash", [
+    (["--out", "x", "--trace", "x"], "--trace"),
+    (["--out", "z.csv", "--cache", "z.csv"], "--cache"),
+    (["--out", "x", "--cache", "x/sub"], "--cache"),
+    (["--out", "a/../x", "--trace", "./x/t"], "--trace"),
+    (["--out", ".mlmnet-cache"], "--cache"),
+], ids=["out-is-trace", "out-is-cache", "out-above-cache", "out-is-trace-resolved",
+        "out-is-default-cache"])
+def test_cli_run_refuses_an_out_that_is_or_holds_its_trace_or_cache(
+    tmp_path, monkeypatch, capsys, flags, clash
+):
+    # the run would make the trace or cache directory at or above the report's path, and
+    # then lose the whole run to an IsADirectoryError when it writes the report
+    def run_campaign_stub(campaign, **kw):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(bench, "run_campaign", run_campaign_stub)
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(CONFIG_TEXT)
+    assert cli.main(["run", "c.cfg", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"mlmnet run: --out {Path(flags[1])}: is the {clash} directory or lies above it\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
+
+
+def test_cli_run_takes_an_out_inside_its_trace_or_cache_directory(tmp_path):
+    # a report below the trace or cache directory does not clash with it
+    (tmp_path / "d").mkdir()
+    out = tmp_path / "d" / "r.csv"
+    assert cli._path_error("run", out=out, cache=tmp_path / "d", trace=tmp_path / "d") is None
+    assert cli._path_error("run", out=out, cache=tmp_path / "d" / "r.csvx") is None
+
+
+def test_cli_run_reports_a_trace_through_a_symlink_loop(tmp_path, monkeypatch, capsys):
+    # comparing --out with a path through a symlink loop raises nothing; the loop is reported
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(CONFIG_TEXT)
+    Path("loop").symlink_to("loop")
+    assert cli.main(["run", "c.cfg", "--out", "r.csv", "--trace", "loop/x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mlmnet run: --trace loop/x: ")
+    assert "symbolic links" in captured.err and captured.err.count("\n") == 1
 
 
 def test_cli_run_checks_that_its_out_directory_takes_new_files(tmp_path, monkeypatch, capsys):
