@@ -12,18 +12,14 @@ class Activation:
     """The sigmoid tanh(x/2), callable with a derivative order."""
 
     def __call__(self, x, order=0):
-        """The derivative of the given order at x (order 0 is the value)."""
-        return self.derivatives(x, (order,))[0]
+        """The derivative of the given order, in 0..3, at x (order 0 is the value).
 
-    def derivatives(self, x, orders):
-        """Derivatives of the given orders at x, as a list of arrays of its shape.
-
-        Every order must be in 0..3.  The base value is evaluated once for
-        all of them.  A scalar x gives scalars.
+        The result has the shape of x; a scalar x gives a scalar.
         """
         x = np.asarray(x, dtype=float)
         # the ladder works in place, so a scalar goes through it as a 1-element array
-        return [d.reshape(x.shape)[()] for d in ladder(np.tanh(0.5 * x.ravel()), orders)]
+        (d,) = ladder(np.tanh(0.5 * x.ravel()), (order,))
+        return d.reshape(x.shape)[()]
 
 
 def ladder(s, orders):

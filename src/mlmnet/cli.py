@@ -6,23 +6,23 @@ Subcommands:
   split-inspect  dump the coupling matrix, C/F split and prolongation
 
 Exit status is 0 when every solver run completed (converged or stopped at
-its configured iteration cap) and 1 when any run failed outright.  A
-campaign file that cannot be read, or whose campaigns fail validation, or
-an --out, --trace or --cache path that cannot be written, or an --out
-that is the --trace or --cache directory or lies above it, stops `run`
-with status 2 and one line on standard error, before any campaign runs;
-an --out directory that refuses new files, and an --out or --cache name
-too long for the file system, count as ones that cannot be written, and
-so, with --trace, does a campaign whose trace file names cannot be made
-there (a name with a `/`, or one too long).  `run` solves the FD
-reference field of a campaign without a true solution on first use and
-caches it under --cache.  `split-inspect` treats settings that define no
-problem or grid, and its --out path, the same way, before any build, and
-checks its settings as `run` checks a one-seed `mlm` campaign.  On
-standard error, `run` names every failed run with its error, and every
-run that stopped at its iteration cap without converging.  The campaign
-file alone sets each campaign's seeds and solvers; the report is JSON
-when --out ends in `.json` and CSV otherwise.
+its configured iteration cap) and 1 when any run failed outright.  Input
+`run` or `split-inspect` cannot use (a campaign file, a setting, an
+--out, --trace or --cache path) ends it with status 2 and one line on
+standard error before any campaign runs or system is built; an unknown
+option gives argparse's usage and status 2.  The cases are the tests
+`test_cli_run_reports_a_malformed_file_in_one_line`,
+`test_out_of_range_setting_fails_before_any_campaign_runs`,
+`test_cli_run_has_no_workers_option`,
+`test_cli_run_checks_its_paths_before_any_campaign_runs`,
+`test_cli_run_refuses_an_out_that_is_or_holds_its_trace_or_cache`,
+`test_cli_run_refuses_a_campaign_its_trace_files_cannot_name`,
+`test_cli_checks_its_paths_before_any_work` and
+`test_cli_bad_settings_end_in_one_line` in tests/test_bench.py.
+
+`run` takes each campaign's seeds and solvers from the campaign file
+alone, and names each failed run and each run stopped at its cap on
+standard error.
 """
 
 import argparse

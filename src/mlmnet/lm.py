@@ -154,13 +154,13 @@ def minimize(system, x0, cfg, counter, trace, coarse_step=None):
 
         rho = None
         if s is not None and pred > 0 and s.any():
-            F_trial, f_trial = evaluate_loss(system, x + s)
+            x_trial = x + s
+            F_trial, f_trial = evaluate_loss(system, x_trial)
             if np.isfinite(f_trial):
                 rho = (f - f_trial) / pred
         took_step = rho is not None and rho >= ETA1
         if took_step:
-            x = x + s
-            F, f = F_trial, f_trial
+            x, F, f = x_trial, F_trial, f_trial
             accepted += 1
             stale = True
         lam = update_lambda(lam, rho)

@@ -63,16 +63,16 @@ class CoarseModel:
     _gram0: object = None
 
 
-def go_down(grad_fine, ops, kappa, epsilon_h, counter):
+def go_down(grad_fine, grad_norm, ops, kappa, epsilon_h, counter):
     """Descent test: the restricted gradient if it justifies a coarse step, else None.
 
-    `kappa` is the relative threshold, `effective_kappa(ops)` in the
-    solver, and `epsilon_h` the absolute one, the fine gradient tolerance
-    in the solver; the restriction is charged to `counter`.
+    `grad_norm` is the loop's norm of `grad_fine`, `kappa` the relative
+    threshold (`effective_kappa(ops)`) and `epsilon_h` the absolute one
+    (the fine tolerance); the restriction is charged to `counter`.
     """
     restricted = apply_blockwise(ops.restrict, grad_fine, counter)
     rnorm = float(np.linalg.norm(restricted))
-    if rnorm >= kappa * float(np.linalg.norm(grad_fine)) and rnorm > epsilon_h:
+    if rnorm >= kappa * grad_norm and rnorm > epsilon_h:
         return restricted
     return None
 
@@ -134,7 +134,8 @@ def coarse_cycle(model, lam, cfg, counter, f_fine):
     zero for a failed attempt, and the model decrease the run achieved,
     positive whenever the step is nonzero (it is made of accepted inner
     steps).  `gram`, the factor of the current J, is built at its first
-    solve and serves every lam until J is refreshed; only each new J's
+    solve and serves every lam until J is refreshed; a J it cannot factor
+    ends the run, and a failed solve grows lam.  Only each new J's
     gradient J^T F is charged to `counter`.
 
     `f_fine` is the fine loss at the attempt.  The fine loss at a trial
@@ -167,6 +168,8 @@ def coarse_cycle(model, lam, cfg, counter, f_fine):
                     model._gram0 = gram
             s, linear_residual = direct_solve(J, lam, -grad_model, gram)
         except NumericalError:
+            if gram is None:
+                break  # J has no factor, and a factor does not depend on lam
             lam = update_lambda(lam, None)
             continue
         pred = predicted_reduction(s, -grad_model, linear_residual, lam)
@@ -208,7 +211,7 @@ def mlm_solve(system, x0, cfg, ops, counter, trace):
     def coarse_step(x, f, g, grad_norm, lam):
         nonlocal latest
         if latest[0] is not x:
-            restricted = go_down(g, ops, kappa, cfg.epsilon, counter)
+            restricted = go_down(g, grad_norm, ops, kappa, cfg.epsilon, counter)
             model = None if restricted is None else build_coarse_model(
                 coarse, x, ops, restricted, counter)
             latest = (x, model)

@@ -98,7 +98,7 @@ def row_blocks(n_rows, width):
 
 # Evaluation over a (t, dim) block of points.  `activation_base` forms the
 # pre-activations and the sigmoid's value tanh(pre/2) of a point set, in
-# place in one array; `hidden_activations` derives the derivative orders
+# place in one array; `activations.ladder` derives the derivative orders
 # asked for from that base.  The formulas below take the derivatives as
 # arguments, so a caller that needs several quantities at the same points
 # (the residual and its Jacobian) pays for one pass.  The *_batch
@@ -115,11 +115,6 @@ def activation_base(params, points):
     base += params.hidden_bias
     base *= 0.5
     return np.tanh(base, out=base)
-
-
-def hidden_activations(params, points, orders):
-    """Activation derivatives of the given orders at the hidden nodes, each (t, n_hidden)."""
-    return ladder(activation_base(params, points), orders)
 
 
 def output(params, s0):
@@ -176,28 +171,28 @@ def eval_batch(arch, p, points):
 def grad_z_batch(arch, p, points):
     """Spatial gradient at each row of `points`, shape (t, dim)."""
     params = unpack(arch, p)
-    (s1,) = hidden_activations(params, points, (1,))
+    (s1,) = ladder(activation_base(params, points), (1,))
     return (s1 * params.out_weights) @ params.in_weights.T
 
 
 def laplacian_batch(arch, p, points):
     """Spatial Laplacian at each row of `points`, shape (t,)."""
     params = unpack(arch, p)
-    (s2,) = hidden_activations(params, points, (2,))
+    (s2,) = ladder(activation_base(params, points), (2,))
     return laplacian(params, s2)
 
 
 def value_param_jacobian_batch(arch, p, points):
     """d(output)/d(params) at each row of `points`, shape (t, n_params)."""
     params = unpack(arch, p)
-    s0, s1 = hidden_activations(params, points, (0, 1))
+    s0, s1 = ladder(activation_base(params, points), (0, 1))
     return fill_value_param_jacobian(params, points, s0, s1, np.empty((len(points), arch.n_params)))
 
 
 def laplacian_param_jacobian_batch(arch, p, points):
     """d(Laplacian)/d(params) at each row of `points`, shape (t, n_params)."""
     params = unpack(arch, p)
-    s2, s3 = hidden_activations(params, points, (2, 3))
+    s2, s3 = ladder(activation_base(params, points), (2, 3))
     return fill_laplacian_param_jacobian(
         params, points, s2, s3, np.empty((len(points), arch.n_params))
     )

@@ -22,8 +22,8 @@ def no_coarse_descents(monkeypatch):
     gradient passes, but each test still restricts and charges it."""
     real_go_down = mlm.go_down
 
-    def never_down(grad_fine, ops, kappa, epsilon_h, counter):
-        return real_go_down(grad_fine, ops, kappa, math.inf, counter)
+    def never_down(grad_fine, grad_norm, ops, kappa, epsilon_h, counter):
+        return real_go_down(grad_fine, grad_norm, ops, kappa, math.inf, counter)
 
     monkeypatch.setattr(mlm, "go_down", never_down)
 

@@ -20,7 +20,7 @@ from mlmnet.mlm import mlm_solve
 from mlmnet.network import NetworkArch
 from mlmnet.pde import ResidualSystem, poisson_1d, sine_nonlinear_1d
 
-from conftest import fd_jacobian, rel_err
+from conftest import fd_jacobian, rel_err, run_on_one_blas_thread
 
 
 @contextmanager
@@ -202,20 +202,38 @@ def test_criterion_8_fd_reference_order():
         assert 3.5 <= ratio <= 4.5, f"convergence ratio {ratio:.2f}"
 
 
+DETERMINISM_CAMPAIGN = """\
+[campaign:determinism]
+problem = poisson1d
+nu = 3
+r = 24
+seeds = 0 1
+solvers = lm mlm
+epsilon = 1e-3
+max_outer_iter = 300
+"""
+
+
 def test_criterion_9_campaign_determinism(tmp_path):
     with criterion(9, "byte-identical campaign reports"):
         cfg = tmp_path / "campaign.cfg"
-        cfg.write_text(
-            "[campaign:determinism]\n"
-            "problem = poisson1d\n"
-            "nu = 3\n"
-            "r = 24\n"
-            "seeds = 0 1\n"
-            "solvers = lm mlm\n"
-            "epsilon = 1e-3\n"
-            "max_outer_iter = 300\n"
-        )
+        cfg.write_text(DETERMINISM_CAMPAIGN)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["run", str(cfg), "--out", str(out1)]) == 0
         assert cli.main(["run", str(cfg), "--out", str(out2)]) == 0
         assert filecmp.cmp(out1, out2, shallow=False)
+
+
+def test_criterion_9_campaign_report_is_the_same_under_python_O(tmp_path):
+    # the invariant checks are plain code, not asserts: -O keeps them and the report's bytes
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text(DETERMINISM_CAMPAIGN)
+    reports = []
+    for optimize, options in ((0, ()), (1, ("-O",))):
+        out = tmp_path / f"report{optimize}.csv"
+        source = (f"import sys\nfrom mlmnet import cli\n"
+                  f"status = cli.main(['run', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+                  f"print(status, sys.flags.optimize)")
+        assert run_on_one_blas_thread(source, *options).splitlines()[-1] == f"0 {optimize}"
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -332,6 +332,28 @@ def test_emit_report_of_an_lm_row_and_an_all_failed_row(tmp_path):
     ]
 
 
+def test_a_json_report_has_the_values_of_the_csv_report(tmp_path):
+    # the rows of a real two-solver campaign, whose values have more than 6 digits
+    rows, _ = run_campaign(tiny_campaign(nu=3, r=24, seeds=(0, 1), solvers=("lm", "mlm")))
+    rows = [("determinism", row) for row in rows]
+    emit_report(rows, tmp_path / "report.csv")
+    emit_report(rows, tmp_path / "report.json")
+    cells = parse_report_csv(tmp_path / "report.csv")
+    records = json.loads((tmp_path / "report.json").read_text())
+    assert len(cells) == len(records) == len(rows)
+    for row, record in zip(cells, records):
+        assert list(row) == list(record)
+        for key, cell in row.items():
+            if key in ("campaign", "solver"):
+                assert cell == record[key]
+            elif key == "failures":
+                assert int(cell) == record[key]
+            elif key == "rmse_seeds":
+                assert [float(v) for v in cell.split(";") if v] == record[key]
+            else:
+                assert (None if cell in ("", "nan") else float(cell)) == record[key], key
+
+
 # -- config files -------------------------------------------------------------------
 
 
@@ -388,6 +410,15 @@ def test_readme_cli_synopsis_matches_the_parser():
     assert documented == options
 
 
+def test_the_cli_docs_name_the_tests_of_its_bad_input_cases():
+    # cli's docstring and README's CLI section name the same tests, each one of this module
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(test_\w+)`", cli.__doc__))
+    assert len(named) == 8 and named == set(re.findall(r"`(test_\w+)`", section))
+    assert all(callable(globals().get(name)) for name in named)
+
+
 def test_paper_campaigns_cover_the_registry_at_its_defaults():
     campaigns = config.parse_campaign_file(Path(__file__).parents[1] / "campaigns" / "paper.cfg")
     assert [c.problem for c in campaigns] == list(bench.PROBLEMS)
@@ -438,10 +469,16 @@ def test_parse_rejects_unknown_key(tmp_path):
     # above pde.MAX_JACOBIAN_BYTES: refused before the grid or the start is built
     pytest.param("problem = poisson2d\nnu = 1e300", id="poisson2d nu = 1e300"),
     "r = 1000000000",
-    "seeds = -1", "seeds = 0 0", "solvers = lm lm", pytest.param("solvers = ", id="solvers ="),
+    pytest.param("problem = poisson2d\nr = 1000000000", id="poisson2d r = 1000000000"),
+    "seeds = -1", "seeds = 0 0", "seeds = 0 x", "solvers = lm lm",
+    pytest.param("solvers = ", id="solvers ="),
+    # every run would meet an infinite tolerance at iteration 0
+    "epsilon = inf",
     # fixed values: a campaign that sets one stops on its unknown key
     "penalty = 0", "penalty = -1", "test_points_per_axis = 0", "test_points_per_axis = -5",
     "eps_amg = 1.5", "eps_amg = nan", "eps_amg = 0", "eps_amg = -1", "activation = relu",
+    # the paper's values of keys that are gone
+    "gamma3 = 2", "eps_amg = 0.5", "activation = sigmoid",
 ])
 def test_out_of_range_setting_fails_before_any_campaign_runs(tmp_path, monkeypatch, capsys, setting):
     # the bad campaign takes the registry's nu unless its setting gives one
@@ -852,7 +889,8 @@ def test_cli_split_inspect(tmp_path, monkeypatch):
         "--seed", "0", "--out", str(out),
     ])
     assert code == 0
-    assert "coupling matrix" in out.read_text()
+    # the coupling matrix, the split and the operators, byte for byte
+    assert out.read_bytes() == (DATA / "golden_split.txt").read_bytes()
     assert builds == [12]  # the campaign's own system, built once
 
 
@@ -864,6 +902,7 @@ def test_cli_split_inspect(tmp_path, monkeypatch):
     (["split-inspect", "--nu", "2.3"], "campaign 'poisson1d': 2*nu must be an integer"),
     # a flag that is gone: argparse prints its usage and the error, with status 2
     (["split-inspect", "--activation", "sigmoid"], "unrecognized arguments: --activation sigmoid"),
+    (["split-inspect", "--eps-amg", "0.5"], "unrecognized arguments: --eps-amg 0.5"),
     (["split-inspect", "--nu", "inf"], "campaign 'poisson1d': nu must be finite"),
     (["split-inspect", "--problem", "poisson2d", "--nu", "1e300"],
      "campaign 'poisson2d': nu=1e+300 asks for more than 134217728 training points"),
@@ -877,7 +916,7 @@ def test_cli_split_inspect(tmp_path, monkeypatch):
     # the training spacing 1/101 holds every point k/101 of the 100-point RMSE test axis
     (["split-inspect", "--nu", "50.5"],
      "campaign 'poisson1d': the test grid of TEST_POINTS_PER_AXIS=100 lies entirely on training"),
-], ids=["split-r", "split-nu", "split-activation", "split-nu-inf", "split-nu-1e300",
+], ids=["split-r", "split-nu", "split-activation", "split-eps-amg", "split-nu-inf", "split-nu-1e300",
         "split-r-1e9", "split-seed", "split-nu-negative", "split-nu-negative-half",
         "split-nu-50.5"])
 def test_cli_bad_settings_end_in_one_line(tmp_path, capsys, argv, message):

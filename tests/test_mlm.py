@@ -53,7 +53,8 @@ def coarse_model_at(system, x, ops):
 def test_go_down_zero_gradient_false(rng):
     ops = random_ops(rng, 6)
     grad = np.zeros(3 * 6 + 1)
-    assert go_down(grad, ops, effective_kappa(ops), 1e-4, FlopCounter()) is None
+    kappa = effective_kappa(ops)
+    assert go_down(grad, np.linalg.norm(grad), ops, kappa, 1e-4, FlopCounter()) is None
 
 
 def test_go_down_identity_true():
@@ -61,7 +62,7 @@ def test_go_down_identity_true():
     grad = np.zeros(16)
     grad[0] = 1.0
     counter = FlopCounter()
-    restricted = go_down(grad, ops, effective_kappa(ops), 1e-4, counter)
+    restricted = go_down(grad, np.linalg.norm(grad), ops, effective_kappa(ops), 1e-4, counter)
     assert np.array_equal(restricted, grad)
     assert counter.matvec_flops == 3 * 2 * 5 * 5  # three blockwise restrictions
 
@@ -74,7 +75,8 @@ def test_go_down_null_space_false(rng):
     assert np.linalg.norm(R @ null_vec) < 1e-12
     grad = np.zeros(3 * 8 + 1)
     grad[:8] = null_vec  # output-weight block only, output-bias zero
-    assert go_down(grad, ops, effective_kappa(ops), 1e-4, FlopCounter()) is None
+    kappa = effective_kappa(ops)
+    assert go_down(grad, np.linalg.norm(grad), ops, kappa, 1e-4, FlopCounter()) is None
 
 
 # -- effective_kappa ---------------------------------------------------------------
@@ -334,6 +336,40 @@ def test_a_failed_coarse_solve_grows_lambda_and_uses_up_an_iteration(rng, monkey
     step, pred = coarse_cycle(model, 0.05, LmConfig(), FlopCounter(), math.inf)
     assert lams == [0.05]
     assert pred == 0.0 and not step.any()
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["first-jacobian", "second-jacobian"])
+def test_a_coarse_jacobian_that_cannot_be_factored_ends_the_run(rng, monkeypatch, failing):
+    # the factor of J does not depend on lam, so a J whose factor fails is tried once, and
+    # the run returns the step and prediction of the coarse point that J was formed at
+    system = network_system(nu=3, r=12)
+    x = rng.uniform(-1, 1, system.n)
+    ops = build_transfer_operators(system.jacobian(x), system.arch)
+    model = coarse_model_at(system, x, ops)
+    factored = []  # the bytes of the Jacobian of every gram_eigen call
+    points = [model.x0]  # the coarse point of every coarse Jacobian
+    real_jacobian = ResidualSystem.jacobian
+
+    def recording_jacobian(self, p):
+        if self is model.system:
+            points.append(p.copy())
+        return real_jacobian(self, p)
+
+    def failing_gram_eigen(J):
+        factored.append(J.tobytes())
+        if len(set(factored)) == failing:
+            raise NumericalError("injected factor breakdown")
+        return gram_eigen(J)
+
+    monkeypatch.setattr(ResidualSystem, "jacobian", recording_jacobian)
+    monkeypatch.setattr(mlm, "gram_eigen", failing_gram_eigen)
+    step, pred = coarse_cycle(model, 0.05, LmConfig(epsilon=1e-10), FlopCounter(), math.inf)
+    assert len(factored) == len(set(factored)) == failing == len(points)
+    y = points[-1]
+    _, value = lm.evaluate_loss(model.system, y)
+    value += float(model.correction @ (y - model.x0))
+    assert np.array_equal(step, y - model.x0) and pred == model.f0 - value
+    assert step.any() == (failing > 1)
 
 
 def test_coarse_cycle_factors_each_coarse_jacobian_once(rng, monkeypatch):
@@ -621,7 +657,7 @@ def solve_without_reuse(system, x0, cfg, ops, counter, trace):
     coherence_log = []
 
     def coarse_step(x, f, g, grad_norm, lam):
-        restricted = go_down(g, ops, kappa, cfg.epsilon, counter)
+        restricted = go_down(g, grad_norm, ops, kappa, cfg.epsilon, counter)
         if restricted is None:
             return None
         model = build_coarse_model(coarse, x, ops, restricted, counter)
